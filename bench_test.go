@@ -18,6 +18,7 @@ import (
 	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
+	"readretry/internal/experiments/coord"
 	"readretry/internal/experiments/shard"
 	"readretry/internal/nand"
 	"readretry/internal/rng"
@@ -371,12 +372,13 @@ func BenchmarkSweepQLCGrid(b *testing.B) {
 	b.ReportMetric(float64(len(cfg.Devices)), "devices")
 }
 
-// BenchmarkSweepSharded runs the trimmed grid as a 4-shard plan — every
-// shard executed back-to-back through the shard subsystem over a shared
-// in-memory cache, then merged — versus BenchmarkSweepParallel's direct
-// single run. The delta is the distribution layer's whole overhead:
-// planning, per-cell content addressing, record assembly, and the
-// merge-time re-sequencing plus normalization.
+// BenchmarkSweepSharded runs the trimmed grid as 4 shards of an
+// in-process coordinator — every shard leased, executed through the shard
+// subsystem over a shared in-memory cache, and completed back-to-back —
+// versus BenchmarkSweepParallel's direct single run. The delta is the
+// distribution layer's whole overhead: planning, per-cell content
+// addressing, record assembly, and the incremental merge plus
+// normalization.
 func BenchmarkSweepSharded(b *testing.B) {
 	cfg := benchSweepConfig()
 	cfg.Parallelism = 0
@@ -384,16 +386,21 @@ func BenchmarkSweepSharded(b *testing.B) {
 	const shards = 4
 	for i := 0; i < b.N; i++ {
 		cfg.Cache = cellcache.Memory()
-		plan, err := shard.NewPlan(cfg, variants, shards)
+		c := coord.New(coord.Options{Cache: cfg.Cache})
+		j, err := c.Submit(coord.SpecOf(cfg, variants), shards)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, m := range plan.Shards {
-			if _, err := shard.Run(context.Background(), cfg, variants, m, ""); err != nil {
+		for l, ok := c.Lease("bench"); ok; l, ok = c.Lease("bench") {
+			rec, err := shard.Run(context.Background(), cfg, variants, l.Manifest, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Complete(l.ID, rec); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if _, err := shard.Merge(cfg, variants, "", cfg.Cache); err != nil {
+		if _, err := j.Result(); err != nil {
 			b.Fatal(err)
 		}
 	}

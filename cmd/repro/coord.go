@@ -1,12 +1,13 @@
-// The networked sweep modes: -serve turns this process into the sweep
+// The coordinator sweep modes: -serve turns this process into the sweep
 // coordinator (shards the selected Figure 14/15 grids, serves them to
 // -worker processes over HTTP, accepts submissions from -submit clients
 // over the same cellcache, renders when every job completes), -worker
 // turns it into a puller that executes shards until the coordinator
 // drains, and -submit sends the selected sweeps to a running coordinator
-// and waits for the merged results. Unlike the filesystem shard modes,
-// none of the processes need a shared directory — records travel over the
-// wire — though workers still want -cache-dir for crash-resume.
+// and waits for the merged results. -spawn-shards N is -serve on a
+// loopback port plus N child -worker processes this process supervises.
+// No process needs a shared directory — records travel over the wire —
+// though workers still want -cache-dir for crash-resume.
 package main
 
 import (
@@ -17,7 +18,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"os/signal"
+	"runtime"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -32,14 +36,15 @@ var (
 	workerAddr = flag.String("worker", "", "run as sweep worker: pull and execute shards from the coordinator at this host:port until it drains (-cache-dir recommended for crash-resume)")
 	submitAddr = flag.String("submit", "", "submit the selected Figure 14/15 sweeps to the coordinator at this host:port and wait for the merged results")
 
-	serveShards = flag.Int("serve-shards", 8, "how many shards to partition each submitted sweep into (with -serve or -submit)")
+	spawnShards = flag.Int("spawn-shards", 0, "run a loopback coordinator (as -serve does) and fork this many child repro -worker processes to drain it; each sweep is cut into -serve-shards shards")
+	serveShards = flag.Int("serve-shards", 8, "how many shards to partition each submitted sweep into (with -serve, -spawn-shards or -submit)")
 	leaseTTL    = flag.Duration("lease-ttl", coord.DefaultLeaseTTL, "how long a worker lease survives without a heartbeat before its shard is re-leased (with -serve)")
 	stateDir    = flag.String("state-dir", "", "directory for the coordinator's crash-safe state journal (with -serve): a killed coordinator restarted with the same -state-dir resumes every job with zero lost work")
 )
 
 // networked reports whether a coordinator-protocol sweep mode is active
 // (worker mode is its own early-exit path and not counted here).
-func networked() bool { return *serveAddr != "" || *submitAddr != "" }
+func networked() bool { return *serveAddr != "" || *submitAddr != "" || *spawnShards > 0 }
 
 func coordLogf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "repro: "+format+"\n", args...)
@@ -89,22 +94,101 @@ func selectedSweeps(cfg experiments.Config, add func(figure, quantity, paper, me
 	return figs
 }
 
-// runNetworkedSweeps dispatches -serve or -submit over the selected
-// figures, rendering each merged result exactly as the single-process path
-// would.
+// runNetworkedSweeps dispatches -serve, -spawn-shards or -submit over the
+// selected figures, rendering each merged result exactly as the
+// single-process path would.
 func runNetworkedSweeps(cfg experiments.Config, add func(figure, quantity, paper, measured string)) error {
 	figs := selectedSweeps(cfg, add)
-	if *serveAddr != "" {
-		return runServeMode(cfg, figs)
+	switch {
+	case *serveAddr != "":
+		return runServeMode(cfg, figs, *serveAddr, 0)
+	case *spawnShards > 0:
+		return runServeMode(cfg, figs, "127.0.0.1:0", *spawnShards)
 	}
 	return runSubmitMode(cfg, figs)
 }
 
+// workerPool supervises the -spawn-shards children.
+type workerPool struct {
+	cmds   []*exec.Cmd
+	exited chan struct{} // closed once every child has exited and been reaped
+}
+
+// spawnWorkers starts n children of this executable as `repro -worker
+// addr`. Everything sweep-defining travels in each lease's Spec, so only
+// the pool size and the cache tier are forwarded. Unless -parallel is
+// pinned, each child gets an even slice of the machine so n children do
+// not oversubscribe it n×.
+func spawnWorkers(addr string, n int) (*workerPool, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	par := *parallel
+	if par <= 0 {
+		if par = runtime.GOMAXPROCS(0) / n; par < 1 {
+			par = 1
+		}
+	}
+	args := []string{"-worker", addr, "-parallel", strconv.Itoa(par)}
+	if *cacheDir != "" {
+		args = append(args, "-cache-dir", *cacheDir)
+	}
+	p := &workerPool{exited: make(chan struct{})}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		cmd := exec.Command(exe, args...)
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			p.kill() // the started children's waiters reap them
+			return nil, fmt.Errorf("starting worker %d/%d: %w", i+1, n, err)
+		}
+		p.cmds = append(p.cmds, cmd)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = cmd.Wait() // the exit status stays in cmd.ProcessState
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(p.exited)
+	}()
+	return p, nil
+}
+
+// kill signals every child still running; one that already exited makes
+// Kill a harmless no-op.
+func (p *workerPool) kill() {
+	for _, cmd := range p.cmds {
+		_ = cmd.Process.Kill()
+	}
+}
+
+// stop kills the children and waits until all have exited. It runs once
+// the coordinator is done: a child has nothing left to deliver, and a
+// worker that never reached the coordinator would otherwise retry forever.
+func (p *workerPool) stop() {
+	p.kill()
+	<-p.exited
+}
+
+// err reports a pool that emptied before the sweeps completed, naming its
+// first child. Call it only once exited is closed.
+func (p *workerPool) err() error {
+	first := p.cmds[0]
+	return fmt.Errorf("every spawned worker exited before the sweeps completed (worker 1/%d, pid %d: %v)",
+		len(p.cmds), first.Process.Pid, first.ProcessState)
+}
+
 // runServeMode is the -serve daemon: one coordinator over this process's
-// cellcache, the selected figures submitted to itself, shards served to
-// workers until every job — its own and any a -submit client sends while
-// it is up — has completed. It renders its own figures and exits; an
-// external job keeps it alive until that job completes too.
+// cellcache, listening on addr, the selected figures submitted to itself,
+// shards served to workers until every job — its own and any a -submit
+// client sends while it is up — has completed. It renders its own figures
+// and exits; an external job keeps it alive until that job completes too.
+// With spawn > 0 (-spawn-shards) it also forks that many child workers
+// after submitting, fails if all of them exit before the jobs complete,
+// and kills any still running once it is done.
 //
 // With -state-dir, every submission and completion is journaled before it
 // is acknowledged, and startup replays the journal: a SIGKILL'd
@@ -112,7 +196,7 @@ func runNetworkedSweeps(cfg experiments.Config, add func(figure, quantity, paper
 // re-simulating nothing. SIGTERM/SIGINT trigger a graceful exit instead:
 // stop granting leases, let in-flight deliveries land (journaled), flush,
 // exit 0.
-func runServeMode(cfg experiments.Config, figs []figureSweep) error {
+func runServeMode(cfg experiments.Config, figs []figureSweep, addr string, spawn int) error {
 	var c *coord.Coordinator
 	opts := coord.Options{LeaseTTL: *leaseTTL, Cache: cfg.Cache}
 	if *stateDir != "" {
@@ -130,7 +214,7 @@ func runServeMode(cfg experiments.Config, figs []figureSweep) error {
 		c = coord.New(opts)
 		coordLogf("coordinator: no -state-dir; a crash loses queued jobs (merged cells survive only in -cache-dir)")
 	}
-	ln, err := net.Listen("tcp", *serveAddr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		c.Close()
 		return err
@@ -197,6 +281,20 @@ func runServeMode(cfg experiments.Config, figs []figureSweep) error {
 		own = append(own, ownJob{f, j})
 	}
 
+	// workersGone stays nil, never ready, unless this process supervises
+	// its own workers.
+	var pool *workerPool
+	var workersGone <-chan struct{}
+	if spawn > 0 {
+		if pool, err = spawnWorkers(ln.Addr().String(), spawn); err != nil {
+			finish()
+			return err
+		}
+		// Deferred, so it runs after the finish() of every return below.
+		defer pool.stop()
+		workersGone = pool.exited
+	}
+
 	for _, o := range own {
 		for done := false; !done; {
 			select {
@@ -205,6 +303,9 @@ func runServeMode(cfg experiments.Config, figs []figureSweep) error {
 				return finish()
 			case <-o.job.Done():
 				done = true
+			case <-workersGone:
+				finish()
+				return pool.err()
 			case <-time.After(2 * time.Second):
 				if *progress {
 					st, _ := c.Status(o.job.ID)
@@ -219,11 +320,7 @@ func runServeMode(cfg experiments.Config, figs []figureSweep) error {
 			return fmt.Errorf("%s: %w", o.fig.name, err)
 		}
 		o.fig.render(res)
-		if err := writeFigureCSV(o.fig.name, res); err != nil {
-			finish()
-			return err
-		}
-		if err := writeFigureMetricsCSV(o.fig.name, res); err != nil {
+		if err := writeFigureCSVs(o.fig.name, res); err != nil {
 			finish()
 			return err
 		}
@@ -246,6 +343,9 @@ func runServeMode(cfg experiments.Config, figs []figureSweep) error {
 				case <-stop:
 					coordLogf("coordinator: exiting with external jobs pending; restart with -state-dir %s to resume", *stateDir)
 					return finish()
+				case <-workersGone:
+					finish()
+					return pool.err()
 				case <-j.Done():
 				}
 			}
@@ -279,10 +379,7 @@ func runSubmitMode(cfg experiments.Config, figs []figureSweep) error {
 			return fmt.Errorf("%s: %w", f.name, err)
 		}
 		f.render(res)
-		if err := writeFigureCSV(f.name, res); err != nil {
-			return err
-		}
-		if err := writeFigureMetricsCSV(f.name, res); err != nil {
+		if err := writeFigureCSVs(f.name, res); err != nil {
 			return err
 		}
 	}

@@ -16,17 +16,11 @@
 //	repro -retry-metrics -csv out  # also stream out/fig14.metrics.csv (per-block retry accounting)
 //	repro -history         # add the history-seeded PnAR2+H column to the fig14 grid
 //
-// The Figure 14/15 sweeps can be distributed across processes (even
-// machines sharing a filesystem) through the shard subsystem; every mode
-// needs -cache-dir, the shared result store:
+// The Figure 14/15 sweeps can be distributed across processes through the
+// sweep coordinator, with fault-tolerant leases (coord.go in this package;
+// internal/experiments/coord for the protocol):
 //
-//	repro -only fig14 -cache-dir .rrc -shards 4 -shard-index 2   # run one shard
-//	repro -only fig14 -cache-dir .rrc -merge                     # merge completed shards
-//	repro -only fig14 -cache-dir .rrc -spawn-shards 4            # fork 4 children + merge
-//
-// Or over the network — no shared filesystem, fault-tolerant leases
-// (coord.go in this package; internal/experiments/coord for the protocol):
-//
+//	repro -only fig14 -spawn-shards 4     # loopback coordinator + 4 child workers
 //	repro -only fig14 -serve :9736        # coordinator: shard, serve, merge, render
 //	repro -worker host:9736               # worker(s): pull and execute shards
 //	repro -only fig15 -submit host:9736   # another client borrows the same daemon
@@ -36,8 +30,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -49,7 +43,6 @@ import (
 	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
-	"readretry/internal/experiments/shard"
 	"readretry/internal/nand"
 	"readretry/internal/rpt"
 	"readretry/internal/ssd"
@@ -68,27 +61,21 @@ var (
 	csvDir   = flag.String("csv", "", "directory to stream per-figure sweep CSVs into (fig14.csv, fig15.csv), written row-by-row as cells complete")
 	temps    = flag.String("temps", "", "comma-separated operating temperatures in °C (e.g. 25,55,85) to cross the Figure 14/15 condition grid with; empty keeps the device default")
 	device   = flag.String("device", "", "comma-separated device presets (tlc, qlc16): one preset reconfigures the Figure 14/15 device template in place; several cross the condition grid with a device axis")
-	cacheDir = flag.String("cache-dir", "", "per-cell sweep cache directory: re-runs only simulate cells not already cached; the shared store all shard modes require")
+	cacheDir = flag.String("cache-dir", "", "per-cell sweep cache directory: re-runs only simulate cells not already cached; -spawn-shards children share it as their crash-resume store")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format), so perf work can attribute wins")
 	memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit (pprof format)")
 
 	retryMetrics = flag.Bool("retry-metrics", false, "collect per-block retry accounting during the Figure 14/15 sweeps; with -csv, streams <figure>.metrics.csv beside the sweep CSV (observational only: latencies are bit-identical either way)")
 	history      = flag.Bool("history", false, "add the PnAR2+H column — PnAR2 with each block's ladder start seeded from its last successful retry outcome — to the Figure 14 grid")
-
-	shards      = flag.Int("shards", 0, "partition the Figure 14/15 grids into this many round-robin shards and run only -shard-index (requires -cache-dir)")
-	shardIndex  = flag.Int("shard-index", 0, "which shard to run when -shards is set (0-based)")
-	mergeFlag   = flag.Bool("merge", false, "merge completed shard outputs from -cache-dir instead of simulating; fails listing the missing cells if any shard has not finished")
-	spawnShards = flag.Int("spawn-shards", 0, "fork this many child repro processes (one per shard) over the shared -cache-dir, wait, and merge their outputs")
 )
 
-// distributed reports whether any shard-coordination mode is active; those
-// modes apply only to the Figure 14/15 sweeps, so every other experiment
-// is skipped while one is on.
-func distributed() bool { return *shards > 0 || *mergeFlag || *spawnShards > 0 }
-
-// shardsDir is where manifests and completion records live: a subdirectory
-// of the shared cache dir, beside (not among) the per-cell entries.
-func shardsDir() string { return filepath.Join(*cacheDir, "shards") }
+// createCSV creates -csv's dir/<file>, making the directory if needed.
+func createCSV(file string) (*os.File, error) {
+	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		return nil, err
+	}
+	return os.Create(filepath.Join(*csvDir, file))
+}
 
 // csvSinkFor opens dir/<name>.csv for streaming when -csv is set; the
 // returned closer flushes and reports late write errors. Without -csv it
@@ -98,11 +85,7 @@ func csvSinkFor(name string, cfg experiments.Config) (experiments.CellSink, func
 	if *csvDir == "" {
 		return nil, func() error { return nil }, nil
 	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	path := filepath.Join(*csvDir, name+".csv")
-	f, err := os.Create(path)
+	f, err := createCSV(name + ".csv")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,10 +105,7 @@ func metricsSinkFor(name string, cfg experiments.Config) (experiments.CellSink, 
 	if *csvDir == "" || !*retryMetrics {
 		return nil, func() error { return nil }, nil
 	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	f, err := os.Create(filepath.Join(*csvDir, name+".metrics.csv"))
+	f, err := createCSV(name + ".metrics.csv")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,55 +117,37 @@ func metricsSinkFor(name string, cfg experiments.Config) (experiments.CellSink, 
 	return sink, f.Close, nil
 }
 
-// writeFigureCSV writes a complete grid to -csv's dir/<name>.csv. The grid
-// being complete, the buffered encoder writes the same bytes the streaming
-// sink would have — the property the distributed modes' byte-identity
-// rests on. Without -csv it is a no-op.
-func writeFigureCSV(name string, res *experiments.Result) error {
+// writeFigureCSVs writes a complete grid to -csv's dir/<name>.csv and,
+// under -retry-metrics, dir/<name>.metrics.csv. The grid being complete,
+// the buffered encoders write the same bytes the streaming sinks would
+// have — the property the coordinator modes' byte-identity rests on, since
+// the retry digest travels losslessly through the cell cache, the
+// coordinator's wire format and its journal. Without -csv it is a no-op.
+func writeFigureCSVs(name string, res *experiments.Result) error {
 	if *csvDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+	write := func(file string, encode func(io.Writer) error) error {
+		f, err := createCSV(file)
+		if err != nil {
+			return err
+		}
+		if err := encode(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	if err := write(name+".csv", res.WriteCSV); err != nil || !*retryMetrics {
 		return err
 	}
-	f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := res.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeFigureMetricsCSV is writeFigureCSV's retry-metrics counterpart: the
-// buffered encoder over a merged grid writes the same bytes the streaming
-// metrics sink would have, because the retry digest travels losslessly
-// through the cell cache and shard records. A no-op unless both -csv and
-// -retry-metrics are set.
-func writeFigureMetricsCSV(name string, res *experiments.Result) error {
-	if *csvDir == "" || !*retryMetrics {
-		return nil
-	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(*csvDir, name+".metrics.csv"))
-	if err != nil {
-		return err
-	}
-	if err := res.WriteMetricsCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return write(name+".metrics.csv", res.WriteMetricsCSV)
 }
 
 // fig14Variants returns the Figure 14 columns, appending the
 // history-seeded ladder variant under -history. Every mode — direct,
-// shard, merge, spawn, networked — derives the grid from this one
-// function, so the config hash and cache keys agree across processes.
+// spawned, networked — derives the grid from this one function, so the
+// config hash and cache keys agree across processes.
 func fig14Variants() []experiments.Variant {
 	vs := experiments.Figure14Variants()
 	if *history {
@@ -255,26 +217,15 @@ func renderByTemp(res *experiments.Result, config, reference string) {
 // sweepProgress returns a Progress callback that reports the named sweep on
 // stderr at 10 % milestones (cells complete out of order only internally —
 // the callback itself is serialized by the engine). Every report carries a
-// cells-remaining count; a shard run additionally prefixes its identity
-// ("[shard 2/8]") and emits whole lines instead of \r rewinds, because
-// several child processes interleave on one terminal and rewinds would
-// overwrite each other.
+// cells-remaining count.
 func sweepProgress(name string) func(done, total int) {
-	prefix := ""
-	if *shards > 0 {
-		prefix = fmt.Sprintf("[shard %d/%d] ", *shardIndex+1, *shards)
-	}
 	lastDecade, lastLen := -1, 0
 	return func(done, total int) {
 		pct := done * 100 / total
 		if pct/10 > lastDecade || done == total {
 			lastDecade = pct / 10
-			line := fmt.Sprintf("%s%s: %d/%d cells (%d%%), %d remaining",
-				prefix, name, done, total, pct, total-done)
-			if prefix != "" {
-				fmt.Fprintln(os.Stderr, line)
-				return
-			}
+			line := fmt.Sprintf("%s: %d/%d cells (%d%%), %d remaining",
+				name, done, total, pct, total-done)
 			// The remaining count makes successive lines shrink; pad over
 			// the previous one so a \r rewind leaves no residue.
 			if pad := lastLen - len(line); pad > 0 {
@@ -290,140 +241,39 @@ func sweepProgress(name string) func(done, total int) {
 }
 
 func want(name string) bool {
-	if (distributed() || networked()) && name != "fig14" && name != "fig15" {
-		return false // shard and coordinator modes distribute only the sweeps
+	if networked() && name != "fig14" && name != "fig15" {
+		return false // coordinator modes distribute only the sweeps
 	}
 	return *only == "all" || strings.EqualFold(*only, name)
 }
 
-// runSweepFigure executes one Figure 14/15 sweep under the active mode.
-// A nil, nil return means "this process only ran a shard": the cells are
-// persisted (cache + completion record) but there is no full grid to
-// render, so the caller skips the figure's statistics.
+// runSweepFigure executes one Figure 14/15 sweep in this process,
+// streaming -csv output as cells complete.
 func runSweepFigure(name string, cfg experiments.Config, variants []experiments.Variant) (*experiments.Result, error) {
-	switch {
-	case *shards > 0:
-		plan, err := shard.NewPlan(cfg, variants, *shards)
-		if err != nil {
-			return nil, err
-		}
-		m := plan.Shards[*shardIndex]
-		fmt.Fprintf(os.Stderr, "[shard %d/%d] %s: %d of %d cells assigned\n",
-			*shardIndex+1, *shards, name, len(m.Cells), m.TotalCells)
-		if *progress {
-			cfg.Progress = sweepProgress(name)
-		}
-		if _, err := shard.Run(context.Background(), cfg, variants, m, shardsDir()); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "[shard %d/%d] %s: done, record %s\n",
-			*shardIndex+1, *shards, name, m.RecordFilename())
-		return nil, nil
-
-	case *mergeFlag || *spawnShards > 0:
-		res, err := shard.Merge(cfg, variants, shardsDir(), cfg.Cache)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeFigureCSV(name, res); err != nil {
-			return nil, err
-		}
-		if err := writeFigureMetricsCSV(name, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-
-	default:
-		if *progress {
-			cfg.Progress = sweepProgress(name)
-		}
-		sink, closeCSV, err := csvSinkFor(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Sink = sink
-		msink, closeMetrics, err := metricsSinkFor(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.MetricsSink = msink
-		res, err := experiments.RunSweep(context.Background(), cfg, variants)
-		if err != nil {
-			return nil, err
-		}
-		if err := closeCSV(); err != nil {
-			return nil, fmt.Errorf("csv: %w", err)
-		}
-		if err := closeMetrics(); err != nil {
-			return nil, fmt.Errorf("metrics csv: %w", err)
-		}
-		return res, nil
+	if *progress {
+		cfg.Progress = sweepProgress(name)
 	}
-}
-
-// spawnShardChildren forks n repro processes, one per shard, over the
-// shared cache dir, and waits for all of them. Children inherit the
-// sweep-defining flags; unless the user pinned -parallel, each child gets
-// an even slice of the machine so n children do not oversubscribe it n×.
-func spawnShardChildren(n int) error {
-	exe, err := os.Executable()
+	sink, closeCSV, err := csvSinkFor(name, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// An explicit -parallel 0 means "the default" just like omitting the
-	// flag, and spawn mode's default is the even split — only a concrete
-	// pool size is forwarded as-is.
-	par := *parallel
-	if par <= 0 {
-		if par = runtime.GOMAXPROCS(0) / n; par < 1 {
-			par = 1
-		}
+	cfg.Sink = sink
+	msink, closeMetrics, err := metricsSinkFor(name, cfg)
+	if err != nil {
+		return nil, err
 	}
-	base := []string{
-		"-only", *only,
-		"-cache-dir", *cacheDir,
-		"-shards", strconv.Itoa(n),
-		"-seed", strconv.FormatUint(*seed, 10),
-		"-parallel", strconv.Itoa(par),
-		"-progress=" + strconv.FormatBool(*progress),
+	cfg.MetricsSink = msink
+	res, err := experiments.RunSweep(context.Background(), cfg, variants)
+	if err != nil {
+		return nil, err
 	}
-	if *quick {
-		base = append(base, "-quick")
+	if err := closeCSV(); err != nil {
+		return nil, fmt.Errorf("csv: %w", err)
 	}
-	if *temps != "" {
-		base = append(base, "-temps", *temps)
+	if err := closeMetrics(); err != nil {
+		return nil, fmt.Errorf("metrics csv: %w", err)
 	}
-	if *device != "" {
-		base = append(base, "-device", *device)
-	}
-	if *retryMetrics {
-		base = append(base, "-retry-metrics")
-	}
-	if *history {
-		base = append(base, "-history")
-	}
-	cmds := make([]*exec.Cmd, n)
-	for i := range cmds {
-		args := append(append([]string(nil), base...), "-shard-index", strconv.Itoa(i))
-		c := exec.Command(exe, args...)
-		c.Stdout = os.Stdout // shard mode prints only prefixed progress lines
-		c.Stderr = os.Stderr
-		if err := c.Start(); err != nil {
-			for _, prev := range cmds[:i] {
-				prev.Process.Kill()
-				prev.Wait()
-			}
-			return fmt.Errorf("starting shard %d/%d: %w", i+1, n, err)
-		}
-		cmds[i] = c
-	}
-	var firstErr error
-	for i, c := range cmds {
-		if err := c.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard %d/%d child failed: %w", i+1, n, err)
-		}
-	}
-	return firstErr
+	return res, nil
 }
 
 func header(s string) {
@@ -433,14 +283,13 @@ func header(s string) {
 func main() {
 	flag.Parse()
 	modes := 0
-	for _, on := range []bool{*shards > 0, *mergeFlag, *spawnShards > 0,
-		*serveAddr != "", *workerAddr != "", *submitAddr != ""} {
+	for _, on := range []bool{*spawnShards > 0, *serveAddr != "", *workerAddr != "", *submitAddr != ""} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "repro: -shards, -merge, -spawn-shards, -serve, -worker and -submit are mutually exclusive")
+		fmt.Fprintln(os.Stderr, "repro: -spawn-shards, -serve, -worker and -submit are mutually exclusive")
 		os.Exit(2)
 	}
 	if *workerAddr != "" {
@@ -451,28 +300,8 @@ func main() {
 		return
 	}
 	if networked() && !want("fig14") && !want("fig15") {
-		fmt.Fprintln(os.Stderr, "repro: -serve and -submit distribute the fig14/fig15 sweeps; use -only fig14, fig15, or all")
+		fmt.Fprintln(os.Stderr, "repro: -serve, -spawn-shards and -submit distribute the fig14/fig15 sweeps; use -only fig14, fig15, or all")
 		os.Exit(2)
-	}
-	if distributed() {
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "repro: shard modes need -cache-dir, the shared result store")
-			os.Exit(2)
-		}
-		if *shards > 0 && (*shardIndex < 0 || *shardIndex >= *shards) {
-			fmt.Fprintf(os.Stderr, "repro: -shard-index %d outside [0, %d)\n", *shardIndex, *shards)
-			os.Exit(2)
-		}
-		if *shards > 0 && *csvDir != "" {
-			// A shard has no complete stripes to normalize, so it cannot
-			// emit the CSV; refusing beats silently writing nothing.
-			fmt.Fprintln(os.Stderr, "repro: -csv needs a full grid; pass it to -merge or -spawn-shards instead of a -shards run")
-			os.Exit(2)
-		}
-		if !want("fig14") && !want("fig15") {
-			fmt.Fprintln(os.Stderr, "repro: shard modes distribute the fig14/fig15 sweeps; use -only fig14, fig15, or all")
-			os.Exit(2)
-		}
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -753,9 +582,8 @@ func main() {
 			// The disk tier makes re-runs incremental; within one
 			// invocation it also lets fig15 reuse fig14's Baseline and
 			// NoRR cells (same scheme+PSO, so the same content address).
-			// Shard modes lean on it harder: it is the store children fill
-			// concurrently, what makes interrupted shards resumable, and a
-			// fallback source for -merge.
+			// Under -serve and -spawn-shards it is the coordinator's
+			// store: a re-run over a warm cache finishes at Submit.
 			cache, err := cellcache.Disk(*cacheDir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
@@ -765,49 +593,31 @@ func main() {
 		}
 		if networked() {
 			// Coordinator-protocol modes render inside runNetworkedSweeps
-			// (the serve daemon as each of its own jobs completes, the
-			// submit client as results stream back) and share the figure
-			// selection with the paths below.
+			// (the serve and spawn coordinator as each of its own jobs
+			// completes, the submit client as results stream back) and
+			// share the figure selection with the paths below.
 			if err := runNetworkedSweeps(cfg, add); err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 				os.Exit(1)
 			}
 		}
-		if *spawnShards > 0 {
-			// Fork one child per shard over the shared store; each child
-			// runs the same -only selection with -shards/-shard-index, so
-			// a parent asked for both figures shards both. The merges
-			// below consume what the children recorded.
-			if err := spawnShardChildren(*spawnShards); err != nil {
-				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-				os.Exit(1)
-			}
-		}
 		if !networked() && want("fig14") {
-			if *shards == 0 {
-				header("Figure 14: SSD response time (normalized to Baseline)")
-			}
+			header("Figure 14: SSD response time (normalized to Baseline)")
 			res, err := runSweepFigure("fig14", cfg, fig14Variants())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: fig14: %v\n", err)
 				os.Exit(1)
 			}
-			if res != nil {
-				renderFig14(res, cfg, add)
-			}
+			renderFig14(res, cfg, add)
 		}
 		if !networked() && want("fig15") {
-			if *shards == 0 {
-				header("Figure 15: combining with PSO (normalized to Baseline)")
-			}
+			header("Figure 15: combining with PSO (normalized to Baseline)")
 			res, err := runSweepFigure("fig15", cfg, experiments.Figure15Variants())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: fig15: %v\n", err)
 				os.Exit(1)
 			}
-			if res != nil {
-				renderFig15(res, cfg, add)
-			}
+			renderFig15(res, cfg, add)
 		}
 	}
 
@@ -823,7 +633,7 @@ func main() {
 }
 
 // renderFig14 prints the Figure 14 table and records its paper-vs-measured
-// statistics; res is a complete grid (a direct run or a shard merge).
+// statistics; res is a complete grid (a direct run or a coordinator merge).
 func renderFig14(res *experiments.Result, cfg experiments.Config, add func(figure, quantity, paper, measured string)) {
 	res.Render(os.Stdout)
 	prAvg, prMax := res.Reduction("PR2", "Baseline", false)

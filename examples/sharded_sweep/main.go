@@ -1,24 +1,22 @@
-// Sharded sweep: partition a Figure 14-style grid into independently
-// runnable shards, execute them as separate units of work over a shared
-// result store, and merge the outputs back into a result that is
-// byte-identical to a single-process run — including recovering from a
+// Sharded sweep: submit a Figure 14-style grid to an in-process sweep
+// coordinator, work its shard queue the way a worker process does —
+// lease, run over a disk cache, complete — and get back a merged result
+// byte-identical to a single-process run, including recovering from a
 // shard that "crashes" partway.
 //
 // The shards here run sequentially in one process to keep the example
-// deterministic and self-contained; each Run call is exactly what a
-// separate process (or machine sharing the directory) would execute. The
-// cmd/repro flags -shards/-shard-index/-merge/-spawn-shards drive the same
-// API across real processes.
+// deterministic and self-contained; each Lease → RunShard → Complete round
+// is exactly what a `repro -worker` process does over HTTP. The cmd/repro
+// flags -spawn-shards, -serve, -worker and -submit drive the same
+// coordinator across real processes.
 package main
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"readretry"
 )
@@ -37,77 +35,87 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	shardsDir := filepath.Join(dir, "shards")
 
-	// The shared per-cell store every shard fills as it goes: in real
-	// deployments a disk cache on a shared filesystem.
-	cache, err := readretry.NewDiskSweepCache(filepath.Join(dir, "cells"))
+	// The worker's crash-resume store: every finished cell lands here as
+	// soon as it is simulated.
+	cache, err := readretry.NewDiskSweepCache(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Cache = cache
+	workerCfg := cfg
+	workerCfg.Cache = cache
 
-	// 1. Plan: a deterministic round-robin partition of the canonical
-	// cell-index space, serialized as self-describing JSON manifests.
+	// 1. Submit: the coordinator partitions the canonical cell-index space
+	// round-robin into n self-describing shards.
 	const n = 3
-	plan, err := readretry.ShardPlan(cfg, variants, n)
+	coordinator := readretry.NewSweepCoordinator(readretry.SweepCoordinatorOptions{})
+	job, err := coordinator.Submit(readretry.SweepSpecOf(cfg, variants), n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := plan.WriteManifests(shardsDir); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("plan: %d cells over %d shards (config %.12s…)\n", plan.Total, n, plan.ConfigHash)
-	for _, m := range plan.Shards {
-		fmt.Printf("  shard %d/%d: %d cells %v\n", m.Index+1, m.Count, len(m.Cells), m.Cells)
-	}
+	st, _ := coordinator.Status(job.ID)
+	fmt.Printf("job %.12s…: %d cells over %d shards\n", job.ID, st.TotalCells, st.ShardCount)
 
-	// 2. Run shards 0 and 1 to completion; "crash" shard 2 after its
-	// first cell by canceling the context.
-	for _, m := range plan.Shards[:2] {
-		if _, err := readretry.RunShard(context.Background(), cfg, variants, m, shardsDir); err != nil {
+	// 2. Work the queue. The last shard "crashes" after its first cell: its
+	// context is canceled, so no record reaches the coordinator.
+	var crashed *readretry.SweepLease
+	for {
+		l, ok := coordinator.Lease("example-worker")
+		if !ok {
+			break
+		}
+		m := l.Manifest
+		fmt.Printf("  shard %d/%d: %d cells %v\n", m.Index+1, m.Count, len(m.Cells), m.Cells)
+		if m.Index == n-1 {
+			ctx, cancel := context.WithCancel(context.Background())
+			crashCfg := workerCfg
+			crashCfg.Parallelism = 1
+			crashCfg.Progress = func(done, total int) {
+				if done == 1 {
+					cancel() // simulate the process dying mid-shard
+				}
+			}
+			_, err := readretry.RunShard(ctx, crashCfg, variants, m)
+			fmt.Printf("  shard %d/%d interrupted: %v\n", m.Index+1, m.Count, err)
+			crashed = l
+			continue
+		}
+		rec, err := readretry.RunShard(context.Background(), workerCfg, variants, m)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("shard %d/%d complete\n", m.Index+1, m.Count)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	crashed := cfg
-	crashed.Parallelism = 1
-	crashed.Progress = func(done, total int) {
-		if done == 1 {
-			cancel() // simulate the process dying mid-shard
+		if _, err := coordinator.Complete(l.ID, rec); err != nil {
+			log.Fatal(err)
 		}
 	}
-	if _, err := readretry.RunShard(ctx, crashed, variants, plan.Shards[2], shardsDir); err != nil {
-		fmt.Printf("shard 3/%d interrupted: %v\n", n, err)
+
+	// 3. The job is not done, and Result refuses to hand out a partial grid.
+	st, _ = coordinator.Status(job.ID)
+	fmt.Printf("before resume: %d/%d cells merged, %d/%d shards done\n",
+		st.CellsDone, st.TotalCells, st.ShardsDone, st.ShardCount)
+	if _, err := job.Result(); err == nil {
+		log.Fatal("a partial job reported a result")
 	}
 
-	// 3. Merging now fails — with the exact missing cells, not a silently
-	// partial grid. (The crashed shard's finished cell is salvaged from
-	// the shared cache, so only the truly lost cells are listed.)
-	_, err = readretry.MergeShards(cfg, variants, shardsDir, cache)
-	var missing *readretry.SweepMissingCellsError
-	if !errors.As(err, &missing) {
-		log.Fatalf("expected a missing-cells error, got %v", err)
-	}
-	fmt.Printf("merge before resume: %d cells missing (e.g. %s)\n",
-		len(missing.Missing), missing.Labels[0])
-
-	// 4. Resume: re-run the crashed shard over the same store. Cells it
-	// already persisted are cache hits; only the lost ones simulate.
-	if _, err := readretry.RunShard(context.Background(), cfg, variants, plan.Shards[2], shardsDir); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("shard 3/%d resumed and completed\n", n)
-
-	// 5. Merge and verify bit-identity against a fresh unsharded run.
-	merged, err := readretry.MergeShards(cfg, variants, shardsDir, cache)
+	// 4. Resume: re-run the crashed manifest over the same cache. Cells it
+	// already persisted are cache hits; only the lost ones simulate. The
+	// coordinator accepts a record by its content, so there is no waiting
+	// for the dead lease to expire.
+	rec, err := readretry.RunShard(context.Background(), workerCfg, variants, crashed.Manifest)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plain := cfg
-	plain.Cache = nil
-	unsharded, err := readretry.RunSweep(context.Background(), plain, variants)
+	if _, err := coordinator.Complete(crashed.ID, rec); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("shard %d/%d resumed and completed\n", crashed.Manifest.Index+1, n)
+
+	// 5. Verify bit-identity against a fresh single-process run.
+	merged, err := job.Result()
+	if err != nil {
+		log.Fatal(err)
+	}
+	unsharded, err := readretry.RunSweep(context.Background(), cfg, variants)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,8 +126,10 @@ func main() {
 	if err := merged.WriteCSV(&b); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("merged CSV identical to unsharded run: %v (%d bytes)\n",
-		bytes.Equal(a.Bytes(), b.Bytes()), b.Len())
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		log.Fatal("merged CSV differs from the single-process run")
+	}
+	fmt.Printf("merged CSV identical to the single-process run (%d bytes)\n", b.Len())
 
 	avg, max := merged.Reduction("PnAR2", "Baseline", false)
 	fmt.Printf("PnAR2 reduction from the merged grid: avg %.1f%%, max %.1f%%\n", avg*100, max*100)

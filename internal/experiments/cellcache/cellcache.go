@@ -13,8 +13,8 @@
 // identical run performs zero simulations). Both are safe for concurrent
 // use by the engine's worker pool.
 //
-// Because disk entries feed byte-identity merges (the shard and coord
-// subsystems treat a cache hit as ground truth), the disk tier defends its
+// Because disk entries feed byte-identity merges (the coordinator treats a
+// cache hit as ground truth), the disk tier defends its
 // integrity end to end: every entry carries a CRC-32C over its payload, a
 // corrupt or torn entry is quarantined and treated as a miss (the engine
 // recomputes the cell and the next Put heals the entry), and stale temp
@@ -135,7 +135,7 @@ type DiskCache struct {
 // by an in-memory tier. Entries are one JSON file per cell named by the
 // key; writes go through a temp file + best-effort fsync + rename, so
 // neither a crashed run nor a concurrent reader in another process ever
-// observes a torn entry — many processes (the shard subsystem's workers)
+// observes a torn entry — many processes (a coordinator and its workers)
 // may safely share one dir. Each entry carries a CRC-32C checksum over its
 // payload: an entry that fails to parse or verify is quarantined under
 // dir/quarantine and treated as a miss, so the engine recomputes the cell
@@ -317,20 +317,17 @@ func (c *DiskCache) Put(key string, m Measurement) {
 		return
 	}
 	// Storage failures degrade to misses, never sweep errors.
-	_ = WriteFileAtomic(c.path(key), data)
+	_ = writeFileAtomic(c.path(key), data)
 }
 
-// WriteFileAtomic publishes data at path all-or-nothing: a temp file in
-// the target's directory, a best-effort fsync, then a rename. A reader in
-// any process — cache lookups, the shard subsystem's record scans — never
-// observes a torn file, and the data should hit stable storage before the
-// name does, because concurrent shard processes treat a visible entry as
-// durable work they will never redo. A failed sync still degrades to (at
-// worst) a missing file after a crash, never a torn one — the rename is
-// what makes it visible. Exported so every on-disk artifact the sweep
-// subsystems share (cache entries, shard manifests, completion records)
-// follows the one discipline.
-func WriteFileAtomic(path string, data []byte) error {
+// writeFileAtomic publishes data at path all-or-nothing: a temp file in
+// the target's directory, a best-effort fsync, then a rename. A cache
+// lookup in any process never observes a torn entry, and the data should
+// hit stable storage before the name does, because concurrent workers
+// sharing the directory treat a visible entry as durable work they will
+// never redo. A failed sync still degrades to (at worst) a missing file
+// after a crash, never a torn one — the rename is what makes it visible.
+func writeFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err

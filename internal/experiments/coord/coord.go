@@ -1,10 +1,8 @@
-// Package coord is the network layer over the shard subsystem: a
-// coordinator that serves one or many sweeps' shard work-queues to worker
-// processes over HTTP, with lease/heartbeat fault tolerance and an
-// incremental merge that consumes completion records as shards land —
-// turning the filesystem-portable pieces PR 5 built (self-describing
-// manifests, raw-measurement records, byte-identical merges) into a
-// long-lived sweeps-as-a-service daemon.
+// Package coord is the one distribution path for sweeps: a coordinator
+// that serves one or many sweeps' shard work-queues to worker processes
+// over HTTP, with lease/heartbeat fault tolerance and an incremental merge
+// that consumes completion records as shards land. Every multi-process
+// mode of cmd/repro (-serve, -worker, -submit, -spawn-shards) runs on it.
 //
 // The division of labor:
 //
@@ -19,8 +17,7 @@
 //     execute via shard.Run (crash-resumable through its local cellcache
 //     tier), heartbeat while running, stream the completion record back.
 //
-// The correctness bar is the same as the shard subsystem's: however the
-// work is distributed, re-leased after worker deaths, or completed twice,
+// The correctness bar: however the work is distributed, re-leased after worker deaths, or completed twice,
 // the merged Result — and its CSV bytes — must be identical to a
 // single-process experiments.RunSweep of the same configuration. The
 // fault-injection suite in this package enforces exactly that.
@@ -30,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -184,6 +182,10 @@ type Job struct {
 
 	grid *experiments.Grid
 	plan *shard.Plan
+	// keys holds each cell's content address, derived by Submit from the
+	// grid (only when the coordinator has a cache). Complete writes merged
+	// cells through under these keys, never under anything a worker sent.
+	keys []string
 
 	shards    []shardState
 	got       []cellcache.Measurement
@@ -361,12 +363,14 @@ func (c *Coordinator) Submit(spec Spec, shards int) (*Job, error) {
 		done:      make(chan struct{}),
 	}
 	if c.cache != nil {
+		j.keys = make([]string, total)
 		for idx := 0; idx < total; idx++ {
 			wl, cond, v := grid.CellAt(idx)
 			key, err := experiments.CellKey(cfg, wl, cond, v)
 			if err != nil {
 				return nil, err
 			}
+			j.keys[idx] = key
 			if m, ok := c.cache.Get(key); ok {
 				j.got[idx], j.have[idx] = m, true
 				j.remaining--
@@ -532,7 +536,9 @@ func (c *Coordinator) Heartbeat(leaseID string) (time.Time, error) {
 //     rejected as malformed (ErrBadRecord).
 //   - A valid record is merged idempotently — cells already covered are
 //     left untouched, so duplicate deliveries and overlapping stale
-//     records cannot change the result. leaseID is advisory: a record
+//     records cannot change the result. Only newly merged cells are
+//     written through to the cache, under the keys Submit derived from
+//     the grid. leaseID is advisory: a record
 //     delivered under an expired lease (the worker outlived its lease
 //     mid-upload) is still accepted, because the measurements are
 //     deterministic — identical to what the re-leased worker would
@@ -580,7 +586,7 @@ func (c *Coordinator) Complete(leaseID string, rec *shard.Record) (duplicate boo
 	shardIdx := -1
 	if rec.Manifest.Count == len(j.plan.Shards) &&
 		rec.Manifest.Index >= 0 && rec.Manifest.Index < len(j.plan.Shards) &&
-		equalCells(rec.Manifest.Cells, j.plan.Shards[rec.Manifest.Index].Cells) {
+		slices.Equal(rec.Manifest.Cells, j.plan.Shards[rec.Manifest.Index].Cells) {
 		shardIdx = rec.Manifest.Index
 	}
 	duplicate = shardIdx >= 0 && j.shards[shardIdx].status == shardDone
@@ -612,16 +618,15 @@ func (c *Coordinator) Complete(leaseID string, rec *shard.Record) (duplicate boo
 	}
 	if !finalized {
 		for _, cr := range rec.Results {
-			if !j.have[cr.Index] {
-				j.got[cr.Index] = cr.Measurement
-				j.have[cr.Index] = true
-				j.remaining--
+			if j.have[cr.Index] {
+				continue
 			}
-		}
-	}
-	if c.cache != nil {
-		for _, cr := range rec.Results {
-			c.cache.Put(cr.Key, cr.Measurement)
+			j.got[cr.Index] = cr.Measurement
+			j.have[cr.Index] = true
+			j.remaining--
+			if c.cache != nil {
+				c.cache.Put(j.keys[cr.Index], cr.Measurement)
+			}
 		}
 	}
 	if shardIdx >= 0 && j.shards[shardIdx].status != shardDone {
@@ -708,16 +713,4 @@ func (c *Coordinator) finalizeLocked(j *Job) {
 		}
 	}
 	close(j.done)
-}
-
-func equalCells(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

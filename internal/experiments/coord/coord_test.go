@@ -12,6 +12,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -244,6 +245,78 @@ func TestDuplicateCompleteIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdentical(t, "duplicate-complete", unsharded, res)
+}
+
+// TestCompleteDerivesCacheKeys: the coordinator writes delivered cells
+// through to its cache under the keys it derives from the grid itself. A
+// /complete body whose results each carry a "key" naming another cell —
+// what an older or hostile worker might send — must leave the cache
+// holding exactly each cell's experiments.CellKey entry with that cell's
+// own measurement, and a duplicate delivery must write nothing.
+func TestCompleteDerivesCacheKeys(t *testing.T) {
+	cfg := testConfig(7)
+	variants := testVariants()
+	cache := &countingCache{c: cellcache.Memory()}
+	c := New(Options{Clock: newFakeClock(), Cache: cache})
+	srv := httptest.NewServer(NewServer(c).Handler())
+	defer srv.Close()
+	j, err := c.Submit(SpecOf(cfg, variants), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, ok := c.Lease("w")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	rec, err := shard.Run(context.Background(), cfg, variants, l.Manifest, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	total := j.grid.Total()
+	keys := make([]string, total)
+	for idx := range keys {
+		wl, cond, v := j.grid.CellAt(idx)
+		if keys[idx], err = experiments.CellKey(cfg, wl, cond, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type keyedResult struct {
+		Index       int                   `json:"index"`
+		Key         string                `json:"key"`
+		Measurement cellcache.Measurement `json:"measurement"`
+	}
+	results := make([]keyedResult, len(rec.Results))
+	for i, cr := range rec.Results {
+		results[i] = keyedResult{cr.Index, keys[(cr.Index+1)%total], cr.Measurement}
+	}
+	body, err := json.Marshal(map[string]interface{}{
+		"lease_id": l.ID,
+		"record":   map[string]interface{}{"manifest": rec.Manifest, "results": results},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, e := postRaw(t, srv.URL, "/complete", body); status != http.StatusOK {
+		t.Fatalf("complete with bogus keys: status %d (%s)", status, e.Error)
+	}
+	if cache.count() != total {
+		t.Fatalf("cache took %d puts for a %d-cell grid", cache.count(), total)
+	}
+	for _, cr := range rec.Results {
+		got, ok := cache.Get(keys[cr.Index])
+		if !ok || !reflect.DeepEqual(got, cr.Measurement) {
+			t.Fatalf("cell %d: cache entry under its own key is %+v (present %v), want its measurement", cr.Index, got, ok)
+		}
+	}
+
+	before := cache.count()
+	if status, e := postRaw(t, srv.URL, "/complete", body); status != http.StatusOK {
+		t.Fatalf("duplicate complete: status %d (%s)", status, e.Error)
+	}
+	if puts := cache.count() - before; puts != 0 {
+		t.Fatalf("duplicate delivery performed %d cache puts, want 0", puts)
+	}
 }
 
 // mustLease adapts the client for table-style test loops.

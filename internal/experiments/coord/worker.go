@@ -24,7 +24,7 @@ type Worker struct {
 	// Cache, when non-nil, is this worker's local measurement tier
 	// (typically a cellcache disk tier). A worker killed mid-shard and
 	// restarted over the same cache re-simulates only the cells the crash
-	// lost — the same crash-resume path PR 5's shard runner has.
+	// lost.
 	Cache cellcache.Cache
 	// Parallelism bounds concurrent cells within a shard; 0 means the
 	// engine default (GOMAXPROCS).

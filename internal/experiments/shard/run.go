@@ -2,9 +2,8 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
@@ -15,21 +14,19 @@ import (
 // cfg.Cache consulted first and filled after each miss). Before any
 // simulation it re-derives the configuration's hash and refuses a manifest
 // planned for a different sweep or under a different cache-key schema, so
-// mixing up flags between terminals fails loudly instead of merging
-// garbage.
+// mixing up flags between processes fails loudly instead of merging
+// garbage. Give a shard a cellcache disk tier to make it resumable:
+// re-running a crashed shard performs only the simulations the crash lost.
 //
-// When dir is non-empty the shard is made durable there: the manifest is
-// written up front (so an operator can see what is in flight) and an
-// atomic completion Record — the manifest plus every cell's raw
-// measurement — on success. Give every shard of a plan the same dir and
-// the same cellcache disk tier: the cache persists each cell as it lands,
-// which is what makes a crashed shard resumable (re-running it performs
-// only the simulations the crash lost), and the records are what Merge
-// consumes.
+// dir is vestigial — shards no longer write files — and must be empty; a
+// non-empty dir is an error rather than a silently ignored request.
 //
 // The returned record's measurements are raw; normalization happens once,
-// at merge time, over the full grid.
+// in Assemble, over the full grid.
 func Run(ctx context.Context, cfg experiments.Config, variants []experiments.Variant, m Manifest, dir string) (*Record, error) {
+	if dir != "" {
+		return nil, errors.New("shard: Run no longer writes a shard directory; pass dir \"\" and deliver the record to a coordinator")
+	}
 	g, err := experiments.NewGrid(cfg, variants)
 	if err != nil {
 		return nil, err
@@ -49,43 +46,20 @@ func Run(ctx context.Context, cfg experiments.Config, variants []experiments.Var
 	if err := m.validate(g); err != nil {
 		return nil, err
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("shard: %w", err)
-		}
-		if err := writeJSON(filepath.Join(dir, m.ManifestFilename()), m); err != nil {
-			return nil, fmt.Errorf("shard %d/%d: writing manifest: %w", m.Index, m.Count, err)
-		}
-	}
 
 	cells, err := experiments.RunCells(ctx, cfg, variants, m.Cells)
 	if err != nil {
 		return nil, err
 	}
-
-	rec := &Record{Manifest: m, Results: make([]CellResult, 0, len(cells))}
+	rec := &Record{Manifest: m, Results: make([]CellResult, len(cells))}
 	for i, idx := range m.Cells {
-		wl, cond, v := g.CellAt(idx)
-		key, err := experiments.CellKey(cfg, wl, cond, v)
-		if err != nil {
-			return nil, err
-		}
-		rec.Results = append(rec.Results, CellResult{
+		rec.Results[i] = CellResult{
 			Index: idx,
-			Key:   key,
 			Measurement: cellcache.Measurement{
 				Mean: cells[i].Mean, MeanRead: cells[i].MeanRead,
 				P99Read: cells[i].P99Read, RetrySteps: cells[i].RetrySteps,
 				Retry: cells[i].Retry,
 			},
-		})
-	}
-	if dir != "" {
-		// The index in the message matters: by this point every simulation
-		// has succeeded, so "which shard's record failed to land" is exactly
-		// what the operator re-runs.
-		if err := writeJSON(filepath.Join(dir, m.RecordFilename()), rec); err != nil {
-			return nil, fmt.Errorf("shard %d/%d: writing completion record: %w", m.Index, m.Count, err)
 		}
 	}
 	return rec, nil

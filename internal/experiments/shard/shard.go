@@ -1,37 +1,32 @@
 // Package shard turns one sweep into N independently runnable shards and
-// merges their outputs back into a single result that is byte-identical to
-// a single-process run — the distribution layer over the sweep engine's
-// canonical cell indexing (experiments.Grid).
+// assembles their raw measurements back into a single result that is
+// byte-identical to a single-process run — the partitioning layer over the
+// sweep engine's canonical cell indexing (experiments.Grid).
 //
-// The lifecycle has three phases:
+// The lifecycle has three steps:
 //
 //   - NewPlan partitions the canonical cell-index space round-robin into N
 //     balanced shards (cell idx goes to shard idx mod N, so the expensive
 //     high-PEC stripes at the end of each workload block spread evenly) and
-//     describes each as a self-contained JSON Manifest: the sweep's config
-//     hash, the cache-key schema, and the assigned cell indices.
+//     describes each as a self-contained Manifest: the sweep's config hash,
+//     the cache-key schema, and the assigned cell indices.
 //   - Run executes one shard's cells through the existing sweep machinery
 //     (experiments.RunCells): the same worker pool, shared traces, and
-//     per-cell cache, so a shard sharing a cellcache disk tier with others
-//     persists every finished cell as it lands and resumes across crashes
-//     for free. On completion it writes an atomic per-shard Record.
-//   - Merge scans completion records (and, optionally, a shared cache) for
-//     the full grid, fails with the exact list of missing cells if any are
-//     absent, re-sequences the rest into canonical order, applies the
-//     engine's post-hoc normalization once over the merged set, and returns
-//     a Result indistinguishable — reflect.DeepEqual and CSV bytes — from
-//     an unsharded RunSweep.
+//     per-cell cache, so a shard over a cellcache disk tier persists every
+//     finished cell as it lands and resumes across crashes for free. It
+//     returns a Record of raw measurements.
+//   - Assemble re-sequences a fully covered measurement vector into
+//     canonical order and applies the engine's post-hoc normalization once.
+//     The coordinator (internal/experiments/coord) calls it when its
+//     incremental merge of delivered Records covers the grid.
 //
 // Raw measurements are what travels between processes; normalization is
-// deliberately deferred to the merge because a shard's cells never form
+// deliberately deferred to assembly because a shard's cells never form
 // complete (workload, condition) stripes under round-robin assignment.
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
@@ -42,15 +37,15 @@ import (
 const ManifestVersion = 1
 
 // Manifest is the self-describing unit of shard work: everything a process
-// needs to check it is about to run (or merge) the same sweep the planner
-// partitioned, plus the exact cells assigned to it. It serializes as JSON;
-// the zero Index/Count shard of a 1-shard plan is a valid degenerate case
-// covering the whole grid.
+// needs to check it is about to run the same sweep the planner partitioned,
+// plus the exact cells assigned to it. It serializes as JSON (inside a
+// coordinator lease); the zero Index/Count shard of a 1-shard plan is a
+// valid degenerate case covering the whole grid.
 type Manifest struct {
 	Version int `json:"version"`
 	// ConfigHash fingerprints the full cell-index space
-	// (experiments.ConfigHash); Run and Merge refuse manifests or records
-	// whose hash does not match the configuration they were given.
+	// (experiments.ConfigHash); Run refuses manifests whose hash does not
+	// match the configuration it was given.
 	ConfigHash string `json:"config_hash"`
 	// KeySchema is the cache-key schema the planning engine derived cell
 	// addresses under (experiments.CacheKeySchema).
@@ -67,24 +62,6 @@ type Manifest struct {
 	// partitioners stay possible.
 	Cells []int `json:"cells"`
 }
-
-// name is the shard's file-name stem: the config-hash prefix keeps records
-// of different sweeps (fig14 vs fig15, different -temps axes) disjoint in
-// a shared directory.
-func (m Manifest) name() string {
-	hash := m.ConfigHash
-	if len(hash) > 12 {
-		hash = hash[:12]
-	}
-	return fmt.Sprintf("shard-%s-%04d-of-%04d", hash, m.Index, m.Count)
-}
-
-// ManifestFilename returns the file name WriteManifests uses for this
-// shard ("shard-<hash12>-0002-of-0008.manifest.json").
-func (m Manifest) ManifestFilename() string { return m.name() + ".manifest.json" }
-
-// RecordFilename returns the completion record's file name.
-func (m Manifest) RecordFilename() string { return m.name() + ".record.json" }
 
 // validate checks the manifest's internal consistency against a grid.
 func (m Manifest) validate(g *experiments.Grid) error {
@@ -110,11 +87,9 @@ func (m Manifest) validate(g *experiments.Grid) error {
 	return nil
 }
 
-// Plan is a full partition of one sweep into Count shards.
+// Plan is a full partition of one sweep into shards.
 type Plan struct {
 	ConfigHash string
-	KeySchema  string
-	Total      int
 	Shards     []Manifest
 }
 
@@ -139,12 +114,12 @@ func NewPlan(cfg experiments.Config, variants []experiments.Variant, n int) (*Pl
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{ConfigHash: hash, KeySchema: experiments.CacheKeySchema(), Total: g.Total()}
+	p := &Plan{ConfigHash: hash}
 	for i := 0; i < n; i++ {
 		m := Manifest{
 			Version:    ManifestVersion,
 			ConfigHash: hash,
-			KeySchema:  p.KeySchema,
+			KeySchema:  experiments.CacheKeySchema(),
 			Index:      i,
 			Count:      n,
 			TotalCells: g.Total(),
@@ -157,81 +132,48 @@ func NewPlan(cfg experiments.Config, variants []experiments.Variant, n int) (*Pl
 	return p, nil
 }
 
-// WriteManifests serializes every shard of the plan into dir (created if
-// absent), one JSON file per shard, atomically. Coordinators hand these to
-// worker processes; Run re-verifies each against its own configuration, so
-// a stale manifest can never silently execute the wrong cells.
-func (p *Plan) WriteManifests(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	for _, m := range p.Shards {
-		if err := writeJSON(filepath.Join(dir, m.ManifestFilename()), m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadManifest loads one serialized shard manifest.
-func ReadManifest(path string) (Manifest, error) {
-	var m Manifest
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return m, fmt.Errorf("shard: %w", err)
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("shard: parsing manifest %s: %w", path, err)
-	}
-	return m, nil
-}
-
-// writeJSON marshals v and publishes it through the sweep subsystems'
-// shared atomic-write discipline (cellcache.WriteFileAtomic), so a reader
-// — another shard process scanning for records, a merge racing a
-// finishing shard — never observes a torn file.
-func writeJSON(path string, v interface{}) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("shard: encoding %s: %w", path, err)
-	}
-	if err := cellcache.WriteFileAtomic(path, data); err != nil {
-		return fmt.Errorf("shard: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-// readJSON loads a JSON file into v.
-func readJSON(path string, v interface{}) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
-}
-
-// CellResult pairs one canonical cell index with its raw measurement and
-// the content address it is (or would be) cached under.
+// CellResult pairs one canonical cell index with its raw measurement. The
+// receiver derives the cell's cache address from the index itself, so no
+// key travels with it.
 type CellResult struct {
 	Index       int                   `json:"index"`
-	Key         string                `json:"key"`
 	Measurement cellcache.Measurement `json:"measurement"`
 }
 
 // Record is a shard's completion record: the manifest it executed plus
-// every assigned cell's raw measurement, in manifest order. A record's
-// existence means the whole shard finished — partially completed shards
-// leave only cache entries behind, which Merge can also consume.
+// every assigned cell's raw measurement, in manifest order.
 type Record struct {
 	Manifest Manifest     `json:"manifest"`
 	Results  []CellResult `json:"results"`
 }
 
-// ReadRecord loads one serialized completion record.
-func ReadRecord(path string) (*Record, error) {
-	var r Record
-	if err := readJSON(path, &r); err != nil {
-		return nil, fmt.Errorf("shard: reading record %s: %w", path, err)
+// Assemble builds the final normalized Result from a fully covered
+// measurement vector in canonical order — the last step of the
+// coordinator's incremental merge: the cells are decoded from the grid,
+// the raw measurements attached, and the engine's post-hoc normalization
+// applied exactly once over the whole set, so the Result is
+// reflect.DeepEqual (and byte-identical through WriteCSV) to an unsharded
+// RunSweep of the same configuration.
+func Assemble(g *experiments.Grid, variants []experiments.Variant, got []cellcache.Measurement) (*experiments.Result, error) {
+	if len(got) != g.Total() {
+		return nil, fmt.Errorf("shard: assembling %d measurements over a %d-cell grid", len(got), g.Total())
 	}
-	return &r, nil
+	res := &experiments.Result{Cells: make([]experiments.Cell, g.Total())}
+	for _, v := range variants {
+		res.Configs = append(res.Configs, v.Name)
+	}
+	for idx := range got {
+		wl, cond, v := g.CellAt(idx)
+		m := got[idx]
+		res.Cells[idx] = experiments.Cell{
+			Workload: wl, Cond: cond, Config: v.Name,
+			Mean: m.Mean, MeanRead: m.MeanRead,
+			P99Read: m.P99Read, RetrySteps: m.RetrySteps,
+			Retry: m.Retry,
+		}
+	}
+	if err := experiments.NormalizeCells(res.Cells, variants); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

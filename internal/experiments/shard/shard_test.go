@@ -3,17 +3,16 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
+	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
+	"readretry/internal/experiments/coord"
 	"readretry/internal/experiments/shard"
 )
 
@@ -44,6 +43,8 @@ func twoVariants() []experiments.Variant {
 	return []experiments.Variant{vs[0], vs[3]} // Baseline, PnAR2
 }
 
+// shapes enables retry accounting throughout, so every identity check
+// also covers the metrics CSV.
 func shapes() []gridShape {
 	flat := baseConfig(7)
 	flat.Conditions = []experiments.Condition{
@@ -57,50 +58,81 @@ func shapes() []gridShape {
 	one := baseConfig(7)
 	one.Workloads = []string{"stg_0"}
 
-	return []gridShape{
+	out := []gridShape{
 		{"2D", flat, twoVariants()},
 		{"3D-temps", cube, twoVariants()},
 		{"single-cell", one, twoVariants()[:1]},
 	}
-}
-
-// runShards executes every shard of the plan, each persisting into dir
-// and/or cache per the arguments.
-func runShards(t *testing.T, cfg experiments.Config, variants []experiments.Variant, p *shard.Plan, dir string) {
-	t.Helper()
-	for _, m := range p.Shards {
-		if _, err := shard.Run(context.Background(), cfg, variants, m, dir); err != nil {
-			t.Fatalf("shard %d/%d: %v", m.Index, m.Count, err)
-		}
+	for i := range out {
+		out[i].cfg.Base.RetryMetrics = true
 	}
+	return out
 }
 
 // assertIdentical fails unless merged matches the unsharded run exactly:
-// reflect.DeepEqual on the Result and byte-equality through WriteCSV.
+// reflect.DeepEqual on the Result and byte-equality through WriteCSV and
+// WriteMetricsCSV.
 func assertIdentical(t *testing.T, label string, unsharded, merged *experiments.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(unsharded, merged) {
 		t.Fatalf("%s: merged Result differs from unsharded run", label)
 	}
-	var a, b bytes.Buffer
-	if err := unsharded.WriteCSV(&a); err != nil {
+	for _, write := range []func(*experiments.Result, *bytes.Buffer) error{
+		func(r *experiments.Result, b *bytes.Buffer) error { return r.WriteCSV(b) },
+		func(r *experiments.Result, b *bytes.Buffer) error { return r.WriteMetricsCSV(b) },
+	} {
+		var a, b bytes.Buffer
+		if err := write(unsharded, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(merged, &b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s: merged CSV differs from unsharded run\nunsharded:\n%s\nmerged:\n%s",
+				label, a.String(), b.String())
+		}
+	}
+}
+
+// runShards executes every shard of the plan over cache and returns the
+// completion records.
+func runShards(t *testing.T, cfg experiments.Config, variants []experiments.Variant, p *shard.Plan, cache cellcache.Cache) []*shard.Record {
+	t.Helper()
+	cfg.Cache = cache
+	recs := make([]*shard.Record, len(p.Shards))
+	for i, m := range p.Shards {
+		rec, err := shard.Run(context.Background(), cfg, variants, m, "")
+		if err != nil {
+			t.Fatalf("shard %d/%d: %v", m.Index, m.Count, err)
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
+// bornDone submits the sweep to a fresh coordinator over cache and returns
+// its result, failing unless the cache alone completed the job at Submit.
+func bornDone(t *testing.T, cfg experiments.Config, variants []experiments.Variant, n int, cache cellcache.Cache) *experiments.Result {
+	t.Helper()
+	j, err := coord.New(coord.Options{Cache: cache}).Submit(coord.SpecOf(cfg, variants), n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := merged.WriteCSV(&b); err != nil {
-		t.Fatal(err)
+	res, err := j.Result()
+	if err != nil {
+		t.Fatalf("coordinator over the shards' cache not born done: %v", err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("%s: merged CSV differs from unsharded run\nunsharded:\n%s\nmerged:\n%s",
-			label, a.String(), b.String())
-	}
+	return res
 }
 
 // TestPlanPartitionPropertyAndMergeIdentity is the subsystem's core
 // property test: over several grid shapes (2-D, 3-D, single-cell) and
 // shard counts (1, 2, 3, and more shards than cells), every plan's
-// partition must be disjoint, covering, and balanced, and merging the
-// shards' outputs — from completion records alone and from a shared cache
-// alone — must reproduce the unsharded RunSweep bit-for-bit.
+// partition must be disjoint, covering, and balanced, and the one merge
+// path — the coordinator — must reproduce the unsharded RunSweep
+// bit-for-bit twice: from the shards' records delivered to it, and from a
+// fresh coordinator over the cache the shards filled.
 func TestPlanPartitionPropertyAndMergeIdentity(t *testing.T) {
 	for _, sh := range shapes() {
 		sh := sh
@@ -146,33 +178,36 @@ func TestPlanPartitionPropertyAndMergeIdentity(t *testing.T) {
 					}
 				}
 
-				// Merge from completion records alone.
-				dir := t.TempDir()
-				runShards(t, sh.cfg, sh.variants, p, dir)
-				merged, err := shard.Merge(sh.cfg, sh.variants, dir, nil)
+				// Records delivered to a coordinator.
+				cache := cellcache.Memory()
+				recs := runShards(t, sh.cfg, sh.variants, p, cache)
+				c := coord.New(coord.Options{})
+				j, err := c.Submit(coord.SpecOf(sh.cfg, sh.variants), n)
 				if err != nil {
-					t.Fatalf("n=%d: merge from records: %v", n, err)
+					t.Fatal(err)
 				}
-				assertIdentical(t, sh.name, unsharded, merged)
+				for _, rec := range recs {
+					if _, err := c.Complete("", rec); err != nil {
+						t.Fatalf("n=%d: delivering shard %d: %v", n, rec.Manifest.Index, err)
+					}
+				}
+				merged, err := j.Result()
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				assertIdentical(t, sh.name+"/records", unsharded, merged)
 
-				// Merge from a shared cache alone (no records written).
-				cacheCfg := sh.cfg
-				cacheCfg.Cache = cellcache.Memory()
-				runShards(t, cacheCfg, sh.variants, p, "")
-				fromCache, err := shard.Merge(sh.cfg, sh.variants, "", cacheCfg.Cache)
-				if err != nil {
-					t.Fatalf("n=%d: merge from cache: %v", n, err)
-				}
-				assertIdentical(t, sh.name+"/cache", unsharded, fromCache)
+				// A fresh coordinator over the cache the shards filled.
+				assertIdentical(t, sh.name+"/cache", unsharded, bornDone(t, sh.cfg, sh.variants, n, cache))
 			}
 		})
 	}
 }
 
-// TestMergedMetricsCSVMatchesUnsharded: with retry accounting enabled the
-// retry digest rides each cell through shard records and the shared
-// cache, so a merged grid renders the metrics CSV byte-identically to a
-// single-process sweep — the same contract the primary CSV already keeps.
+// TestMergedMetricsCSVMatchesUnsharded: the retry digest rides each cell
+// through the HTTP wire and the coordinator's journal, so a coordinator
+// fed over HTTP — and one rebuilt from its journal alone, with no cache —
+// renders the metrics CSV byte-identically to a single-process sweep.
 func TestMergedMetricsCSVMatchesUnsharded(t *testing.T) {
 	cfg := baseConfig(7)
 	cfg.Base.RetryMetrics = true
@@ -182,88 +217,48 @@ func TestMergedMetricsCSVMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := unsharded.WriteMetricsCSV(&want); err != nil {
-		t.Fatal(err)
-	}
-
 	p, err := shard.NewPlan(cfg, variants, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := runShards(t, cfg, variants, p, cellcache.Memory())
 
-	// From completion records alone.
-	dir := t.TempDir()
-	runShards(t, cfg, variants, p, dir)
-	merged, err := shard.Merge(cfg, variants, dir, nil)
+	state := t.TempDir()
+	c, _, err := coord.Recover(state, coord.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := merged.WriteMetricsCSV(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("record-merged metrics CSV differs from unsharded\nunsharded:\n%s\nmerged:\n%s",
-			want.String(), got.String())
-	}
-
-	// From a shared cache alone: the digest survives the JSON round-trip.
-	cacheCfg := cfg
-	cacheCfg.Cache = cellcache.Memory()
-	runShards(t, cacheCfg, variants, p, "")
-	fromCache, err := shard.Merge(cfg, variants, "", cacheCfg.Cache)
+	srv := httptest.NewServer(coord.NewServer(c).Handler())
+	defer srv.Close()
+	client := coord.NewClient(srv.URL)
+	receipt, err := client.Submit(context.Background(), coord.SpecOf(cfg, variants), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.Reset()
-	if err := fromCache.WriteMetricsCSV(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("cache-merged metrics CSV differs from unsharded\nunsharded:\n%s\nmerged:\n%s",
-			want.String(), got.String())
-	}
-}
-
-// TestMergeIncompleteFailsWithExactMissingCells: merging before every
-// shard has finished must fail with a *MissingCellsError naming exactly
-// the cells of the unfinished shards — never a silently normalized partial
-// grid.
-func TestMergeIncompleteFailsWithExactMissingCells(t *testing.T) {
-	cfg := baseConfig(7)
-	variants := twoVariants()
-	p, err := shard.NewPlan(cfg, variants, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	// Only shard 0 completes.
-	if _, err := shard.Run(context.Background(), cfg, variants, p.Shards[0], dir); err != nil {
-		t.Fatal(err)
-	}
-	_, err = shard.Merge(cfg, variants, dir, nil)
-	var missing *shard.MissingCellsError
-	if !errors.As(err, &missing) {
-		t.Fatalf("merge of an incomplete shard set returned %v, want *MissingCellsError", err)
-	}
-	if !reflect.DeepEqual(missing.Missing, p.Shards[1].Cells) {
-		t.Fatalf("missing = %v, want exactly shard 1's cells %v", missing.Missing, p.Shards[1].Cells)
-	}
-	g, err := experiments.NewGrid(cfg, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, idx := range missing.Missing {
-		if missing.Labels[i] != g.Label(idx) {
-			t.Errorf("label for cell %d = %q, want %q", idx, missing.Labels[i], g.Label(idx))
+	for _, rec := range recs {
+		if _, err := client.Complete(context.Background(), "", rec); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// An empty directory reports the whole grid missing.
-	_, err = shard.Merge(cfg, variants, t.TempDir(), nil)
-	if !errors.As(err, &missing) || len(missing.Missing) != g.Total() {
-		t.Fatalf("merge over empty dir: %v", err)
+	merged, err := client.Result(context.Background(), receipt.JobID)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertIdentical(t, "http", unsharded, merged)
+
+	replayed, _, err := coord.Recover(state, coord.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, ok := replayed.Job(receipt.JobID)
+	if !ok {
+		t.Fatal("journal replay lost the job")
+	}
+	fromJournal, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "journal", unsharded, fromJournal)
 }
 
 // countingCache counts real Put calls — each one is a simulation the
@@ -289,12 +284,13 @@ func (cc *countingCache) count() int {
 
 // TestResumeAfterPartialShard models a crashed shard process: the first
 // attempt is canceled mid-run, leaving finished cells in the shared cache
-// but no completion record. Merge still fails (exactly the unfinished
-// cells missing, records + cache both consulted), the re-run performs only
-// the simulations the crash lost, and the final merge is bit-identical to
-// the unsharded run.
+// but no record. A coordinator over that cache then holds exactly the
+// surviving cells, the re-run performs only the simulations the crash
+// lost, and a fresh coordinator over the cache is born done with a result
+// bit-identical to the unsharded run.
 func TestResumeAfterPartialShard(t *testing.T) {
 	cfg := baseConfig(7)
+	cfg.Base.RetryMetrics = true
 	cfg.Parallelism = 1 // deterministic number of cells completed before cancel
 	variants := twoVariants()
 	unsharded, err := experiments.RunSweep(context.Background(), cfg, variants)
@@ -306,25 +302,25 @@ func TestResumeAfterPartialShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	cache := &countingCache{c: cellcache.Memory()}
-	cfg.Cache = cache
+	runCfg := cfg
+	runCfg.Cache = cache
 
 	// Shard 0 completes normally.
-	if _, err := shard.Run(context.Background(), cfg, variants, p.Shards[0], dir); err != nil {
+	if _, err := shard.Run(context.Background(), runCfg, variants, p.Shards[0], ""); err != nil {
 		t.Fatal(err)
 	}
 	doneShard0 := cache.count()
 
 	// Shard 1 "crashes" after its first cell: cancel as soon as one lands.
 	ctx, cancel := context.WithCancel(context.Background())
-	crashCfg := cfg
+	crashCfg := runCfg
 	crashCfg.Progress = func(done, total int) {
 		if done == 1 {
 			cancel()
 		}
 	}
-	if _, err := shard.Run(ctx, crashCfg, variants, p.Shards[1], dir); !errors.Is(err, context.Canceled) {
+	if _, err := shard.Run(ctx, crashCfg, variants, p.Shards[1], ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted shard returned %v, want context.Canceled", err)
 	}
 	saved := cache.count() - doneShard0
@@ -335,21 +331,20 @@ func TestResumeAfterPartialShard(t *testing.T) {
 		t.Fatalf("interrupted shard persisted all %d of its cells; nothing was interrupted", saved)
 	}
 
-	// Merge now: the completed shard's record plus the partial shard's
-	// cache entries still leave exactly the lost cells missing.
-	_, err = shard.Merge(cfg, variants, dir, cache)
-	var missing *shard.MissingCellsError
-	if !errors.As(err, &missing) {
-		t.Fatalf("merge after crash returned %v, want *MissingCellsError", err)
+	// A coordinator over the cache now holds everything but the lost cells.
+	c := coord.New(coord.Options{Cache: cache})
+	j, err := c.Submit(coord.SpecOf(cfg, variants), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := len(p.Shards[1].Cells) - saved; len(missing.Missing) != want {
-		t.Fatalf("merge after crash reports %d missing cells, want %d", len(missing.Missing), want)
+	if st, _ := c.Status(j.ID); st.Done || st.CellsDone != doneShard0+saved {
+		t.Fatalf("coordinator over the crashed cache: %+v, want %d cells done, not finished", st, doneShard0+saved)
 	}
 
 	// Resume: re-run shard 1 to completion over the same cache. Only the
 	// lost cells may simulate.
 	before := cache.count()
-	if _, err := shard.Run(context.Background(), cfg, variants, p.Shards[1], dir); err != nil {
+	if _, err := shard.Run(context.Background(), runCfg, variants, p.Shards[1], ""); err != nil {
 		t.Fatal(err)
 	}
 	if resimulated := cache.count() - before; resimulated != len(p.Shards[1].Cells)-saved {
@@ -357,11 +352,7 @@ func TestResumeAfterPartialShard(t *testing.T) {
 			resimulated, len(p.Shards[1].Cells)-saved)
 	}
 
-	merged, err := shard.Merge(cfg, variants, dir, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "resume", unsharded, merged)
+	assertIdentical(t, "resume", unsharded, bornDone(t, cfg, variants, 2, cache))
 }
 
 // TestRunRejectsForeignManifest: a manifest planned for a different sweep
@@ -386,121 +377,40 @@ func TestRunRejectsForeignManifest(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip: manifests survive serialization, and a written
-// plan can be reloaded and executed from disk.
-func TestManifestRoundTrip(t *testing.T) {
+// TestRunRefusesDir: Run's dir argument is vestigial; a non-empty one is
+// an error, not a silently ignored request for files.
+func TestRunRefusesDir(t *testing.T) {
 	cfg := baseConfig(7)
 	variants := twoVariants()
-	p, err := shard.NewPlan(cfg, variants, 3)
+	p, err := shard.NewPlan(cfg, variants, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := p.WriteManifests(dir); err != nil {
+	if _, err := shard.Run(context.Background(), cfg, variants, p.Shards[0], t.TempDir()); err == nil {
+		t.Fatal("shard.Run accepted a shard directory")
+	}
+}
+
+// TestManifestRoundTrip: manifests survive the JSON round-trip they make
+// inside every coordinator lease, exactly.
+func TestManifestRoundTrip(t *testing.T) {
+	p, err := shard.NewPlan(baseConfig(7), twoVariants(), 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range p.Shards {
-		got, err := shard.ReadManifest(filepath.Join(dir, want.ManifestFilename()))
+		data, err := json.Marshal(want)
 		if err != nil {
+			t.Fatal(err)
+		}
+		var got shard.Manifest
+		if err := json.Unmarshal(data, &got); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("manifest %d round-trip mismatch:\ngot  %+v\nwant %+v", want.Index, got, want)
 		}
 	}
-}
-
-// TestMergeIgnoresForeignRecords: records of a different sweep sharing the
-// directory (fig14 next to fig15) must contribute nothing — and must not
-// break the merge of the sweep they do not belong to.
-func TestMergeIgnoresForeignRecords(t *testing.T) {
-	cfg := baseConfig(7)
-	variants := twoVariants()
-	foreign := baseConfig(8) // different seed → different hash and results
-
-	dir := t.TempDir()
-	for _, c := range []experiments.Config{cfg, foreign} {
-		p, err := shard.NewPlan(c, variants, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runShards(t, c, variants, p, dir)
-	}
-
-	unsharded, err := experiments.RunSweep(context.Background(), cfg, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := shard.Merge(cfg, variants, dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "foreign-records", unsharded, merged)
-}
-
-// TestMergeFlagMismatchSurfacesForeignRecords: merging with different
-// flags than the shards ran under (here: forgetting the -temps axis)
-// must not just claim every cell is missing — the error names the
-// completed-but-foreign records so the operator fixes the flags instead
-// of re-simulating the grid.
-func TestMergeFlagMismatchSurfacesForeignRecords(t *testing.T) {
-	ran := baseConfig(7)
-	ran.Workloads = []string{"stg_0"}
-	ran.Temps = []float64{25, 85}
-	variants := twoVariants()
-	p, err := shard.NewPlan(ran, variants, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	runShards(t, ran, variants, p, dir)
-
-	forgot := ran
-	forgot.Temps = nil // the mismatched merge invocation
-	_, err = shard.Merge(forgot, variants, dir, nil)
-	var missing *shard.MissingCellsError
-	if !errors.As(err, &missing) {
-		t.Fatalf("mismatched merge returned %v, want *MissingCellsError", err)
-	}
-	if missing.ForeignRecords != 2 || missing.MatchedRecords != 0 {
-		t.Errorf("ForeignRecords = %d, MatchedRecords = %d, want 2, 0",
-			missing.ForeignRecords, missing.MatchedRecords)
-	}
-	if !strings.Contains(err.Error(), "different configuration") {
-		t.Errorf("error does not surface the flag mismatch: %v", err)
-	}
-
-	// Once any record matches, the foreign ones are just the other sweep
-	// sharing the directory (fig14 beside fig15) — an incomplete merge
-	// must not steer the operator toward a flag hunt then.
-	p2, err := shard.NewPlan(forgot, variants, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shard.Run(context.Background(), forgot, variants, p2.Shards[0], dir); err != nil {
-		t.Fatal(err)
-	}
-	_, err = shard.Merge(forgot, variants, dir, nil)
-	if !errors.As(err, &missing) {
-		t.Fatalf("partial merge returned %v, want *MissingCellsError", err)
-	}
-	if missing.MatchedRecords != 1 || missing.ForeignRecords != 2 {
-		t.Errorf("MatchedRecords = %d, ForeignRecords = %d, want 1, 2",
-			missing.MatchedRecords, missing.ForeignRecords)
-	}
-	if strings.Contains(err.Error(), "different configuration") {
-		t.Errorf("flag-mismatch hint shown despite a matching record: %v", err)
-	}
-	// A matching merge of the same directory still works, foreign-free.
-	res, err := shard.Merge(ran, variants, dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unsharded, err := experiments.RunSweep(context.Background(), ran, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "after-mismatch", unsharded, res)
 }
 
 // TestNewPlanRejectsBadInputs covers the planner's argument validation.
@@ -516,75 +426,5 @@ func TestNewPlanRejectsBadInputs(t *testing.T) {
 	bad.Conditions = []experiments.Condition{{PEC: -1}}
 	if _, err := shard.NewPlan(bad, twoVariants(), 2); err == nil {
 		t.Fatal("NewPlan accepted an invalid condition grid")
-	}
-}
-
-// TestMissingCellsErrorNamesEveryCellAndKey: the merge-failure message
-// must name every absent cell — index, figure label, and cache key — with
-// no truncation, because the listed cells are exactly what the operator
-// hunts for in the shared store.
-func TestMissingCellsErrorNamesEveryCellAndKey(t *testing.T) {
-	cfg := baseConfig(7)
-	variants := twoVariants()
-	g, err := experiments.NewGrid(cfg, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty directory: the whole grid is missing.
-	_, err = shard.Merge(cfg, variants, t.TempDir(), nil)
-	var missing *shard.MissingCellsError
-	if !errors.As(err, &missing) {
-		t.Fatalf("merge over empty dir returned %v, want *MissingCellsError", err)
-	}
-	if len(missing.Missing) != g.Total() || len(missing.Keys) != g.Total() {
-		t.Fatalf("error carries %d cells and %d keys, want %d of each",
-			len(missing.Missing), len(missing.Keys), g.Total())
-	}
-	msg := err.Error()
-	for idx := 0; idx < g.Total(); idx++ {
-		wl, cond, v := g.CellAt(idx)
-		key, kerr := experiments.CellKey(cfg, wl, cond, v)
-		if kerr != nil {
-			t.Fatal(kerr)
-		}
-		if missing.Keys[idx] != key {
-			t.Errorf("Keys[%d] = %q, want %q", idx, missing.Keys[idx], key)
-		}
-		if !strings.Contains(msg, g.Label(idx)) {
-			t.Errorf("error text omits cell %d's label %q", idx, g.Label(idx))
-		}
-		if !strings.Contains(msg, key) {
-			t.Errorf("error text omits cell %d's cache key %q", idx, key)
-		}
-	}
-	if strings.Contains(msg, "more") && strings.Contains(msg, "…") {
-		t.Errorf("error text appears truncated: %q", msg)
-	}
-}
-
-// TestRunRecordWriteErrorNamesShard: a completion record that cannot land
-// (here: its filename is occupied by a directory, so the atomic rename
-// fails) must name the shard, because by that point every simulation has
-// succeeded and "which shard to re-run" is the only question left.
-func TestRunRecordWriteErrorNamesShard(t *testing.T) {
-	cfg := baseConfig(7)
-	cfg.Workloads = []string{"stg_0"}
-	variants := twoVariants()[:1]
-	p, err := shard.NewPlan(cfg, variants, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	m := p.Shards[1]
-	if err := os.MkdirAll(filepath.Join(dir, m.RecordFilename()), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	_, err = shard.Run(context.Background(), cfg, variants, m, dir)
-	if err == nil {
-		t.Fatal("shard.Run succeeded with the record path unwritable")
-	}
-	want := fmt.Sprintf("shard %d/%d", m.Index, m.Count)
-	if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "completion record") {
-		t.Fatalf("record-write error %q does not name %q", err, want)
 	}
 }

@@ -20,10 +20,10 @@
 //   - RPT profiling (ProfileRPT);
 //   - the read-retry controllers themselves (Scheme, BuildPlan);
 //   - an MQSim-style multi-queue SSD simulator (NewSSD) and the Figure
-//     14/15 system-level sweeps (Figure14, Figure15), shardable across
-//     processes with bit-identical merges (ShardPlan, RunShard,
-//     MergeShards) or across machines via the networked coordinator
-//     (ServeSweeps, RunWorker, SubmitSweep);
+//     14/15 system-level sweeps (Figure14, Figure15), distributable across
+//     processes and machines with bit-identical merges through the sweep
+//     coordinator (NewSweepCoordinator, ServeSweeps, RunWorker,
+//     SubmitSweep);
 //   - the twelve Table 2 workload generators (Workloads, NewWorkload).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
@@ -395,51 +395,25 @@ func Figure15Variants() []SweepVariant { return experiments.Figure15Variants() }
 // grow the grid; the default grids deliberately exclude it.
 func HistoryVariant() SweepVariant { return experiments.HistoryVariant() }
 
-// Sweep sharding: distributing one grid across processes (or machines
-// sharing a filesystem) and merging the outputs back bit-identically.
+// Sweep sharding: the work units a coordinator leases out.
 type (
-	// SweepShardPlan partitions a sweep's canonical cell-index space into
-	// balanced round-robin shards.
-	SweepShardPlan = shard.Plan
 	// SweepShardManifest is one shard's self-describing work unit: config
-	// hash, cache-key schema, and the assigned cell indices. It round-trips
-	// through JSON (Plan.WriteManifests / shard.ReadManifest).
+	// hash, cache-key schema, and the assigned cell indices. It travels
+	// inside each SweepLease.
 	SweepShardManifest = shard.Manifest
 	// SweepShardRecord is a shard's completion record: its manifest plus
-	// every assigned cell's raw measurement.
+	// every assigned cell's raw measurement, delivered to a coordinator
+	// with SweepCoordinator.Complete.
 	SweepShardRecord = shard.Record
-	// SweepMissingCellsError is what MergeShards returns when shard
-	// outputs do not cover the grid: the exact missing cells, by
-	// canonical index and human label.
-	SweepMissingCellsError = shard.MissingCellsError
 )
 
-// ShardPlan deterministically partitions the sweep into n shards: cell
-// index i goes to shard i mod n, spreading expensive high-PEC cells
-// evenly. Any n ≥ 1 works; n beyond the grid size leaves trailing shards
-// empty.
-func ShardPlan(cfg SweepConfig, variants []SweepVariant, n int) (*SweepShardPlan, error) {
-	return shard.NewPlan(cfg, variants, n)
-}
-
-// RunShard executes one shard of a plan through the sweep engine: only the
-// manifest's cells are simulated (cfg.Cache hits are reused, making
-// interrupted shards resumable), and when dir is non-empty the manifest
-// and an atomic completion record are persisted there for MergeShards.
-// The manifest must have been planned for exactly this cfg and variants —
-// a config-hash mismatch is refused before any simulation.
-func RunShard(ctx context.Context, cfg SweepConfig, variants []SweepVariant, m SweepShardManifest, dir string) (*SweepShardRecord, error) {
-	return shard.Run(ctx, cfg, variants, m, dir)
-}
-
-// MergeShards reassembles a full sweep from shard outputs: completion
-// records in dir first, then cache for any cells records do not cover
-// (either source may be absent). If the grid is fully covered the result
-// is bit-identical — including CSV bytes — to an unsharded RunSweep;
-// otherwise it fails with a *SweepMissingCellsError naming every missing
-// cell.
-func MergeShards(cfg SweepConfig, variants []SweepVariant, dir string, cache SweepCache) (*SweepResult, error) {
-	return shard.Merge(cfg, variants, dir, cache)
+// RunShard executes one shard through the sweep engine and returns its
+// completion record: only the manifest's cells are simulated (cfg.Cache
+// hits are reused, making interrupted shards resumable). The manifest
+// must have been planned for exactly this cfg and variants — a
+// config-hash mismatch is refused before any simulation.
+func RunShard(ctx context.Context, cfg SweepConfig, variants []SweepVariant, m SweepShardManifest) (*SweepShardRecord, error) {
+	return shard.Run(ctx, cfg, variants, m, "")
 }
 
 // RunSweep executes an arbitrary (workload × condition × variant) grid on

@@ -3,7 +3,6 @@ package readretry_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -114,6 +113,10 @@ func TestFacadeStreamingCachedSweep(t *testing.T) {
 	}
 }
 
+// TestFacadeShardedSweep works an in-process coordinator's queue through
+// the facade — Submit, Lease, RunShard, Complete — and requires the merged
+// result to match the unsharded run exactly; until the last record lands,
+// the job refuses to hand out a partial grid.
 func TestFacadeShardedSweep(t *testing.T) {
 	cfg := readretry.QuickSweepConfig()
 	cfg.Workloads = []string{"YCSB-C", "stg_0"}
@@ -126,17 +129,31 @@ func TestFacadeShardedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan, err := readretry.ShardPlan(cfg, variants, 3)
+	c := readretry.NewSweepCoordinator(readretry.SweepCoordinatorOptions{})
+	job, err := c.Submit(readretry.SweepSpecOf(cfg, variants), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	for _, m := range plan.Shards {
-		if _, err := readretry.RunShard(context.Background(), cfg, variants, m, dir); err != nil {
-			t.Fatalf("shard %d: %v", m.Index, err)
+	var leases []*readretry.SweepLease
+	for l, ok := c.Lease("w"); ok; l, ok = c.Lease("w") {
+		leases = append(leases, l)
+	}
+	if len(leases) != 3 {
+		t.Fatalf("coordinator leased %d shards, want 3", len(leases))
+	}
+	for i, l := range leases {
+		if _, err := job.Result(); err == nil {
+			t.Fatalf("job reported a result with %d of 3 shards delivered", i)
+		}
+		rec, err := readretry.RunShard(context.Background(), cfg, variants, l.Manifest)
+		if err != nil {
+			t.Fatalf("shard %d: %v", l.Manifest.Index, err)
+		}
+		if _, err := c.Complete(l.ID, rec); err != nil {
+			t.Fatal(err)
 		}
 	}
-	merged, err := readretry.MergeShards(cfg, variants, dir, nil)
+	merged, err := job.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,19 +169,6 @@ func TestFacadeShardedSweep(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("facade shard merge CSV differs from the unsharded run")
-	}
-
-	// Merging only a subset fails with the exact gap, typed.
-	partialDir := t.TempDir()
-	if _, err := readretry.RunShard(context.Background(), cfg, variants, plan.Shards[0], partialDir); err != nil {
-		t.Fatal(err)
-	}
-	var missing *readretry.SweepMissingCellsError
-	if _, err := readretry.MergeShards(cfg, variants, partialDir, nil); !errors.As(err, &missing) {
-		t.Fatalf("partial merge returned %v, want *SweepMissingCellsError", err)
-	}
-	if want := len(plan.Shards[1].Cells) + len(plan.Shards[2].Cells); len(missing.Missing) != want {
-		t.Errorf("partial merge reports %d missing cells, want %d", len(missing.Missing), want)
 	}
 }
 
