@@ -327,8 +327,6 @@ func runOne(cfg Config, recs []trace.Record, cond Condition, v Variant) (*ssd.St
 	if err != nil {
 		return nil, err
 	}
-	// Replay a copy: the device mutates nothing, but keep the contract
-	// explicit for future readers.
 	return dev.Run(recs)
 }
 

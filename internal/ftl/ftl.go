@@ -12,6 +12,7 @@ package ftl
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 )
 
 // PPN is a physical page number: a die-global physical location.
@@ -71,10 +72,13 @@ type blockMeta struct {
 	state     blockState
 	writePtr  int     // next page to program (for open blocks)
 	valid     int     // count of valid pages
-	lpns      []int64 // reverse map: page → LPN (−1 when invalid/unwritten)
+	lpns      []int64 // reverse map: page → LPN it was written for (pages below writePtr)
 	erases    int     // P/E cycles (wear)
 	cold      bool    // preconditioned cold block (never victimized while fully valid)
 	collected bool    // currently being garbage-collected
+	// shared marks lpns as aliased by a frozen image and its clones (see
+	// Freeze); the block copies it before its first append.
+	shared bool
 }
 
 type blockState uint8
@@ -134,6 +138,13 @@ func (t *pageTable) get(lpn int64) (PPN, bool) {
 	return unpackPPN(e), true
 }
 
+// mapsTo reports whether lpn is mapped to exactly p. A physical page is
+// valid iff the LPN it was written for still maps to it, so this is the
+// validity test GC uses.
+func (t *pageTable) mapsTo(lpn int64, p PPN) bool {
+	return lpn >= 0 && lpn < int64(len(t.entries)) && t.entries[lpn] == packPPN(p)
+}
+
 func (t *pageTable) set(lpn int64, p PPN) {
 	if lpn < 0 {
 		panic(fmt.Sprintf("ftl: negative LPN %d", lpn))
@@ -176,6 +187,9 @@ type FTL struct {
 
 	hostWrites int64
 	gcWrites   int64
+	// frozen marks an immutable image (Freeze): only Clone and the read
+	// accessors may use it.
+	frozen bool
 }
 
 // New builds an FTL with every block free.
@@ -203,6 +217,52 @@ func New(cfg Config) (*FTL, error) {
 		f.planes[p].freeCount = cfg.BlocksPerPlane
 	}
 	return f, nil
+}
+
+// Freeze turns f into an immutable image for Clone: every later mutation
+// of f panics. It trims the table to the highest mapped LPN and marks every
+// block's reverse map as shared, so clones copy it on their first append
+// to the block instead of up front.
+func (f *FTL) Freeze() {
+	hi := len(f.table.entries)
+	for hi > 0 && f.table.entries[hi-1] == 0 {
+		hi--
+	}
+	f.table.entries = slices.Clone(f.table.entries[:hi])
+	for _, blocks := range f.blocks {
+		for b := range blocks {
+			blocks[b].shared = blocks[b].lpns != nil
+		}
+	}
+	f.frozen = true
+}
+
+// Clone returns an FTL in the state of the frozen image f, which evolves
+// independently of f and of every other clone. It copies the table, the
+// block metadata and the free heaps; the reverse maps stay shared until a
+// clone appends to a block. Clone only reads f, so any number of
+// goroutines may clone one image at once. It panics unless f is frozen.
+func (f *FTL) Clone() *FTL {
+	if !f.frozen {
+		panic("ftl: Clone of an FTL that is not frozen")
+	}
+	c := *f
+	c.frozen = false
+	c.table.entries = slices.Clone(f.table.entries)
+	c.blocks = make([][]blockMeta, len(f.blocks))
+	c.planes = slices.Clone(f.planes)
+	for p := range f.blocks {
+		c.blocks[p] = slices.Clone(f.blocks[p])
+		c.planes[p].free = slices.Clone(f.planes[p].free)
+	}
+	return &c
+}
+
+// mutate guards every state change: a frozen image is shared by its clones.
+func (f *FTL) mutate() {
+	if f.frozen {
+		panic("ftl: mutating a frozen image")
+	}
 }
 
 // Config returns the FTL's configuration.
@@ -244,17 +304,9 @@ func (f *FTL) popFree(pi int) int {
 	f.blocks[pi][fb.block] = blockMeta{
 		state:  blockOpen,
 		erases: fb.erases,
-		lpns:   makeLPNs(f.cfg.PagesPerBlock),
+		lpns:   make([]int64, f.cfg.PagesPerBlock),
 	}
 	return fb.block
-}
-
-func makeLPNs(n int) []int64 {
-	l := make([]int64, n)
-	for i := range l {
-		l[i] = -1
-	}
-	return l
 }
 
 // Precondition maps a logical page that existed before the simulation
@@ -262,6 +314,7 @@ func makeLPNs(n int) []int64 {
 // without consuming simulated time. The caller must not precondition an
 // already mapped LPN.
 func (f *FTL) Precondition(lpn int64) (PPN, error) {
+	f.mutate()
 	if lpn < 0 || lpn >= f.maxLPN {
 		return InvalidPPN, fmt.Errorf("ftl: LPN %d outside logical space [0, %d)", lpn, f.maxLPN)
 	}
@@ -282,6 +335,7 @@ func (f *FTL) Precondition(lpn int64) (PPN, error) {
 // GC write, invalidating any previous location. It returns the new PPN and
 // the invalidated old one (old.Valid() reports whether the LPN was mapped).
 func (f *FTL) AllocateWrite(lpn int64, gc bool) (PPN, PPN, error) {
+	f.mutate()
 	if lpn < 0 || lpn >= f.maxLPN {
 		return InvalidPPN, InvalidPPN, fmt.Errorf("ftl: LPN %d outside logical space [0, %d)", lpn, f.maxLPN)
 	}
@@ -322,20 +376,21 @@ func (f *FTL) appendTo(pi int, slot *int, die, pl int, lpn int64, cold bool) (PP
 	}
 	meta := &f.blocks[pi][*slot]
 	page := meta.writePtr
+	if meta.shared {
+		meta.lpns = slices.Clone(meta.lpns)
+		meta.shared = false
+	}
 	meta.writePtr++
 	meta.valid++
 	meta.lpns[page] = lpn
 	return PPN{Die: die, Plane: pl, Block: *slot, Page: page}, nil
 }
 
-// invalidate marks a physical page stale.
+// invalidate marks a physical page stale. The caller remaps the page's
+// LPN, which is what makes the page invalid (see pageTable.mapsTo); only
+// the block's count changes here, so a shared reverse map stays untouched.
 func (f *FTL) invalidate(p PPN) {
-	pi := f.planeIndex(p.Die, p.Plane)
-	meta := &f.blocks[pi][p.Block]
-	if meta.lpns == nil || meta.lpns[p.Page] < 0 {
-		return
-	}
-	meta.lpns[p.Page] = -1
+	meta := &f.blocks[f.planeIndex(p.Die, p.Plane)][p.Block]
 	meta.valid--
 	meta.cold = false // an invalidated block joins the GC candidate pool
 }
@@ -353,6 +408,7 @@ func (f *FTL) NeedGC(die, pl int) bool {
 // It returns the block index, the valid LPNs that must be relocated, and
 // whether a victim was found.
 func (f *FTL) Victim(die, pl int) (int, []int64, bool) {
+	f.mutate()
 	pi := f.planeIndex(die, pl)
 	best, bestValid, bestErases := -1, f.cfg.PagesPerBlock+1, 1<<30
 	for b := range f.blocks[pi] {
@@ -370,8 +426,8 @@ func (f *FTL) Victim(die, pl int) (int, []int64, bool) {
 	meta := &f.blocks[pi][best]
 	meta.collected = true
 	var lpns []int64
-	for _, lpn := range meta.lpns {
-		if lpn >= 0 {
+	for page, lpn := range meta.lpns[:meta.writePtr] {
+		if f.table.mapsTo(lpn, PPN{Die: die, Plane: pl, Block: best, Page: page}) {
 			lpns = append(lpns, lpn)
 		}
 	}
@@ -383,6 +439,7 @@ func (f *FTL) Victim(die, pl int) (int, []int64, bool) {
 // pages first; erasing a block with valid pages is a data-loss bug, so it
 // panics.
 func (f *FTL) OnErase(die, pl, block int) {
+	f.mutate()
 	pi := f.planeIndex(die, pl)
 	meta := &f.blocks[pi][block]
 	if meta.valid > 0 {

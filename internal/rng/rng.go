@@ -11,6 +11,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // State is the bare xoshiro256++ state as a value type. It backs Source and
@@ -262,14 +263,14 @@ func NewZipf(n int64, theta float64) *Zipf {
 func zeta(n int64, theta float64) float64 {
 	// Exact summation up to a cap, then the Euler–Maclaurin integral tail;
 	// for the population sizes the workloads use (≤ 2^28) the approximation
-	// error is far below sampling noise.
+	// error is far below sampling noise. The exact part resumes from the
+	// memoized prefix sum below n, so it adds the same terms in the same
+	// left-to-right order as a direct summation and is bit-identical to it.
 	const maxExact = 1 << 20
-	sum := 0.0
-	limit := n
-	if limit > maxExact {
-		limit = maxExact
-	}
-	for i := int64(1); i <= limit; i++ {
+	limit := min(n, maxExact)
+	done := limit / zetaStride * zetaStride
+	sum := zetaPrefix(done/zetaStride, theta)
+	for i := done + 1; i <= limit; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
 	}
 	if n > limit {
@@ -278,6 +279,42 @@ func zeta(n int64, theta float64) float64 {
 		sum += (math.Pow(float64(n), a) - math.Pow(float64(limit), a)) / a
 	}
 	return sum
+}
+
+// zetaStride is the spacing of zeta's memoized prefix sums.
+const zetaStride = 4096
+
+// zetaMemo holds, per theta, the running sum of 1/i^theta at every
+// zetaStride terms: sums[theta][k] adds terms 1..k·zetaStride left to right.
+// A sweep builds a Zipf sampler per workload trace, and without the memo
+// each one re-summed up to 2^20 terms.
+var zetaMemo = struct {
+	sync.Mutex
+	sums map[float64][]float64
+}{sums: make(map[float64][]float64)}
+
+// zetaPrefix returns the sum of the first k·zetaStride terms of zeta's
+// series, extending the theta's memo as far as needed.
+func zetaPrefix(k int64, theta float64) float64 {
+	if k == 0 {
+		return 0
+	}
+	zetaMemo.Lock()
+	defer zetaMemo.Unlock()
+	sums := zetaMemo.sums[theta]
+	if sums == nil {
+		sums = []float64{0}
+	}
+	for int64(len(sums)) <= k {
+		from := int64(len(sums)-1) * zetaStride
+		sum := sums[len(sums)-1]
+		for i := from + 1; i <= from+zetaStride; i++ {
+			sum += 1 / math.Pow(float64(i), theta)
+		}
+		sums = append(sums, sum)
+	}
+	zetaMemo.sums[theta] = sums
+	return sums[k]
 }
 
 // N returns the population size.

@@ -188,6 +188,13 @@ type Engine struct {
 	// plan operation across millions of reads, and the free list keeps that
 	// from being one heap allocation each.
 	free []*scheduled
+
+	// arrivals is the time-sorted stream installed by Feed, arrive its
+	// callback, and next the index of its first unfired entry. Step merges
+	// the stream with the heap, so the heap holds only in-flight events.
+	arrivals []Time
+	arrive   Callback
+	next     int
 }
 
 // Now returns the current simulated time.
@@ -196,8 +203,29 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far, for diagnostics.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of events waiting to fire, counting the
+// arrival stream's unfired entries.
+func (e *Engine) Pending() int { return len(e.events) + len(e.arrivals) - e.next }
+
+// Feed installs a time-sorted arrival stream: cb.Fire(at[i], i) runs at
+// at[i] for every i, in index order. At equal times the stream fires before
+// any heap event, which is the order the stream would have had if each
+// entry had been scheduled, in index order, before every other event. Feed
+// panics if at is unsorted, starts before the current clock, or an earlier
+// stream has not drained.
+func (e *Engine) Feed(at []Time, cb Callback) {
+	if e.next < len(e.arrivals) {
+		panic(fmt.Sprintf("sim: Feed with %d arrivals of an earlier stream pending", len(e.arrivals)-e.next))
+	}
+	prev := e.now
+	for i, t := range at {
+		if t < prev {
+			panic(fmt.Sprintf("sim: arrival %d at %v is out of order", i, t))
+		}
+		prev = t
+	}
+	e.arrivals, e.arrive, e.next = at, cb, 0
+}
 
 // Schedule enqueues fn to run at time at. Scheduling in the past (before the
 // current clock) panics: it always indicates a model bug, and silently
@@ -282,6 +310,14 @@ func (h *Handle) Cancel() bool {
 // Step fires the next event, advancing the clock to its timestamp. It
 // reports false when no events remain.
 func (e *Engine) Step() bool {
+	if e.streamFirst() {
+		i := e.next
+		e.next++
+		e.now = e.arrivals[i]
+		e.fired++
+		e.arrive.Fire(e.now, i)
+		return true
+	}
 	if len(e.events) == 0 {
 		return false
 	}
@@ -312,6 +348,23 @@ func (e *Engine) recycle(s *scheduled) {
 	e.free = append(e.free, s)
 }
 
+// streamFirst reports whether the next event to fire is the arrival
+// stream's: ties go to the stream.
+func (e *Engine) streamFirst() bool {
+	return e.next < len(e.arrivals) && (len(e.events) == 0 || e.arrivals[e.next] <= e.events[0].at)
+}
+
+// nextAt returns the time of the next event Step would fire, if any.
+func (e *Engine) nextAt() (Time, bool) {
+	if e.streamFirst() {
+		return e.arrivals[e.next], true
+	}
+	if len(e.events) > 0 {
+		return e.events[0].at, true
+	}
+	return 0, false
+}
+
 // Run fires events until the queue is empty.
 func (e *Engine) Run() {
 	for e.Step() {
@@ -321,7 +374,11 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps ≤ deadline, then advances the clock
 // to the deadline (if it is ahead) and returns.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
+	for {
+		at, ok := e.nextAt()
+		if !ok || at > deadline {
+			break
+		}
 		e.Step()
 	}
 	if e.now < deadline {

@@ -1,0 +1,63 @@
+package ssd
+
+import (
+	"fmt"
+	"sync"
+
+	"readretry/internal/ftl"
+)
+
+// imageKey identifies a preconditioned FTL exactly: preconditioning maps
+// LPNs [0, pages) in order on a fresh FTL, so the result is a pure function
+// of the FTL configuration (geometry and GC threshold) and the page count.
+type imageKey struct {
+	cfg   ftl.Config
+	pages int64
+}
+
+// image is one memoized, frozen preconditioned FTL; once builds it.
+type image struct {
+	once sync.Once
+	ftl  *ftl.FTL
+	err  error
+}
+
+var imageMemo = struct {
+	sync.Mutex
+	m map[imageKey]*image
+}{m: make(map[imageKey]*image)}
+
+// preconditioned returns a private FTL with LPNs [0, pages) mapped as cold
+// data. Every cell of a sweep used to rebuild the identical image in
+// ssd.New; now each distinct key is preconditioned once, frozen, and every
+// device gets a Clone of it. Different keys build concurrently; callers of
+// one key wait for its single build.
+func preconditioned(cfg ftl.Config, pages int64) (*ftl.FTL, error) {
+	key := imageKey{cfg: cfg, pages: pages}
+	imageMemo.Lock()
+	img, ok := imageMemo.m[key]
+	if !ok {
+		img = &image{}
+		imageMemo.m[key] = img
+	}
+	imageMemo.Unlock()
+	img.once.Do(func() { img.ftl, img.err = buildImage(cfg, pages) })
+	if img.err != nil {
+		return nil, img.err
+	}
+	return img.ftl.Clone(), nil
+}
+
+func buildImage(cfg ftl.Config, pages int64) (*ftl.FTL, error) {
+	f, err := ftl.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for lpn := int64(0); lpn < pages; lpn++ {
+		if _, err := f.Precondition(lpn); err != nil {
+			return nil, fmt.Errorf("ssd: preconditioning to %d pages: %w", pages, err)
+		}
+	}
+	f.Freeze()
+	return f, nil
+}

@@ -1,7 +1,10 @@
 package ssd
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 
 	"readretry/internal/chip"
 	"readretry/internal/core"
@@ -45,6 +48,7 @@ type SSD struct {
 	blocksPerDie int
 
 	stats Stats
+	ran   bool // Run has been called
 }
 
 // New builds an SSD, preconditioning every block to the configured
@@ -70,13 +74,13 @@ func New(cfg Config) (*SSD, error) {
 		s.channels = append(s.channels, &resourceQueue{eng: s.eng})
 		s.eccs = append(s.eccs, &resourceQueue{eng: s.eng})
 	}
-	f, err := ftl.New(ftl.Config{
+	f, err := preconditioned(ftl.Config{
 		Dies:              cfg.Dies(),
 		PlanesPerDie:      cfg.Geometry.PlanesPerDie,
 		BlocksPerPlane:    cfg.Geometry.BlocksPerPlane,
 		PagesPerBlock:     cfg.Geometry.PagesPerBlock,
 		GCThresholdBlocks: cfg.GCThresholdBlocks,
-	})
+	}, cfg.PreconditionPages)
 	if err != nil {
 		return nil, err
 	}
@@ -114,12 +118,6 @@ func New(cfg Config) (*SSD, error) {
 	if cfg.UseRetryHistory {
 		s.history = make([]int32, totalBlocks)
 	}
-	for lpn := int64(0); lpn < cfg.PreconditionPages; lpn++ {
-		if _, err := s.flash.Precondition(lpn); err != nil {
-			return nil, fmt.Errorf("ssd: preconditioning to %d pages: %w",
-				cfg.PreconditionPages, err)
-		}
-	}
 	return s, nil
 }
 
@@ -130,20 +128,32 @@ func (s *SSD) Config() Config { return s.cfg }
 func (s *SSD) RPT() *rpt.Table { return s.table }
 
 // Run replays the request stream to completion and returns the statistics.
+// A device replays one stream: a second Run returns an error.
+//
+// The requests reach the engine as an arrival stream in stable arrival
+// order, which fires same-instant requests in trace order and before any
+// device event, exactly as scheduling each request up front would.
 func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
+	if s.ran {
+		return nil, errors.New("ssd: Run on a device that already ran; build a new one with New")
+	}
+	s.ran = true
+	feed := &hostArrivals{s: s, reqs: make([]request, len(recs))}
 	for i := range recs {
 		r := &recs[i]
-		req := &request{
+		feed.reqs[i] = request{
 			arrival: r.Arrival,
 			write:   r.Write,
 			lpn:     r.Offset / workload.PageSize,
-			pages:   (r.Size + workload.PageSize - 1) / workload.PageSize,
+			pages:   max(1, (r.Size+workload.PageSize-1)/workload.PageSize),
 		}
-		if req.pages < 1 {
-			req.pages = 1
-		}
-		s.eng.Schedule(r.Arrival, func(now sim.Time) { s.submit(req, now) })
 	}
+	slices.SortStableFunc(feed.reqs, func(a, b request) int { return cmp.Compare(a.arrival, b.arrival) })
+	at := make([]sim.Time, len(feed.reqs))
+	for i := range feed.reqs {
+		at[i] = feed.reqs[i].arrival
+	}
+	s.eng.Feed(at, feed)
 	s.eng.Run()
 	if n := s.pendingTxns(); n != 0 {
 		return nil, fmt.Errorf("ssd: %d transactions stranded after run", n)
@@ -175,6 +185,16 @@ func (s *SSD) pendingTxns() int {
 	}
 	return n
 }
+
+// hostArrivals feeds a run's requests, sorted by arrival, to the engine:
+// request i is submitted when the stream fires entry i.
+type hostArrivals struct {
+	s    *SSD
+	reqs []request
+}
+
+// Fire implements sim.Callback.
+func (h *hostArrivals) Fire(now sim.Time, i int) { h.s.submit(&h.reqs[i], now) }
 
 // request tracks one host request across its page transactions.
 type request struct {
