@@ -327,7 +327,7 @@ func BenchmarkSweepStreamingCSV(b *testing.B) {
 	cfg := benchSweepConfig()
 	cfg.Parallelism = 0
 	for i := 0; i < b.N; i++ {
-		sink, err := experiments.NewCSVSink(io.Discard)
+		sink, err := experiments.NewCSVSinkFor(cfg, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}

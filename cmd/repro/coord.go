@@ -320,7 +320,7 @@ func runServeMode(cfg experiments.Config, figs []figureSweep, addr string, spawn
 			return fmt.Errorf("%s: %w", o.fig.name, err)
 		}
 		o.fig.render(res)
-		if err := writeFigureCSVs(o.fig.name, res); err != nil {
+		if err := writeFigureCSVs(o.fig.name, cfg, res); err != nil {
 			finish()
 			return err
 		}
@@ -379,7 +379,7 @@ func runSubmitMode(cfg experiments.Config, figs []figureSweep) error {
 			return fmt.Errorf("%s: %w", f.name, err)
 		}
 		f.render(res)
-		if err := writeFigureCSVs(f.name, res); err != nil {
+		if err := writeFigureCSVs(f.name, cfg, res); err != nil {
 			return err
 		}
 	}

@@ -69,79 +69,77 @@ var (
 	history      = flag.Bool("history", false, "add the PnAR2+H column — PnAR2 with each block's ladder start seeded from its last successful retry outcome — to the Figure 14 grid")
 )
 
-// createCSV creates -csv's dir/<file>, making the directory if needed.
-func createCSV(file string) (*os.File, error) {
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return nil, err
-	}
-	return os.Create(filepath.Join(*csvDir, file))
-}
-
-// csvSinkFor opens dir/<name>.csv for streaming when -csv is set; the
-// returned closer flushes and reports late write errors. Without -csv it
-// returns a nil sink. The CSV schema follows the sweep configuration: a
-// -temps grid gains the temp_c column.
+// csvSinkFor opens -csv's dir/<name>.csv and, under -retry-metrics,
+// dir/<name>.metrics.csv, and returns one sink that writes each cell to
+// both, in the schema the sweep configuration calls for (a -temps grid
+// gains the temp_c column, a multi-device grid the device column). The
+// returned closer closes every file opened and reports the first error;
+// call it on every path. Without -csv the sink is nil.
 func csvSinkFor(name string, cfg experiments.Config) (experiments.CellSink, func() error, error) {
+	var files []*os.File
+	closeAll := func() error {
+		var first error
+		for _, f := range files {
+			if err := f.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
 	if *csvDir == "" {
-		return nil, func() error { return nil }, nil
+		return nil, closeAll, nil
 	}
-	f, err := createCSV(name + ".csv")
-	if err != nil {
-		return nil, nil, err
-	}
-	sink, err := experiments.NewCSVSinkFor(cfg, f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return sink, f.Close, nil
-}
-
-// metricsSinkFor opens dir/<name>.metrics.csv beside the sweep CSV when
-// both -csv and -retry-metrics are set — the per-cell retry-metrics stream,
-// row-by-row in the same canonical order as the sweep CSV. Without both
-// flags it returns a nil sink.
-func metricsSinkFor(name string, cfg experiments.Config) (experiments.CellSink, func() error, error) {
-	if *csvDir == "" || !*retryMetrics {
-		return nil, func() error { return nil }, nil
-	}
-	f, err := createCSV(name + ".metrics.csv")
-	if err != nil {
-		return nil, nil, err
-	}
-	sink, err := experiments.NewMetricsCSVSinkFor(cfg, f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return sink, f.Close, nil
-}
-
-// writeFigureCSVs writes a complete grid to -csv's dir/<name>.csv and,
-// under -retry-metrics, dir/<name>.metrics.csv. The grid being complete,
-// the buffered encoders write the same bytes the streaming sinks would
-// have — the property the coordinator modes' byte-identity rests on, since
-// the retry digest travels losslessly through the cell cache, the
-// coordinator's wire format and its journal. Without -csv it is a no-op.
-func writeFigureCSVs(name string, res *experiments.Result) error {
-	if *csvDir == "" {
-		return nil
-	}
-	write := func(file string, encode func(io.Writer) error) error {
-		f, err := createCSV(file)
+	var sinks []*experiments.CSVSink
+	open := func(file string, newSink func(experiments.Config, io.Writer) (*experiments.CSVSink, error)) error {
+		f, err := os.Create(filepath.Join(*csvDir, file))
 		if err != nil {
 			return err
 		}
-		if err := encode(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(name+".csv", res.WriteCSV); err != nil || !*retryMetrics {
+		files = append(files, f)
+		sink, err := newSink(cfg, f)
+		sinks = append(sinks, sink)
 		return err
 	}
-	return write(name+".metrics.csv", res.WriteMetricsCSV)
+	err := os.MkdirAll(*csvDir, 0o755)
+	if err == nil {
+		err = open(name+".csv", experiments.NewCSVSinkFor)
+	}
+	if err == nil && *retryMetrics {
+		err = open(name+".metrics.csv", experiments.NewMetricsCSVSinkFor)
+	}
+	if err != nil {
+		closeAll()
+		return nil, nil, err
+	}
+	return experiments.CellSinkFunc(func(c experiments.Cell, index, total int) error {
+		for _, sink := range sinks {
+			if err := sink.Cell(c, index, total); err != nil {
+				return err
+			}
+		}
+		return nil
+	}), closeAll, nil
+}
+
+// writeFigureCSVs writes a complete grid — a coordinator's merged result —
+// through the sinks a direct run streams into, so every mode writes the
+// same bytes; the retry digest travels losslessly through the cell cache,
+// the coordinator's wire format and its journal. Without -csv it is a
+// no-op.
+func writeFigureCSVs(name string, cfg experiments.Config, res *experiments.Result) error {
+	sink, closeCSV, err := csvSinkFor(name, cfg)
+	if err != nil {
+		return err
+	}
+	for i := 0; sink != nil && i < len(res.Cells); i++ {
+		if err = sink.Cell(res.Cells[i], i, len(res.Cells)); err != nil {
+			break
+		}
+	}
+	if cerr := closeCSV(); err == nil && cerr != nil {
+		err = fmt.Errorf("csv: %w", cerr)
+	}
+	return err
 }
 
 // fig14Variants returns the Figure 14 columns, appending the
@@ -188,29 +186,33 @@ func parseDevices(s string) ([]ssd.Device, error) {
 	return out, nil
 }
 
-// renderByDevice prints a configuration's reduction per device preset —
-// the summary a multi-device -device sweep exists for.
-func renderByDevice(res *experiments.Result, config, reference string) {
-	fmt.Printf("\n  %s reduction vs %s by device:\n", config, reference)
-	for _, dr := range res.ReductionByDevice(config, reference) {
-		label := "default"
-		if dr.Device != "" {
-			label = dr.Device.String()
-		}
-		fmt.Printf("    %-8s avg %5.1f%%   max %5.1f%%\n", label, dr.Avg*100, dr.Max*100)
+// renderAxisReductions prints each configuration's reduction vs the
+// reference per operating temperature and then per device preset, for each
+// axis the grid sweeps — the summary a -temps or multi-device -device sweep
+// exists for.
+func renderAxisReductions(res *experiments.Result, cfg experiments.Config, reference string, configs ...string) {
+	row := func(label string, avg, max float64) {
+		fmt.Printf("    %-8s avg %5.1f%%   max %5.1f%%\n", label, avg*100, max*100)
 	}
-}
-
-// renderByTemp prints a configuration's reduction per operating
-// temperature — the summary a -temps sweep exists for.
-func renderByTemp(res *experiments.Result, config, reference string) {
-	fmt.Printf("\n  %s reduction vs %s by operating temperature:\n", config, reference)
-	for _, tr := range res.ReductionByTemp(config, reference) {
-		label := "default"
-		if tr.TempC != 0 {
-			label = fmt.Sprintf("%g°C", tr.TempC)
+	for i := 0; cfg.HasTemperatureAxis() && i < len(configs); i++ {
+		fmt.Printf("\n  %s reduction vs %s by operating temperature:\n", configs[i], reference)
+		for _, r := range res.ReductionByTemp(configs[i], reference) {
+			label := "default"
+			if r.TempC != 0 {
+				label = fmt.Sprintf("%g°C", r.TempC)
+			}
+			row(label, r.Avg, r.Max)
 		}
-		fmt.Printf("    %-8s avg %5.1f%%   max %5.1f%%\n", label, tr.Avg*100, tr.Max*100)
+	}
+	for i := 0; cfg.HasDeviceAxis() && i < len(configs); i++ {
+		fmt.Printf("\n  %s reduction vs %s by device:\n", configs[i], reference)
+		for _, r := range res.ReductionByDevice(configs[i], reference) {
+			label := "default"
+			if r.Device != "" {
+				label = r.Device.String()
+			}
+			row(label, r.Avg, r.Max)
+		}
 	}
 }
 
@@ -258,20 +260,12 @@ func runSweepFigure(name string, cfg experiments.Config, variants []experiments.
 		return nil, err
 	}
 	cfg.Sink = sink
-	msink, closeMetrics, err := metricsSinkFor(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg.MetricsSink = msink
 	res, err := experiments.RunSweep(context.Background(), cfg, variants)
+	if cerr := closeCSV(); err == nil && cerr != nil {
+		err = fmt.Errorf("csv: %w", cerr)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if err := closeCSV(); err != nil {
-		return nil, fmt.Errorf("csv: %w", err)
-	}
-	if err := closeMetrics(); err != nil {
-		return nil, fmt.Errorf("metrics csv: %w", err)
 	}
 	return res, nil
 }
@@ -666,14 +660,7 @@ func renderFig14(res *experiments.Result, cfg experiments.Config, add func(figur
 		fmt.Sprintf("%.0f%%", res.GapClosed("PnAR2")*100))
 	add("Fig 14", "PnAR2 response time vs ideal NoRR", "2.37x",
 		fmt.Sprintf("%.2fx", res.RatioToNoRR("PnAR2", false)))
-	if cfg.HasTemperatureAxis() {
-		renderByTemp(res, "PnAR2", "Baseline")
-		renderByTemp(res, "AR2", "Baseline")
-	}
-	if cfg.HasDeviceAxis() {
-		renderByDevice(res, "PnAR2", "Baseline")
-		renderByDevice(res, "AR2", "Baseline")
-	}
+	renderAxisReductions(res, cfg, "Baseline", "PnAR2", "AR2")
 }
 
 // renderFig15 is renderFig14's Figure 15 counterpart.
@@ -690,12 +677,7 @@ func renderFig15(res *experiments.Result, cfg experiments.Config, add func(figur
 		fmt.Sprintf("%.1f%% / %.1f%%", wrAvg*100, wrMax*100))
 	add("Fig 15", "PSO+PnAR2 vs NoRR (read-dominant)", "1.6x",
 		fmt.Sprintf("%.2fx", res.RatioToNoRR("PSO+PnAR2", true)))
-	if cfg.HasTemperatureAxis() {
-		renderByTemp(res, "PSO+PnAR2", "PSO")
-	}
-	if cfg.HasDeviceAxis() {
-		renderByDevice(res, "PSO+PnAR2", "PSO")
-	}
+	renderAxisReductions(res, cfg, "PSO", "PSO+PnAR2")
 }
 
 // runExtensions measures the two implemented §8 directions.

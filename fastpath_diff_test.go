@@ -21,7 +21,7 @@ func runDiffSweep(t *testing.T, disableFastPath bool) (*readretry.SweepResult, [
 	cfg := readretry.DefaultSweepConfig()
 	cfg.Base.DisableReadFastPath = disableFastPath
 	var buf bytes.Buffer
-	sink, err := readretry.NewSweepCSVSink(&buf)
+	sink, err := readretry.NewSweepCSVSinkFor(cfg, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

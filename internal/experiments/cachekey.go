@@ -39,9 +39,9 @@ func cellKey(cfg Config, wl string, cond Condition, v Variant) (string, error) {
 }
 
 // CellKey exposes the engine's content-address derivation for one sweep
-// cell. Shard coordination needs it outside the package: a merge scanning
-// a shared cache dir must look cells up by exactly the keys the shard
-// processes stored them under.
+// cell. The coordinator needs it outside the package: it serves cells
+// already in the shared cache and stores newly merged ones under exactly
+// the keys a worker's engine would use.
 func CellKey(cfg Config, wl string, cond Condition, v Variant) (string, error) {
 	return cellKey(cfg, wl, cond, v)
 }

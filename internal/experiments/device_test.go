@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -84,104 +85,27 @@ func TestSweepRejectsInvalidDeviceGrids(t *testing.T) {
 	}
 }
 
-// TestLegacySinkRejectsDeviceCells: attaching a device-less CSV sink to a
-// device-axis grid must abort loudly instead of silently dropping the
-// device column.
+// TestLegacySinkRejectsDeviceCells: attaching a device-less CSV or metrics
+// sink to a device-axis grid must abort loudly, naming the constructor
+// that picks the right schema, instead of silently dropping the device
+// column.
 func TestLegacySinkRejectsDeviceCells(t *testing.T) {
-	cfg := tinySweepConfig(7)
-	cfg.Devices = []ssd.Device{ssd.DeviceTLC, ssd.DeviceQLC16}
-	var buf bytes.Buffer
-	sink, err := NewCSVSink(&buf) // wrong: single-device schema
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Sink = sink
-	if _, err := RunSweep(context.Background(), cfg, Figure14Variants()); err == nil ||
-		!strings.Contains(err.Error(), "NewCSVSinkFor") {
-		t.Fatalf("err = %v, want a schema-mismatch error pointing at NewCSVSinkFor", err)
-	}
-}
-
-// TestDeviceSweepStreamingCSVMatchesBuffered is the golden streamed-CSV
-// test for a device-axis grid: the device column appears, the streaming
-// sink and buffered encoder stay byte-identical at every parallelism, and
-// rows keep their shape.
-func TestDeviceSweepStreamingCSVMatchesBuffered(t *testing.T) {
-	for _, parallelism := range []int{1, 8} {
-		cfg := tinySweepConfig(7)
-		cfg.Workloads = []string{"stg_0"}
+	for _, tc := range []struct {
+		ctor    string
+		newSink func(Config, io.Writer) (*CSVSink, error)
+	}{{"NewCSVSinkFor", NewCSVSinkFor}, {"NewMetricsCSVSinkFor", NewMetricsCSVSinkFor}} {
+		cfg := metricsSweepConfig(7)
+		var buf bytes.Buffer
+		sink, err := tc.newSink(cfg, &buf) // wrong: built before the axis
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg.Devices = []ssd.Device{ssd.DeviceTLC, ssd.DeviceQLC16}
-		cfg.Parallelism = parallelism
-
-		var streamed bytes.Buffer
-		sink, err := NewCSVSinkFor(cfg, &streamed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg.Sink = sink
-		res, err := RunSweep(context.Background(), cfg, Figure14Variants())
-		if err != nil {
-			t.Fatal(err)
+		if _, err := RunSweep(context.Background(), cfg, Figure14Variants()); err == nil ||
+			!strings.Contains(err.Error(), tc.ctor) {
+			t.Fatalf("err = %v, want a schema-mismatch error pointing at %s", err, tc.ctor)
 		}
-
-		var buffered bytes.Buffer
-		if err := res.WriteCSV(&buffered); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(streamed.Bytes(), buffered.Bytes()) {
-			t.Fatalf("parallelism %d: streamed device-axis CSV differs from buffered WriteCSV", parallelism)
-		}
-		lines := strings.Split(strings.TrimSpace(streamed.String()), "\n")
-		if lines[0] != "workload,pec,months,device,config,mean_us,mean_read_us,p99_read_us,normalized,retry_steps" {
-			t.Fatalf("device-sweep CSV header = %q", lines[0])
-		}
-		if want := len(res.Cells) + 1; len(lines) != want {
-			t.Fatalf("CSV has %d lines, want %d", len(lines), want)
-		}
-		for _, line := range lines[1:] {
-			if got := strings.Count(line, ","); got != 9 {
-				t.Fatalf("device-axis CSV row has %d commas, want 9: %q", got, line)
-			}
-		}
-	}
-}
-
-// TestDeviceTempCSVSchema pins the 4-D schema: temp_c then device, in that
-// order, with 11 columns.
-func TestDeviceTempCSVSchema(t *testing.T) {
-	cfg := tinySweepConfig(7)
-	cfg.Workloads = []string{"stg_0"}
-	cfg.Conditions = []Condition{{PEC: 2000, Months: 6}}
-	cfg.Temps = []float64{25, 85}
-	cfg.Devices = []ssd.Device{ssd.DeviceTLC, ssd.DeviceQLC16}
-	var streamed bytes.Buffer
-	sink, err := NewCSVSinkFor(cfg, &streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Sink = sink
-	res, err := RunSweep(context.Background(), cfg, Figure14Variants())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buffered bytes.Buffer
-	if err := res.WriteCSV(&buffered); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed.Bytes(), buffered.Bytes()) {
-		t.Fatal("streamed 4-D CSV differs from buffered WriteCSV")
-	}
-	lines := strings.Split(strings.TrimSpace(streamed.String()), "\n")
-	if lines[0] != "workload,pec,months,temp_c,device,config,mean_us,mean_read_us,p99_read_us,normalized,retry_steps" {
-		t.Fatalf("4-D CSV header = %q", lines[0])
-	}
-	for _, line := range lines[1:] {
-		if got := strings.Count(line, ","); got != 10 {
-			t.Fatalf("4-D CSV row has %d commas, want 10: %q", got, line)
-		}
-	}
-	if want := len(cfg.Workloads) * 1 * 2 * 2 * len(Figure14Variants()); len(res.Cells) != want {
-		t.Fatalf("4-D grid has %d cells, want %d", len(res.Cells), want)
 	}
 }
 

@@ -7,10 +7,12 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -179,14 +181,10 @@ type Config struct {
 	// Sink, when non-nil, receives every cell in canonical order as its
 	// (workload, condition) stripe completes — normalized, with its grid
 	// index — so consumers can stream output (see CSVSink) instead of
-	// waiting for the Result. A sink error aborts the sweep.
+	// waiting for the Result. A sink error aborts the sweep. One sweep has
+	// one sink; a consumer writing several streams (the sweep CSV and the
+	// retry-metrics CSV) fans out inside it.
 	Sink CellSink
-	// MetricsSink, when non-nil, receives the same cells in the same
-	// canonical order, immediately after Sink sees each one — the parallel
-	// stream the per-cell retry-metrics CSV rides (see MetricsCSVSink).
-	// Populated cells require Base.RetryMetrics; a metrics sink error
-	// aborts the sweep exactly like a Sink error.
-	MetricsSink CellSink
 	// Cache, when non-nil, is consulted before simulating each cell (by
 	// a content-addressed key over the workload, condition, variant
 	// behavior, seed, trace shape, and device config) and filled after
@@ -472,26 +470,10 @@ type TempReduction struct {
 // (low temperature is where the error model adds floor errors and timing
 // penalties, so threshold-tuning schemes differentiate most there).
 func (r *Result) ReductionByTemp(config, reference string) []TempReduction {
-	ref := r.meansBy(reference)
-	byTemp := map[float64]*mathx.Running{}
-	var temps []float64
-	for _, c := range r.cells(config) {
-		base, ok := ref[condKey{c.Workload, c.Cond}]
-		if !ok || base == 0 {
-			continue
-		}
-		s := byTemp[c.Cond.TempC]
-		if s == nil {
-			s = &mathx.Running{}
-			byTemp[c.Cond.TempC] = s
-			temps = append(temps, c.Cond.TempC)
-		}
-		s.Add(1 - c.Mean/base)
-	}
-	sort.Float64s(temps)
+	temps, groups := reductionGroups(r, config, reference, func(c Condition) float64 { return c.TempC })
 	out := make([]TempReduction, 0, len(temps))
 	for _, t := range temps {
-		out = append(out, TempReduction{TempC: t, Avg: byTemp[t].Mean(), Max: byTemp[t].Max()})
+		out = append(out, TempReduction{TempC: t, Avg: groups[t].Mean(), Max: groups[t].Max()})
 	}
 	return out
 }
@@ -512,29 +494,38 @@ type DeviceReduction struct {
 // (or less) a retry-optimization scheme is worth on a device whose margins
 // are thinner and whose drift is steeper.
 func (r *Result) ReductionByDevice(config, reference string) []DeviceReduction {
+	devs, groups := reductionGroups(r, config, reference, func(c Condition) ssd.Device { return c.Device })
+	out := make([]DeviceReduction, 0, len(devs))
+	for _, d := range devs {
+		out = append(out, DeviceReduction{Device: d, Avg: groups[d].Mean(), Max: groups[d].Max()})
+	}
+	return out
+}
+
+// reductionGroups is the grouping behind ReductionByTemp and
+// ReductionByDevice: config's per-cell response-time reduction vs the
+// reference, accumulated per axis key of the cell's condition. It returns
+// the keys in ascending order with each key's statistics.
+func reductionGroups[K cmp.Ordered](r *Result, config, reference string, key func(Condition) K) ([]K, map[K]*mathx.Running) {
 	ref := r.meansBy(reference)
-	byDev := map[ssd.Device]*mathx.Running{}
-	var devs []string
+	groups := map[K]*mathx.Running{}
+	var keys []K
 	for _, c := range r.cells(config) {
 		base, ok := ref[condKey{c.Workload, c.Cond}]
 		if !ok || base == 0 {
 			continue
 		}
-		s := byDev[c.Cond.Device]
+		k := key(c.Cond)
+		s := groups[k]
 		if s == nil {
 			s = &mathx.Running{}
-			byDev[c.Cond.Device] = s
-			devs = append(devs, string(c.Cond.Device))
+			groups[k] = s
+			keys = append(keys, k)
 		}
 		s.Add(1 - c.Mean/base)
 	}
-	sort.Strings(devs)
-	out := make([]DeviceReduction, 0, len(devs))
-	for _, d := range devs {
-		dev := ssd.Device(d)
-		out = append(out, DeviceReduction{Device: dev, Avg: byDev[dev].Mean(), Max: byDev[dev].Max()})
-	}
-	return out
+	slices.Sort(keys)
+	return keys, groups
 }
 
 // Render writes the sweep as an aligned text table: one row per
@@ -607,25 +598,12 @@ func workloadOrder(name string) int {
 // iff any cell carries an explicit operating temperature, and a device
 // column after that iff any cell carries an explicit device preset, so
 // single-device temperature-less grids keep their historical byte-exact
-// schema. It shares its header and row formatting with the streaming
-// CSVSink, whose output is byte-identical for the same grid.
-func (r *Result) WriteCSV(w io.Writer) error {
-	withTemp, withDevice := false, false
-	for _, c := range r.Cells {
-		if c.Cond.TempC != 0 {
-			withTemp = true
-		}
-		if c.Cond.Device != "" {
-			withDevice = true
-		}
-	}
-	if _, err := fmt.Fprintln(w, csvHeaderFor(withTemp, withDevice)); err != nil {
-		return err
-	}
-	for _, c := range r.Cells {
-		if err := writeCSVRow(w, c, withTemp, withDevice); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// schema. It renders through the same encoder as the streaming CSVSink,
+// whose output is byte-identical for the same grid.
+func (r *Result) WriteCSV(w io.Writer) error { return writeCSV(w, r.Cells, false) }
+
+// WriteMetricsCSV emits the per-cell retry-metrics CSV from a completed
+// Result: WriteCSV's axis columns, then retrymetrics.CSVColumns — the
+// buffered counterpart of NewMetricsCSVSinkFor's sink. Every cell must
+// carry a retry digest (the sweep ran with Base.RetryMetrics).
+func (r *Result) WriteMetricsCSV(w io.Writer) error { return writeCSV(w, r.Cells, true) }

@@ -107,7 +107,7 @@ func (g *Grid) CellAt(idx int) (wl string, cond Condition, v Variant) {
 }
 
 // Label renders a cell index as the human-readable coordinate the figures
-// use ("stg_0 2K/6mo PnAR2") — how merge errors name missing cells.
+// use ("stg_0 2K/6mo PnAR2") — how diagnostics name a cell.
 func (g *Grid) Label(idx int) string {
 	wl, cond, v := g.CellAt(idx)
 	return fmt.Sprintf("%s %s %s", wl, cond, v.Name)

@@ -27,7 +27,7 @@ func TestMetricsCSVStreamingMatchesBuffered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.MetricsSink = sink
+		cfg.Sink = sink
 		res, err := RunSweep(context.Background(), cfg, Figure14Variants())
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func TestMetricsCSVIdenticalAcrossRepeatedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.MetricsSink = sink
+		cfg.Sink = sink
 		if _, err := RunSweep(context.Background(), cfg, Figure14Variants()); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestMetricsCSVSurvivesTheCellCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := cfg
-		c.MetricsSink = sink
+		c.Sink = sink
 		var n simCounter
 		c.simHook = n.inc
 		if _, err := RunSweep(context.Background(), c, Figure14Variants()); err != nil {
@@ -112,7 +112,7 @@ func TestMetricsSinkWithoutRetryMetricsFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.MetricsSink = sink
+	cfg.Sink = sink
 	_, err = RunSweep(context.Background(), cfg, Figure14Variants())
 	if err == nil || !strings.Contains(err.Error(), "RetryMetrics") {
 		t.Fatalf("sweep error = %v, want a RetryMetrics configuration error", err)

@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
+
+	"readretry/internal/ssd/retrymetrics"
 )
 
 // CellSink receives completed sweep cells. The engine guarantees canonical
@@ -28,109 +31,131 @@ type CellSinkFunc func(c Cell, index, total int) error
 // Cell implements CellSink.
 func (f CellSinkFunc) Cell(c Cell, index, total int) error { return f(c, index, total) }
 
-// csvHeader is the header row of a temperature-less single-device grid;
-// csvHeaderTemp adds the temp_c axis column after months, and
-// csvHeaderFor composes the device axis column in after it (or directly
-// after months on a temperature-less grid). Both CSV paths (streaming and
-// buffered) pick the same schema for the same grid.
-const (
-	csvHeader     = "workload,pec,months,config,mean_us,mean_read_us,p99_read_us,normalized,retry_steps"
-	csvHeaderTemp = "workload,pec,months,temp_c,config,mean_us,mean_read_us,p99_read_us,normalized,retry_steps"
-
-	csvHeaderDevice     = "workload,pec,months,device,config,mean_us,mean_read_us,p99_read_us,normalized,retry_steps"
-	csvHeaderTempDevice = "workload,pec,months,temp_c,device,config,mean_us,mean_read_us,p99_read_us,normalized,retry_steps"
-)
-
-// csvHeaderFor selects the header row for a grid's axis shape.
-func csvHeaderFor(withTemp, withDevice bool) string {
-	switch {
-	case withTemp && withDevice:
-		return csvHeaderTempDevice
-	case withTemp:
-		return csvHeaderTemp
-	case withDevice:
-		return csvHeaderDevice
-	default:
-		return csvHeader
-	}
+// csvSchema is the one layout of both sweep CSVs: the axis prefix
+// workload,pec,months[,temp_c][,device],config, then the five measurement
+// columns or, for the retry-metrics CSV, retrymetrics.CSVColumns. An axis
+// column appears iff the grid carries that axis, so single-device
+// temperature-less grids keep their historical schema. Streamed and
+// buffered output both render through it, which is what makes them
+// byte-identical.
+type csvSchema struct {
+	temp, device, metrics bool
 }
 
-// writeCSVRow formats one cell exactly as Result.WriteCSV does; the
-// streaming and buffered encoders share it so their output is
-// byte-identical. withTemp selects the temp_c column (after months);
-// withDevice selects the device column (after temp_c, or after months on
-// a temperature-less grid).
-func writeCSVRow(w io.Writer, c Cell, withTemp, withDevice bool) error {
-	var err error
-	switch {
-	case withTemp && withDevice:
-		_, err = fmt.Fprintf(w, "%s,%d,%g,%g,%s,%s,%.2f,%.2f,%.2f,%.4f,%.2f\n",
-			c.Workload, c.Cond.PEC, c.Cond.Months, c.Cond.TempC, c.Cond.Device, c.Config,
-			c.Mean, c.MeanRead, c.P99Read, c.Normalized, c.RetrySteps)
-	case withTemp:
-		_, err = fmt.Fprintf(w, "%s,%d,%g,%g,%s,%.2f,%.2f,%.2f,%.4f,%.2f\n",
-			c.Workload, c.Cond.PEC, c.Cond.Months, c.Cond.TempC, c.Config,
-			c.Mean, c.MeanRead, c.P99Read, c.Normalized, c.RetrySteps)
-	case withDevice:
-		_, err = fmt.Fprintf(w, "%s,%d,%g,%s,%s,%.2f,%.2f,%.2f,%.4f,%.2f\n",
-			c.Workload, c.Cond.PEC, c.Cond.Months, c.Cond.Device, c.Config,
-			c.Mean, c.MeanRead, c.P99Read, c.Normalized, c.RetrySteps)
-	default:
-		_, err = fmt.Fprintf(w, "%s,%d,%g,%s,%.2f,%.2f,%.2f,%.4f,%.2f\n",
-			c.Workload, c.Cond.PEC, c.Cond.Months, c.Config,
-			c.Mean, c.MeanRead, c.P99Read, c.Normalized, c.RetrySteps)
+// header returns the schema's header row, without the newline.
+func (s csvSchema) header() string {
+	h := "workload,pec,months"
+	if s.temp {
+		h += ",temp_c"
 	}
-	return err
+	if s.device {
+		h += ",device"
+	}
+	if s.metrics {
+		return h + ",config," + strings.Join(retrymetrics.CSVColumns(), ",")
+	}
+	return h + ",config,mean_us,mean_read_us,p99_read_us,normalized,retry_steps"
+}
+
+// appendRow appends one cell's row to b. A temperature- or device-carrying
+// cell under a schema without that column is a configuration error —
+// silently dropping the axis column would make the grid's rows ambiguous —
+// and so is a metrics row for a cell without a retry digest (the sweep ran
+// without Base.RetryMetrics).
+func (s csvSchema) appendRow(b []byte, c Cell) ([]byte, error) {
+	ctor := "NewCSVSinkFor"
+	if s.metrics {
+		ctor = "NewMetricsCSVSinkFor"
+	}
+	if c.Cond.TempC != 0 && !s.temp {
+		return b, fmt.Errorf("cell %s carries a temperature but the sink has no temp_c column; construct it with %s", c.Cond, ctor)
+	}
+	if c.Cond.Device != "" && !s.device {
+		return b, fmt.Errorf("cell %s carries a device but the sink has no device column; construct it with %s", c.Cond, ctor)
+	}
+	if s.metrics && c.Retry == nil {
+		return b, fmt.Errorf("cell %s/%s/%s carries no retry metrics; enable Config.Base.RetryMetrics",
+			c.Workload, c.Cond, c.Config)
+	}
+	b = fmt.Appendf(b, "%s,%d,%g", c.Workload, c.Cond.PEC, c.Cond.Months)
+	if s.temp {
+		b = fmt.Appendf(b, ",%g", c.Cond.TempC)
+	}
+	if s.device {
+		b = fmt.Appendf(b, ",%s", c.Cond.Device)
+	}
+	b = fmt.Appendf(b, ",%s", c.Config)
+	if s.metrics {
+		return fmt.Appendf(b, ",%s\n", strings.Join(c.Retry.CSVFields(), ",")), nil
+	}
+	return fmt.Appendf(b, ",%.2f,%.2f,%.2f,%.4f,%.2f\n",
+		c.Mean, c.MeanRead, c.P99Read, c.Normalized, c.RetrySteps), nil
 }
 
 // CSVSink streams sweep cells as CSV rows the moment the engine releases
-// them, instead of materializing a Result first. For the same grid its
-// output is byte-identical to Result.WriteCSV at every parallelism
-// setting.
+// them, instead of materializing a Result first — the sweep CSV or, from
+// NewMetricsCSVSinkFor, the per-cell retry-metrics CSV. For the same grid
+// its output is byte-identical to Result.WriteCSV (or WriteMetricsCSV) at
+// every parallelism setting.
 type CSVSink struct {
 	w      io.Writer
-	temp   bool
-	device bool
+	schema csvSchema
+	row    []byte // reused row buffer
 }
 
-// NewCSVSink writes the temperature-less single-device CSV header to w and
-// returns a sink that appends one row per cell. For a grid that sweeps
-// temperature or device, use NewCSVSinkFor, which picks the schema the
-// buffered WriteCSV would.
-func NewCSVSink(w io.Writer) (*CSVSink, error) {
-	return newCSVSink(w, false, false)
-}
-
-// NewCSVSinkFor is NewCSVSink with the schema chosen from the sweep
-// configuration: grids whose conditions carry explicit temperatures get
-// the temp_c column, grids whose conditions carry explicit device presets
-// get the device column (matching what Result.WriteCSV emits for the same
-// grid), and temperature-less single-device grids keep the historical
-// schema.
+// NewCSVSinkFor writes the sweep CSV header to w and returns a sink that
+// appends one row per cell. The schema follows the sweep configuration:
+// grids whose conditions carry explicit temperatures get the temp_c
+// column, grids whose conditions carry explicit device presets get the
+// device column (matching what Result.WriteCSV emits for the same grid).
 func NewCSVSinkFor(cfg Config, w io.Writer) (*CSVSink, error) {
-	return newCSVSink(w, cfg.HasTemperatureAxis(), cfg.HasDeviceAxis())
+	return newCSVSink(w, csvSchema{temp: cfg.HasTemperatureAxis(), device: cfg.HasDeviceAxis()})
 }
 
-func newCSVSink(w io.Writer, withTemp, withDevice bool) (*CSVSink, error) {
-	if _, err := fmt.Fprintln(w, csvHeaderFor(withTemp, withDevice)); err != nil {
+// NewMetricsCSVSinkFor is NewCSVSinkFor for the per-cell retry-metrics CSV:
+// the same axis columns, then retrymetrics.CSVColumns. Every cell must
+// carry a retry digest (the sweep runs with Base.RetryMetrics).
+func NewMetricsCSVSinkFor(cfg Config, w io.Writer) (*CSVSink, error) {
+	return newCSVSink(w, csvSchema{temp: cfg.HasTemperatureAxis(), device: cfg.HasDeviceAxis(), metrics: true})
+}
+
+func newCSVSink(w io.Writer, s csvSchema) (*CSVSink, error) {
+	if _, err := io.WriteString(w, s.header()+"\n"); err != nil {
 		return nil, err
 	}
-	return &CSVSink{w: w, temp: withTemp, device: withDevice}, nil
+	return &CSVSink{w: w, schema: s}, nil
 }
 
-// Cell implements CellSink. A temperature- or device-carrying cell
-// arriving at a sink without that column is a configuration error —
-// silently dropping the axis column would make the grid's rows ambiguous
-// and break the byte-identity contract with Result.WriteCSV — so it
-// aborts the sweep.
+// Cell implements CellSink. A cell the schema cannot render (see
+// csvSchema.appendRow) aborts the sweep.
 func (s *CSVSink) Cell(c Cell, index, total int) error {
-	if c.Cond.TempC != 0 && !s.temp {
-		return fmt.Errorf("cell %s carries a temperature but the sink has the 2-D schema; construct it with NewCSVSinkFor", c.Cond)
+	row, err := s.schema.appendRow(s.row[:0], c)
+	if err != nil {
+		return err
 	}
-	if c.Cond.Device != "" && !s.device {
-		return fmt.Errorf("cell %s carries a device but the sink has no device column; construct it with NewCSVSinkFor", c.Cond)
+	s.row = row
+	_, err = s.w.Write(row)
+	return err
+}
+
+// writeCSV renders complete cells through a CSVSink whose schema carries
+// an axis column iff some cell carries that axis.
+func writeCSV(w io.Writer, cells []Cell, metrics bool) error {
+	s := csvSchema{metrics: metrics}
+	for _, c := range cells {
+		s.temp = s.temp || c.Cond.TempC != 0
+		s.device = s.device || c.Cond.Device != ""
 	}
-	return writeCSVRow(s.w, c, s.temp, s.device)
+	sink, err := newCSVSink(w, s)
+	if err != nil {
+		return err
+	}
+	for i, c := range cells {
+		if err := sink.Cell(c, i, len(cells)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // resequencer restores canonical order between the worker pool and the
@@ -140,31 +165,23 @@ func (s *CSVSink) Cell(c Cell, index, total int) error {
 // Result.Cells, so the buffered and streaming views are the same data.
 type resequencer struct {
 	mu        sync.Mutex
-	cells     []Cell // the Result's backing slice, filled in place
-	stride    int    // cells per (workload, condition) stripe
-	filled    []int  // completed-cell count per stripe
-	next      int    // first stripe not yet released
-	reference string // normalization column
-	sinks     []CellSink
-	sinkErr   error // latched first sink failure; stops all further emission
+	cells     []Cell   // the Result's backing slice, filled in place
+	stride    int      // cells per (workload, condition) stripe
+	filled    []int    // completed-cell count per stripe
+	next      int      // first stripe not yet released
+	reference string   // normalization column
+	sink      CellSink // nil: no release-order consumer
+	sinkErr   error    // latched first sink failure; stops all further emission
 }
 
-// newResequencer accepts the release-order consumers; nil sinks are
-// dropped, and each released cell visits the remaining sinks in argument
-// order (the primary sink before the metrics sink).
-func newResequencer(cells []Cell, stride int, reference string, sinks ...CellSink) *resequencer {
-	r := &resequencer{
+func newResequencer(cells []Cell, stride int, reference string, sink CellSink) *resequencer {
+	return &resequencer{
 		cells:     cells,
 		stride:    stride,
 		filled:    make([]int, len(cells)/stride),
 		reference: reference,
+		sink:      sink,
 	}
-	for _, s := range sinks {
-		if s != nil {
-			r.sinks = append(r.sinks, s)
-		}
-	}
-	return r
 }
 
 // complete records the measured cell at grid index idx and releases every
@@ -184,12 +201,10 @@ func (r *resequencer) complete(idx int, c Cell) error {
 		base := r.next * r.stride
 		stripe := r.cells[base : base+r.stride]
 		normalizeStripe(stripe, r.reference)
-		for i := range stripe {
-			for _, sink := range r.sinks {
-				if err := sink.Cell(stripe[i], base+i, len(r.cells)); err != nil {
-					r.sinkErr = fmt.Errorf("experiments: cell sink: %w", err)
-					return r.sinkErr
-				}
+		for i := 0; r.sink != nil && i < len(stripe); i++ {
+			if err := r.sink.Cell(stripe[i], base+i, len(r.cells)); err != nil {
+				r.sinkErr = fmt.Errorf("experiments: cell sink: %w", err)
+				return r.sinkErr
 			}
 		}
 		r.next++

@@ -45,39 +45,12 @@ func runCounting(t *testing.T, cfg Config, variants []Variant) (*Result, int) {
 	return res, n.value()
 }
 
-func TestStreamingCSVMatchesBuffered(t *testing.T) {
-	for _, parallelism := range []int{1, 8} {
-		cfg := tinySweepConfig(7)
-		cfg.Parallelism = parallelism
-
-		var streamed bytes.Buffer
-		sink, err := NewCSVSink(&streamed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Sink = sink
-		res, err := RunSweep(context.Background(), cfg, Figure14Variants())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var buffered bytes.Buffer
-		if err := res.WriteCSV(&buffered); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(streamed.Bytes(), buffered.Bytes()) {
-			t.Fatalf("parallelism %d: streaming CSV differs from buffered WriteCSV\nstreamed:\n%s\nbuffered:\n%s",
-				parallelism, streamed.String(), buffered.String())
-		}
-	}
-}
-
 func TestStreamingCSVIdenticalAcrossParallelism(t *testing.T) {
 	stream := func(parallelism int) []byte {
 		cfg := tinySweepConfig(7)
 		cfg.Parallelism = parallelism
 		var buf bytes.Buffer
-		sink, err := NewCSVSink(&buf)
+		sink, err := NewCSVSinkFor(cfg, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}

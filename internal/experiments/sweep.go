@@ -116,7 +116,7 @@ func RunSweep(ctx context.Context, cfg Config, variants []Variant) (*Result, err
 	for i := range indices {
 		indices[i] = i
 	}
-	seq := newResequencer(res.Cells, g.Stride(), ReferenceVariant(variants), cfg.Sink, cfg.MetricsSink)
+	seq := newResequencer(res.Cells, g.Stride(), ReferenceVariant(variants), cfg.Sink)
 	err = runGridCells(ctx, cfg, g, indices, func(pos, idx int, c Cell) error {
 		return seq.complete(idx, c)
 	})

@@ -139,9 +139,9 @@ func TestSweepRejectsInvalidConditionsBeforeSimulating(t *testing.T) {
 // with the buffered encoder).
 func TestLegacySinkRejectsTemperatureCells(t *testing.T) {
 	cfg := tinySweepConfig(7)
-	cfg.Temps = []float64{25}
 	var buf bytes.Buffer
-	sink, err := NewCSVSink(&buf) // wrong: temperature-less schema
+	sink, err := NewCSVSinkFor(cfg, &buf) // wrong: built before the axis
+	cfg.Temps = []float64{25}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,49 +149,6 @@ func TestLegacySinkRejectsTemperatureCells(t *testing.T) {
 	if _, err := RunSweep(context.Background(), cfg, Figure14Variants()); err == nil ||
 		!strings.Contains(err.Error(), "NewCSVSinkFor") {
 		t.Fatalf("err = %v, want a schema-mismatch error pointing at NewCSVSinkFor", err)
-	}
-}
-
-// TestTemperatureSweepStreamingCSVMatchesBuffered is the golden streamed-CSV
-// test for a 3-D grid: the temp_c schema, byte-identity between the
-// streaming sink and the buffered encoder at every parallelism, and exact
-// row shape.
-func TestTemperatureSweepStreamingCSVMatchesBuffered(t *testing.T) {
-	for _, parallelism := range []int{1, 8} {
-		cfg := tinySweepConfig(7)
-		cfg.Temps = []float64{25, 85}
-		cfg.Parallelism = parallelism
-
-		var streamed bytes.Buffer
-		sink, err := NewCSVSinkFor(cfg, &streamed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Sink = sink
-		res, err := RunSweep(context.Background(), cfg, Figure14Variants())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var buffered bytes.Buffer
-		if err := res.WriteCSV(&buffered); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(streamed.Bytes(), buffered.Bytes()) {
-			t.Fatalf("parallelism %d: streamed 3-D CSV differs from buffered WriteCSV", parallelism)
-		}
-		lines := strings.Split(strings.TrimSpace(streamed.String()), "\n")
-		if lines[0] != "workload,pec,months,temp_c,config,mean_us,mean_read_us,p99_read_us,normalized,retry_steps" {
-			t.Fatalf("temperature-sweep CSV header = %q", lines[0])
-		}
-		if want := len(res.Cells) + 1; len(lines) != want {
-			t.Fatalf("CSV has %d lines, want %d", len(lines), want)
-		}
-		for _, line := range lines[1:] {
-			if got := strings.Count(line, ","); got != 9 {
-				t.Fatalf("3-D CSV row has %d commas, want 9: %q", got, line)
-			}
-		}
 	}
 }
 

@@ -304,13 +304,10 @@ type (
 	SweepCellSink = experiments.CellSink
 	// SweepCellSinkFunc adapts a function to a SweepCellSink.
 	SweepCellSinkFunc = experiments.CellSinkFunc
-	// SweepCSVSink streams cells as CSV rows, byte-identical to
-	// SweepResult.WriteCSV for the same grid.
+	// SweepCSVSink streams cells as CSV rows — the sweep CSV or the
+	// retry-metrics CSV — byte-identical to SweepResult.WriteCSV (or
+	// WriteMetricsCSV) for the same grid.
 	SweepCSVSink = experiments.CSVSink
-	// SweepMetricsCSVSink streams one retry-metrics row per cell
-	// (SweepConfig.MetricsSink; requires SweepConfig.Base.RetryMetrics),
-	// byte-identical to SweepResult.WriteMetricsCSV for the same grid.
-	SweepMetricsCSVSink = experiments.MetricsCSVSink
 	// SweepCache is the content-addressed per-cell measurement cache
 	// RunSweep consults (SweepConfig.Cache): re-running a grown grid only
 	// simulates new cells.
@@ -319,29 +316,21 @@ type (
 	SweepMeasurement = cellcache.Measurement
 )
 
-// NewSweepCSVSink writes the CSV header to w and returns a sink that
-// streams one row per cell as the sweep releases it (temperature-less
-// schema; see NewSweepCSVSinkFor).
-func NewSweepCSVSink(w io.Writer) (*SweepCSVSink, error) { return experiments.NewCSVSink(w) }
-
-// NewSweepCSVSinkFor is NewSweepCSVSink with the CSV schema chosen from
-// the sweep configuration: grids that sweep temperature (SweepConfig.Temps
-// or per-condition TempC) gain a temp_c column, matching what the buffered
-// SweepResult.WriteCSV emits for the same grid.
+// NewSweepCSVSinkFor writes the CSV header to w and returns a sink that
+// streams one row per cell as the sweep releases it (SweepConfig.Sink).
+// The schema follows the sweep configuration: grids that sweep temperature
+// (SweepConfig.Temps or per-condition TempC) gain a temp_c column and
+// grids that sweep devices (SweepConfig.Devices or per-condition Device) a
+// device column, matching what the buffered SweepResult.WriteCSV emits for
+// the same grid.
 func NewSweepCSVSinkFor(cfg SweepConfig, w io.Writer) (*SweepCSVSink, error) {
 	return experiments.NewCSVSinkFor(cfg, w)
 }
 
-// NewSweepMetricsCSVSink writes the retry-metrics CSV header to w and
-// returns the streaming per-cell metrics sink for SweepConfig.MetricsSink
-// (temperature-less single-device schema; see NewSweepMetricsCSVSinkFor).
-func NewSweepMetricsCSVSink(w io.Writer) (*SweepMetricsCSVSink, error) {
-	return experiments.NewMetricsCSVSink(w)
-}
-
-// NewSweepMetricsCSVSinkFor is NewSweepMetricsCSVSink with the schema
-// chosen from the sweep configuration, mirroring NewSweepCSVSinkFor.
-func NewSweepMetricsCSVSinkFor(cfg SweepConfig, w io.Writer) (*SweepMetricsCSVSink, error) {
+// NewSweepMetricsCSVSinkFor is NewSweepCSVSinkFor for the per-cell
+// retry-metrics CSV (requires SweepConfig.Base.RetryMetrics), byte-identical
+// to SweepResult.WriteMetricsCSV for the same grid.
+func NewSweepMetricsCSVSinkFor(cfg SweepConfig, w io.Writer) (*SweepCSVSink, error) {
 	return experiments.NewMetricsCSVSinkFor(cfg, w)
 }
 

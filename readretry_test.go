@@ -84,7 +84,7 @@ func TestFacadeStreamingCachedSweep(t *testing.T) {
 	cfg.Cache = readretry.NewSweepCache()
 
 	var streamed bytes.Buffer
-	sink, err := readretry.NewSweepCSVSink(&streamed)
+	sink, err := readretry.NewSweepCSVSinkFor(cfg, &streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
