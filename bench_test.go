@@ -593,8 +593,8 @@ func BenchmarkLDPCSoftDecode(b *testing.B) {
 // read stack (PR 3's tentpole target): one ReadRetry through the
 // condition-resident profile fast path versus the preserved direct-model
 // reference path. The fast sub-benchmark must stay ≥3× faster with ≤2
-// allocs/op (it is allocation-free); scripts/bench.sh records both in
-// BENCH_PR3.json.
+// allocs/op (it is allocation-free). Run both with
+// `go test -run NONE -bench BenchmarkReadPath -benchmem .`.
 func BenchmarkReadPath(b *testing.B) {
 	bench := func(b *testing.B, fast bool) {
 		model := vth.NewModel(vth.DefaultParams(), 1)
@@ -634,8 +634,8 @@ func BenchmarkReadPath(b *testing.B) {
 // reference read paths. The fast-metrics sub-benchmark is the fast cell
 // with per-block retry accounting enabled; its ns/op must stay within 2%
 // of plain fast (the metrics layer is two memoized plan lookups and a few
-// array writes per read), and scripts/bench.sh records the pair so the
-// overhead is checked against BENCH_PR10.json.
+// array writes per read); compare the pair with
+// `go test -run NONE -bench 'BenchmarkSweepCell/fast' -benchmem .`.
 func BenchmarkSweepCell(b *testing.B) {
 	bench := func(b *testing.B, fast, metrics bool) {
 		cfg := ssd.ExperimentConfig()

@@ -501,10 +501,10 @@ func TestSubmitDedupAndCachePrefill(t *testing.T) {
 	}
 }
 
-// TestServeConvenience exercises the one-call daemon (Serve) end to end
-// with a live worker over real TCP — the facade path cmd/repro's -serve
-// builds on.
-func TestServeConvenience(t *testing.T) {
+// TestSubmitResultWithLiveWorker drives the submit-and-wait client path
+// (Client.Submit, then Client.Result) against a live RunWorker over
+// loopback TCP: the merged result must equal a single-process RunSweep.
+func TestSubmitResultWithLiveWorker(t *testing.T) {
 	cfg := testConfig(7)
 	cfg.Workloads = cfg.Workloads[:1]
 	variants := testVariants()
@@ -526,23 +526,19 @@ func TestServeConvenience(t *testing.T) {
 		}
 	}()
 
-	res, err := SubmitSweep(ctx, srv.URL, cfg, variants, 3)
+	client := NewClient(srv.URL)
+	receipt, err := client.Submit(ctx, SpecOf(cfg, variants), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Result(ctx, receipt.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	assertIdentical(t, "serve-convenience", unsharded, res)
+	assertIdentical(t, "submit-result", unsharded, res)
 	if e := wErr.Load(); e != nil {
 		t.Fatalf("worker error: %v", e)
-	}
-
-	// Serve itself: binds, answers a request, honors ctx cancellation.
-	sctx, scancel := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- Serve(sctx, "127.0.0.1:0", Options{}) }()
-	scancel()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("Serve returned %v on ctx cancel, want nil", err)
 	}
 }
 

@@ -8,9 +8,7 @@ package coord
 // 5xx bursts, and stalling. It exists so the retry/backoff and
 // idempotency machinery can be exercised deterministically — the
 // transport-hardening tests drive every fault from a fixed script and a
-// fake sleeper, with no real network flakiness and no wall-clock time —
-// but it is exported because the same scripts are useful for chaos drills
-// against a live coordinator.
+// fake sleeper, with no real network flakiness and no wall-clock time.
 
 import (
 	"errors"

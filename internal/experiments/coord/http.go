@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -290,33 +289,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// Serve listens on addr and serves the coordinator protocol until ctx
-// ends, running the expiry loop alongside. It is the one-call daemon mode
-// (the facade's ServeSweeps); cmd/repro composes the pieces itself so it
-// can also submit and render its own sweeps.
-func Serve(ctx context.Context, addr string, opts Options) error {
-	c := New(opts)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("coord: %w", err)
-	}
-	server := NewServer(c)
-	srv := &http.Server{Handler: server.Handler()}
-	go c.ExpireLoop(ctx, 0)
-	go func() {
-		<-ctx.Done()
-		server.Drain() // refuse new leases, release blocked long-polls
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx) // waits for in-flight /complete
-	}()
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		c.Close()
-		return fmt.Errorf("coord: %w", err)
-	}
-	return c.Close()
-}
-
 // RetryPolicy bounds the client's retry loop: up to Attempts tries per
 // call, sleeping an exponentially growing, jittered delay between them.
 // Only failures that are safe and useful to retry are retried — transport
@@ -592,19 +564,6 @@ func (cl *Client) Result(ctx context.Context, jobID string) (*experiments.Result
 		return nil, err
 	}
 	return &res, nil
-}
-
-// SubmitSweep submits a sweep to the coordinator at addr and blocks until
-// its merged result is available — the one-call client path (the facade's
-// SubmitSweep): concurrent callers submitting the same configuration share
-// one job and all receive the identical result.
-func SubmitSweep(ctx context.Context, addr string, cfg experiments.Config, variants []experiments.Variant, shards int) (*experiments.Result, error) {
-	cl := NewClient(addr)
-	receipt, err := cl.Submit(ctx, SpecOf(cfg, variants), shards)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Result(ctx, receipt.JobID)
 }
 
 // isTransportError reports a failure to reach the coordinator at all (as

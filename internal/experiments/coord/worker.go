@@ -276,9 +276,9 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// RunWorker is the one-call worker mode (the facade's RunWorker and
-// cmd/repro's -worker): pull shards from the coordinator at addr over the
-// given cache until it drains.
+// RunWorker is the one-call worker mode (cmd/repro's -worker): pull
+// shards from the coordinator at addr over the given cache until it
+// drains.
 func RunWorker(ctx context.Context, addr string, cache cellcache.Cache, parallelism int, logf func(string, ...interface{})) error {
 	w := &Worker{
 		Client:      NewClient(addr),

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -326,19 +325,6 @@ func runOne(cfg Config, recs []trace.Record, cond Condition, v Variant) (*ssd.St
 		return nil, err
 	}
 	return dev.Run(recs)
-}
-
-// Figure14 runs the five-configuration sweep and normalizes to Baseline.
-// It is RunSweep over Figure14Variants with a background context.
-func Figure14(cfg Config) (*Result, error) {
-	return RunSweep(context.Background(), cfg, Figure14Variants())
-}
-
-// Figure15 runs the PSO comparison: PSO alone and PSO+PnAR², normalized to
-// the *plain* Baseline of Figure 14 (as the paper plots), with NoRR as the
-// ideal reference. It is RunSweep over Figure15Variants.
-func Figure15(cfg Config) (*Result, error) {
-	return RunSweep(context.Background(), cfg, Figure15Variants())
 }
 
 // cells selects measurements by configuration name.

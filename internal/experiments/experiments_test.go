@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func fig14(t *testing.T) *Result {
 	if cachedFig14 != nil {
 		return cachedFig14
 	}
-	res, err := Figure14(QuickConfig())
+	res, err := RunSweep(context.Background(), QuickConfig(), Figure14Variants())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestFigure14HeadlineStatistics(t *testing.T) {
 func TestFigure15PSO(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Workloads = []string{"mds_1", "YCSB-C"}
-	res, err := Figure15(cfg)
+	res, err := RunSweep(context.Background(), cfg, Figure15Variants())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestReductionAtCondition(t *testing.T) {
 func TestUnknownWorkloadFails(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Workloads = []string{"bogus"}
-	if _, err := Figure14(cfg); err == nil {
+	if _, err := RunSweep(context.Background(), cfg, Figure14Variants()); err == nil {
 		t.Error("expected error for unknown workload")
 	}
 }

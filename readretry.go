@@ -20,10 +20,11 @@
 //   - RPT profiling (ProfileRPT);
 //   - the read-retry controllers themselves (Scheme, BuildPlan);
 //   - an MQSim-style multi-queue SSD simulator (NewSSD) and the Figure
-//     14/15 system-level sweeps (Figure14, Figure15), distributable across
-//     processes and machines with bit-identical merges through the sweep
-//     coordinator (NewSweepCoordinator, ServeSweeps, RunWorker,
-//     SubmitSweep);
+//     14/15 system-level sweeps (RunSweep with Figure14Variants or
+//     Figure15Variants), shardable with bit-identical merges through an
+//     in-process sweep coordinator (NewSweepCoordinator, RunShard);
+//     cmd/repro's -serve, -worker and -submit flags run the same
+//     coordinator across processes;
 //   - the twelve Table 2 workload generators (Workloads, NewWorkload).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
@@ -33,7 +34,6 @@ package readretry
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"readretry/internal/charz"
 	"readretry/internal/chip"
@@ -365,12 +365,6 @@ func DefaultSweepConfig() SweepConfig { return experiments.DefaultConfig() }
 // QuickSweepConfig returns a reduced sweep for quick runs.
 func QuickSweepConfig() SweepConfig { return experiments.QuickConfig() }
 
-// Figure14 runs the five-configuration response-time sweep.
-func Figure14(cfg SweepConfig) (*SweepResult, error) { return experiments.Figure14(cfg) }
-
-// Figure15 runs the PSO comparison sweep.
-func Figure15(cfg SweepConfig) (*SweepResult, error) { return experiments.Figure15(cfg) }
-
 // Figure14Variants returns the five §7.2 configurations in presentation
 // order.
 func Figure14Variants() []SweepVariant { return experiments.Figure14Variants() }
@@ -408,22 +402,20 @@ func RunShard(ctx context.Context, cfg SweepConfig, variants []SweepVariant, m S
 // RunSweep executes an arbitrary (workload × condition × variant) grid on
 // the parallel sweep engine — three-dimensional when SweepConfig.Temps
 // crosses the conditions with a temperature axis: cells fan out over a
-// worker pool bounded by
-// cfg.Parallelism, each workload's trace is generated once and shared, and
-// the result is bit-identical to a serial run of the same cfg. ctx cancels
-// the sweep; cfg.Progress observes completed cells. cfg.Sink streams the
-// cells themselves in canonical order as their stripes complete (see
-// NewSweepCSVSink), and cfg.Cache (see NewSweepCache, NewDiskSweepCache)
-// skips simulation for every cell whose content-addressed measurement is
-// already known.
+// worker pool bounded by cfg.Parallelism, each workload's trace is
+// generated once and shared, and the result is bit-identical to a serial
+// run of the same cfg. ctx cancels the sweep; cfg.Progress observes
+// completed cells. cfg.Sink streams the cells themselves in canonical
+// order as their stripes complete (see NewSweepCSVSinkFor), and cfg.Cache
+// (see NewSweepCache, NewDiskSweepCache) skips simulation for every cell
+// whose content-addressed measurement is already known.
 func RunSweep(ctx context.Context, cfg SweepConfig, variants []SweepVariant) (*SweepResult, error) {
 	return experiments.RunSweep(ctx, cfg, variants)
 }
 
-// Networked sweep coordination: the same sharded grids served over HTTP
-// with lease/heartbeat fault tolerance — workers that crash mid-shard are
-// re-leased after a TTL, completions are idempotent, and the merged result
-// is bit-identical to a single-process RunSweep.
+// In-process sweep coordination: the shard work queue that cmd/repro's
+// -serve, -worker and -submit modes serve over HTTP. The merged result is
+// bit-identical to a single-process RunSweep.
 type (
 	// SweepCoordinator owns the shard work queue: it leases shards to
 	// workers, expires leases whose heartbeats stop, merges completion
@@ -437,90 +429,13 @@ type (
 	SweepSpec = coord.Spec
 	// SweepLease is one granted shard: manifest, spec, TTL, and deadline.
 	SweepLease = coord.Lease
-	// SweepJobStatus is a job's observable progress.
-	SweepJobStatus = coord.JobStatus
-	// SweepSubmitReceipt acknowledges a submission: job ID and shard count.
-	SweepSubmitReceipt = coord.SubmitReceipt
-	// SweepWorker is the configurable pull loop behind RunWorker.
-	SweepWorker = coord.Worker
-	// SweepClient speaks the coordinator's HTTP protocol directly.
-	SweepClient = coord.Client
-	// SweepForeignRecordError is the typed rejection a completion record
-	// earns when its config hash matches no submitted job.
-	SweepForeignRecordError = coord.ForeignRecordError
 )
 
-// DefaultLeaseTTL is how long a shard lease survives without a heartbeat
-// before the coordinator re-leases it.
-const DefaultLeaseTTL = coord.DefaultLeaseTTL
-
-// NewSweepCoordinator builds an in-process coordinator; serve it with
-// SweepCoordinatorHandler (or use ServeSweeps for the one-call daemon).
+// NewSweepCoordinator builds an in-process coordinator.
 func NewSweepCoordinator(opts SweepCoordinatorOptions) *SweepCoordinator { return coord.New(opts) }
-
-// SweepCoordinatorHandler returns the coordinator's HTTP handler, for
-// mounting on a server the caller owns.
-func SweepCoordinatorHandler(c *SweepCoordinator) http.Handler { return coord.NewServer(c).Handler() }
 
 // SweepSpecOf captures a sweep configuration and variants as the wire Spec
 // a coordinator submission carries.
 func SweepSpecOf(cfg SweepConfig, variants []SweepVariant) SweepSpec {
 	return coord.SpecOf(cfg, variants)
-}
-
-// ServeSweeps runs a sweep coordinator on addr until ctx ends: workers
-// pull shards with RunWorker, clients submit jobs with SubmitSweep, and
-// an expiry loop re-leases shards whose workers stop heartbeating. opts
-// zero value serves with DefaultLeaseTTL and no shared cache.
-func ServeSweeps(ctx context.Context, addr string, opts SweepCoordinatorOptions) error {
-	return coord.Serve(ctx, addr, opts)
-}
-
-// RunWorker pulls and executes sweep shards from the coordinator at addr
-// until it drains or ctx ends. cache (see NewDiskSweepCache) makes a
-// killed worker resumable: after a restart only the cells the crash lost
-// are re-simulated. parallelism 0 means the engine default; logf may be
-// nil.
-func RunWorker(ctx context.Context, addr string, cache SweepCache, parallelism int, logf func(format string, args ...interface{})) error {
-	return coord.RunWorker(ctx, addr, cache, parallelism, logf)
-}
-
-// SubmitSweep submits one sweep to the coordinator at addr, waits for
-// workers to complete it, and returns the merged result — bit-identical
-// to RunSweep of the same cfg and variants.
-func SubmitSweep(ctx context.Context, cfg SweepConfig, variants []SweepVariant, addr string, shards int) (*SweepResult, error) {
-	return coord.SubmitSweep(ctx, addr, cfg, variants, shards)
-}
-
-// Coordinator durability: the crash-safe state journal and the transport
-// fault-tolerance knobs (DESIGN.md §12).
-type (
-	// SweepRecoveryStats summarizes what RecoverSweepCoordinator replayed:
-	// jobs, completion records, merged cells, and whether a torn final
-	// journal entry (an unacknowledged append the crash interrupted) was
-	// discarded.
-	SweepRecoveryStats = coord.RecoveryStats
-	// SweepRetryPolicy bounds a SweepClient's retry loop: attempts,
-	// exponential backoff base/cap, and jitter. Transport errors and 5xx
-	// refusals are retried (every protocol mutation is idempotent); typed
-	// protocol errors never are.
-	SweepRetryPolicy = coord.RetryPolicy
-	// SweepDiskCache is the concrete disk tier behind NewDiskSweepCache,
-	// exposing its integrity surface: per-entry CRC-32C checksums,
-	// CorruptCount, and quarantine-on-corruption (corrupt entries move to
-	// a quarantine subdirectory and degrade to recomputable misses).
-	SweepDiskCache = cellcache.DiskCache
-)
-
-// RecoverSweepCoordinator builds a coordinator whose durable state lives
-// under stateDir: every submission and accepted completion record is
-// appended to an fsync'd journal before it is acknowledged, and this call
-// replays that journal (plus opts.Cache) into a fresh coordinator — a
-// SIGKILL'd coordinator restarted over the same stateDir resumes every
-// job with zero lost work and zero duplicate simulation. Leases are
-// deliberately not recovered (workers re-pull after their heartbeats are
-// rejected). Close the returned coordinator to flush and release the
-// journal.
-func RecoverSweepCoordinator(stateDir string, opts SweepCoordinatorOptions) (*SweepCoordinator, SweepRecoveryStats, error) {
-	return coord.Recover(stateDir, opts)
 }
