@@ -50,13 +50,24 @@ func coordLogf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "repro: "+format+"\n", args...)
 }
 
+// openDiskCache opens the -cache-dir tier with its integrity events
+// (corrupt entries quarantined, removed or stranded) logged to stderr.
+func openDiskCache(dir string) (*cellcache.DiskCache, error) {
+	c, err := cellcache.Disk(dir)
+	if err != nil {
+		return nil, err
+	}
+	c.SetLogf(coordLogf)
+	return c, nil
+}
+
 // runWorkerMode is the -worker entry point: everything the worker needs
 // arrives in each lease, so the only local choices are the cache tier and
 // the pool size.
 func runWorkerMode() error {
 	var cache cellcache.Cache
 	if *cacheDir != "" {
-		c, err := cellcache.Disk(*cacheDir)
+		c, err := openDiskCache(*cacheDir)
 		if err != nil {
 			return err
 		}

@@ -42,7 +42,6 @@ import (
 	"readretry/internal/core"
 	"readretry/internal/ecc"
 	"readretry/internal/experiments"
-	"readretry/internal/experiments/cellcache"
 	"readretry/internal/nand"
 	"readretry/internal/rpt"
 	"readretry/internal/ssd"
@@ -52,7 +51,7 @@ import (
 )
 
 var (
-	only     = flag.String("only", "all", "experiment to run: table1, table2, fig4b, fig5, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, or all")
+	only     = flag.String("only", "all", "experiment to run: table1, table2, fig4b, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, ext, or all")
 	quick    = flag.Bool("quick", false, "reduced Figure 14/15 sweeps")
 	samples  = flag.Int("samples", 8000, "characterization sample reads per condition")
 	seed     = flag.Uint64("seed", 1, "process-variation seed")
@@ -355,8 +354,6 @@ func main() {
 		header("Figure 4b: RBER over the last retry steps")
 		var series []charz.LadderSeries
 		for _, n := range []int{16, 21} {
-			cond := [2]interface{}{2000, 12.0}
-			_ = cond
 			s, err := lab.RBERLadder(2000, 12, n)
 			if err != nil {
 				s, err = lab.RBERLadder(2000, 9, n)
@@ -578,7 +575,7 @@ func main() {
 			// NoRR cells (same scheme+PSO, so the same content address).
 			// Under -serve and -spawn-shards it is the coordinator's
 			// store: a re-run over a warm cache finishes at Submit.
-			cache, err := cellcache.Disk(*cacheDir)
+			cache, err := openDiskCache(*cacheDir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 				os.Exit(1)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestHeapStressOrdering hammers the hand-rolled 4-ary heap with random
-// schedule times, interleaved cancellations, and pooled/unpooled events, and
+// schedule times, interleaved cancellations, and closure/tag events, and
 // checks every fire lands in strict (at, seq) order — the total order the
 // whole simulator's determinism rests on.
 func TestHeapStressOrdering(t *testing.T) {
@@ -16,7 +16,7 @@ func TestHeapStressOrdering(t *testing.T) {
 	var lastAt Time = -1
 	var lastSeq uint64
 	fired := 0
-	var handles []*Handle
+	var handles []Handle
 
 	check := func(now Time, s stamp) {
 		if s.at != now {
@@ -37,7 +37,7 @@ func TestHeapStressOrdering(t *testing.T) {
 		case 0:
 			handles = append(handles, e.Schedule(at, func(now Time) { check(now, s) }))
 		case 1:
-			e.ScheduleFunc(at, func(now Time) { check(now, s) })
+			e.Schedule(at, func(now Time) { check(now, s) })
 		default:
 			e.ScheduleTag(at, stampCB{check: check, s: s}, i)
 		}
@@ -81,6 +81,49 @@ func TestPooledEventsRecycle(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("pooled ScheduleTag+Step allocates %.2f objects per event, want 0", allocs)
+	}
+}
+
+// TestScheduleEventRecycles: a closure Event rides the same recycled record
+// as a Callback, and its Handle is a value, so scheduling a preallocated
+// Event and firing it allocates nothing.
+func TestScheduleEventRecycles(t *testing.T) {
+	var e Engine
+	n := 0
+	fn := Event(func(Time) { n++ })
+	allocs := testing.AllocsPerRun(500, func() {
+		e.Schedule(e.Now(), fn)
+		e.Step()
+	})
+	if allocs > 0 {
+		t.Fatalf("Schedule+Step of a preallocated Event allocates %.2f objects per event, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("scheduled Event never fired")
+	}
+}
+
+// TestStaleHandleCancelsNothing: once an event fires its record is reused
+// by the next one scheduled, and a Handle kept from the first use must not
+// cancel the second.
+func TestStaleHandleCancelsNothing(t *testing.T) {
+	var e Engine
+	var order []int
+	stale := e.Schedule(1, func(Time) { order = append(order, 1) })
+	e.Run()
+	live := e.Schedule(2, func(Time) { order = append(order, 2) })
+	if live.rec != stale.rec {
+		t.Fatal("the second event did not reuse the fired event's record")
+	}
+	if stale.Cancel() {
+		t.Fatal("a Handle to a fired event canceled its record's next event")
+	}
+	e.Run()
+	if len(order) != 2 || order[1] != 2 {
+		t.Fatalf("fired %v, want [1 2]", order)
+	}
+	if live.Cancel() {
+		t.Fatal("Cancel after fire reported success")
 	}
 }
 

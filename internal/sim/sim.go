@@ -49,29 +49,31 @@ func (t Time) String() string {
 // MaxTime is the largest representable simulation time.
 const MaxTime = Time(1<<63 - 1)
 
-// Event is a scheduled callback. Fire runs at the scheduled time with the
-// engine clock already advanced.
-type Event func(now Time)
-
-// Callback is the allocation-free alternative to Event: a long-lived object
-// (a plan executor, a resource queue) implements Fire once and is scheduled
-// with an integer tag identifying which of its pending completions fired.
-// Scheduling a Callback allocates no closure, and the event record itself is
-// recycled through the engine's free list.
+// Callback is what the engine schedules: a long-lived object (a plan
+// executor, a resource queue) implements Fire once and is scheduled with an
+// integer tag identifying which of its pending completions fired, so
+// scheduling it allocates nothing.
 type Callback interface {
 	Fire(now Time, tag int)
 }
 
+// Event is a closure Callback. Fire runs at the scheduled time with the
+// engine clock already advanced.
+type Event func(now Time)
+
+// Fire implements Callback.
+func (f Event) Fire(now Time, _ int) { f(now) }
+
+// scheduled is the engine's one event record. Records recycle through the
+// engine's free list whether they fire or are canceled; gen counts the
+// recycles, so a Handle from an earlier use of the record matches nothing.
 type scheduled struct {
 	at  Time
 	seq uint64 // insertion order breaks ties deterministically
-	fn  Event
 	cb  Callback
 	tag int
 	idx int
-	// pooled events (ScheduleFunc/ScheduleTag) have no Handle and return to
-	// the engine's free list after firing.
-	pooled bool
+	gen uint64
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). The
@@ -110,7 +112,6 @@ func (h *eventHeap) pop() *scheduled {
 		old[0] = last
 		h.siftDown(0)
 	}
-	s.idx = -1
 	return s
 }
 
@@ -118,7 +119,6 @@ func (h *eventHeap) pop() *scheduled {
 func (h *eventHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1
-	s := old[i]
 	last := old[n]
 	old[n] = nil
 	*h = old[:n]
@@ -128,7 +128,6 @@ func (h *eventHeap) remove(i int) {
 		h.siftDown(i)
 		h.siftUp(last.idx)
 	}
-	s.idx = -1
 }
 
 func (h eventHeap) siftUp(i int) {
@@ -184,9 +183,9 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 	fired  uint64
-	// free recycles fired pooled events: an SSD run schedules one event per
-	// plan operation across millions of reads, and the free list keeps that
-	// from being one heap allocation each.
+	// free recycles event records: an SSD run schedules one event per plan
+	// operation across millions of reads, and the free list keeps that from
+	// being one heap allocation each.
 	free []*scheduled
 
 	// arrivals is the time-sorted stream installed by Feed, arrive its
@@ -227,83 +226,46 @@ func (e *Engine) Feed(at []Time, cb Callback) {
 	e.arrivals, e.arrive, e.next = at, cb, 0
 }
 
-// Schedule enqueues fn to run at time at. Scheduling in the past (before the
+// Schedule enqueues fn to run at time at; it is ScheduleTag(at, fn, 0).
+func (e *Engine) Schedule(at Time, fn Event) Handle { return e.ScheduleTag(at, fn, 0) }
+
+// ScheduleTag enqueues cb.Fire(at, tag). Scheduling in the past (before the
 // current clock) panics: it always indicates a model bug, and silently
 // reordering time would corrupt every latency statistic downstream.
-func (e *Engine) Schedule(at Time, fn Event) *Handle {
+// Same-instant events fire in scheduling order.
+func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	s := e.get(at)
-	s.fn = fn
-	e.events.push(s)
-	return &Handle{engine: e, ev: s}
-}
-
-// ScheduleFunc enqueues fn to run at time at, without a cancellation Handle.
-// The event record is pooled; use this for the fire-and-forget completions
-// that dominate a simulation run.
-func (e *Engine) ScheduleFunc(at Time, fn Event) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	s := e.get(at)
-	s.fn = fn
-	s.pooled = true
-	e.events.push(s)
-}
-
-// ScheduleTag enqueues cb.Fire(at, tag) without allocating a closure or a
-// Handle; the event record is pooled. Ordering semantics are identical to
-// Schedule: same-instant events fire in scheduling order.
-func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	s := e.get(at)
-	s.cb = cb
-	s.tag = tag
-	s.pooled = true
-	e.events.push(s)
-}
-
-// get returns a fresh or recycled event record stamped with the next
-// sequence number.
-func (e *Engine) get(at Time) *scheduled {
 	var s *scheduled
 	if n := len(e.free); n > 0 {
 		s = e.free[n-1]
 		e.free = e.free[:n-1]
-		*s = scheduled{}
 	} else {
 		s = &scheduled{}
 	}
-	s.at = at
-	s.seq = e.seq
+	s.at, s.seq, s.cb, s.tag = at, e.seq, cb, tag
 	e.seq++
-	return s
+	e.events.push(s)
+	return Handle{engine: e, rec: s, gen: s.gen}
 }
 
-// ScheduleAfter enqueues fn to run delay after the current time.
-func (e *Engine) ScheduleAfter(delay Time, fn Event) *Handle {
-	return e.Schedule(e.now+delay, fn)
-}
-
-// Handle allows cancelling a scheduled event.
+// Handle allows cancelling a scheduled event. The zero Handle cancels
+// nothing.
 type Handle struct {
 	engine *Engine
-	ev     *scheduled
+	rec    *scheduled
+	gen    uint64
 }
 
 // Cancel removes the event if it has not fired. It reports whether the event
 // was actually cancelled.
-func (h *Handle) Cancel() bool {
-	if h.ev == nil || h.ev.idx < 0 || h.ev.idx >= len(h.engine.events) ||
-		h.engine.events[h.ev.idx] != h.ev {
+func (h Handle) Cancel() bool {
+	if h.rec == nil || h.rec.gen != h.gen {
 		return false
 	}
-	h.engine.events.remove(h.ev.idx)
-	h.ev.idx = -1
+	h.engine.events.remove(h.rec.idx)
+	h.engine.recycle(h.rec)
 	return true
 }
 
@@ -324,27 +286,17 @@ func (e *Engine) Step() bool {
 	s := e.events.pop()
 	e.now = s.at
 	e.fired++
-	if s.cb != nil {
-		cb, tag := s.cb, s.tag
-		e.recycle(s)
-		cb.Fire(e.now, tag)
-	} else {
-		fn := s.fn
-		e.recycle(s)
-		fn(e.now)
-	}
+	cb, tag := s.cb, s.tag
+	e.recycle(s)
+	cb.Fire(e.now, tag)
 	return true
 }
 
-// recycle returns a pooled event record to the free list. Records with a
-// Handle are left for the garbage collector, since the Handle may still
-// reference them.
+// recycle returns a fired or canceled record to the free list, retiring
+// every Handle to it.
 func (e *Engine) recycle(s *scheduled) {
-	if !s.pooled {
-		return
-	}
-	s.fn = nil
 	s.cb = nil
+	s.gen++
 	e.free = append(e.free, s)
 }
 

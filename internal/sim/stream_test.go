@@ -25,14 +25,15 @@ type probe struct {
 
 // streamWorld is a random model driven by an arrival trace: each arrival
 // and each internal event schedules further internal events, often at the
-// same instant, through all three scheduling calls, and sometimes cancels
-// an earlier one. Its randomness is consumed in firing order, so any
-// change in that order changes the whole log.
+// same instant, through Schedule (its Handle kept or dropped) and
+// ScheduleTag, and sometimes cancels an earlier one. Its randomness is
+// consumed in firing order, so any change in that order changes the whole
+// log.
 type streamWorld struct {
 	e       *Engine
 	r       *rng.Source
 	log     []firing
-	handles []*Handle
+	handles []Handle
 	created int
 }
 
@@ -41,10 +42,6 @@ func (w *streamWorld) Fire(now Time, i int) {
 	w.log = append(w.log, firing{now, i})
 	w.spawn(now, 2)
 }
-
-type fnCallback func(Time)
-
-func (f fnCallback) Fire(now Time, _ int) { f(now) }
 
 func (w *streamWorld) spawn(now Time, depth int) {
 	for k := w.r.Intn(3); k > 0; k-- {
@@ -61,9 +58,9 @@ func (w *streamWorld) spawn(now Time, depth int) {
 		case 0:
 			w.handles = append(w.handles, w.e.Schedule(at, fire))
 		case 1:
-			w.e.ScheduleFunc(at, fire)
+			w.e.Schedule(at, fire)
 		default:
-			w.e.ScheduleTag(at, fnCallback(fire), 0)
+			w.e.ScheduleTag(at, Event(fire), 0)
 		}
 	}
 	if len(w.handles) > 0 && w.r.Intn(4) == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"readretry/internal/core"
+	"readretry/internal/rpt"
 	"readretry/internal/trace"
 	"readretry/internal/workload"
 )
@@ -102,6 +103,50 @@ func TestRPTProfileMemoized(t *testing.T) {
 	}
 	if d.RPT() == a.RPT() {
 		t.Fatal("different RPT config must not share the RPT")
+	}
+}
+
+// TestRPTProfileConcurrentNew builds devices concurrently for two adaptive
+// configs that no other test profiles: every device of one config must get
+// that config's single *rpt.Table, and the two configs distinct tables.
+// Run under -race it also checks the memo's first, contended build.
+func TestRPTProfileConcurrentNew(t *testing.T) {
+	base := tinyConfig()
+	base.Scheme = core.AR2
+	base.Seed = 0x5eedc0c0
+	const perConfig = 4
+	var tables [2][perConfig]*rpt.Table
+	var errs [2][perConfig]error
+	var wg sync.WaitGroup
+	for k := range tables {
+		cfg := base
+		cfg.Seed += uint64(k)
+		for i := range tables[k] {
+			wg.Add(1)
+			go func(k, i int) {
+				defer wg.Done()
+				dev, err := New(cfg)
+				if err != nil {
+					errs[k][i] = err
+					return
+				}
+				tables[k][i] = dev.RPT()
+			}(k, i)
+		}
+	}
+	wg.Wait()
+	for k := range tables {
+		for i := range tables[k] {
+			if errs[k][i] != nil {
+				t.Fatal(errs[k][i])
+			}
+			if tables[k][i] == nil || tables[k][i] != tables[k][0] {
+				t.Fatalf("config %d: device %d got a different RPT than device 0", k, i)
+			}
+		}
+	}
+	if tables[0][0] == tables[1][0] {
+		t.Fatal("different seeds share one RPT")
 	}
 }
 

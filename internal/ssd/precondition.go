@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"fmt"
-	"sync"
 
 	"readretry/internal/ftl"
 )
@@ -15,37 +14,19 @@ type imageKey struct {
 	pages int64
 }
 
-// image is one memoized, frozen preconditioned FTL; once builds it.
-type image struct {
-	once sync.Once
-	ftl  *ftl.FTL
-	err  error
-}
-
-var imageMemo = struct {
-	sync.Mutex
-	m map[imageKey]*image
-}{m: make(map[imageKey]*image)}
+var imageMemo onceMemo[imageKey, *ftl.FTL]
 
 // preconditioned returns a private FTL with LPNs [0, pages) mapped as cold
 // data. Every cell of a sweep used to rebuild the identical image in
 // ssd.New; now each distinct key is preconditioned once, frozen, and every
-// device gets a Clone of it. Different keys build concurrently; callers of
-// one key wait for its single build.
+// device gets a Clone of it.
 func preconditioned(cfg ftl.Config, pages int64) (*ftl.FTL, error) {
 	key := imageKey{cfg: cfg, pages: pages}
-	imageMemo.Lock()
-	img, ok := imageMemo.m[key]
-	if !ok {
-		img = &image{}
-		imageMemo.m[key] = img
+	img, err := imageMemo.get(key, func() (*ftl.FTL, error) { return buildImage(cfg, pages) })
+	if err != nil {
+		return nil, err
 	}
-	imageMemo.Unlock()
-	img.once.Do(func() { img.ftl, img.err = buildImage(cfg, pages) })
-	if img.err != nil {
-		return nil, img.err
-	}
-	return img.ftl.Clone(), nil
+	return img.Clone(), nil
 }
 
 func buildImage(cfg ftl.Config, pages int64) (*ftl.FTL, error) {

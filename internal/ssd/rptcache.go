@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"fmt"
-	"sync"
 
 	"readretry/internal/rpt"
 	"readretry/internal/vth"
@@ -23,27 +22,14 @@ func rptConfigFingerprint(c rpt.Config) string {
 		c.PECBounds, c.RetBounds, c.SafetyMarginBits, c.ProfileTempC, c.MaxLevel)
 }
 
-var rptMemo = struct {
-	sync.Mutex
-	m map[rptMemoKey]*rpt.Table
-}{m: make(map[rptMemoKey]*rpt.Table)}
+var rptMemo onceMemo[rptMemoKey, *rpt.Table]
 
 // profiledTable returns the memoized RPT for the model, profiling it on
 // first use. Every adaptive-scheme cell of a sweep used to re-profile the
 // identical table in ssd.New; now a sweep profiles each distinct
-// (parameters, seed, config) once and the devices share the (immutable,
-// read-only) result.
+// (parameters, seed, config) once, different keys concurrently, and the
+// devices share the (immutable, read-only) result.
 func profiledTable(model *vth.Model, params vth.Params, seed uint64, cfg rpt.Config) (*rpt.Table, error) {
 	key := rptMemoKey{params: params, seed: seed, cfg: rptConfigFingerprint(cfg)}
-	rptMemo.Lock()
-	defer rptMemo.Unlock()
-	if t, ok := rptMemo.m[key]; ok {
-		return t, nil
-	}
-	t, err := rpt.Profile(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rptMemo.m[key] = t
-	return t, nil
+	return rptMemo.get(key, func() (*rpt.Table, error) { return rpt.Profile(model, cfg) })
 }

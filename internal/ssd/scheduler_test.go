@@ -18,7 +18,7 @@ func TestResourceQueueFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		q.acquire(0, 10*sim.Microsecond, func(sim.Time) { order = append(order, i) })
+		q.acquire(0, 10*sim.Microsecond, sim.Event(func(sim.Time) { order = append(order, i) }), 0)
 	}
 	eng.Run()
 	for i, v := range order {
@@ -39,7 +39,7 @@ func TestResourceQueueRespectsRequestTime(t *testing.T) {
 	q := &resourceQueue{eng: eng}
 	var end sim.Time
 	eng.Schedule(20*sim.Microsecond, func(now sim.Time) {
-		q.acquire(now, 5*sim.Microsecond, func(e sim.Time) { end = e })
+		q.acquire(now, 5*sim.Microsecond, sim.Event(func(e sim.Time) { end = e }), 0)
 	})
 	eng.Run()
 	if end != 25*sim.Microsecond {

@@ -244,25 +244,13 @@ type die struct {
 	readQ        []*txn
 	writeQ       []*txn
 	gcQ          []*txn
-	// suspended holds a program/erase op interrupted by reads.
-	suspended *suspendedOp
-	// suspendable is non-nil while the current txn sits in an
-	// interruptible die phase (program or erase).
-	suspendable *suspendPoint
+	// suspendable is the program or erase running on the die, nil when
+	// the current txn is in no interruptible phase; suspended is the one
+	// that reads interrupted.
+	suspendable *diePhase
+	suspended   *diePhase
 	gcActive    []bool  // per plane: a collection job is in flight
 	gcMovesLeft []gcJob // outstanding relocation counts per collection job
-}
-
-type suspendPoint struct {
-	handle    *sim.Handle
-	endsAt    sim.Time
-	onResume  func(remaining sim.Time)
-	completed bool
-}
-
-type suspendedOp struct {
-	remaining sim.Time
-	resume    func(remaining sim.Time)
 }
 
 // setBusy and setIdle guard the die's busy flag while accumulating busy
@@ -327,19 +315,12 @@ func (s *SSD) enqueue(d *die, t *txn, now sim.Time) {
 
 // suspendCurrent interrupts the die's current program/erase.
 func (s *SSD) suspendCurrent(d *die, now sim.Time) {
-	sp := d.suspendable
-	if sp == nil || sp.completed || d.suspended != nil {
+	p := d.suspendable
+	if p == nil || d.suspended != nil || !p.end.Cancel() {
 		return
 	}
-	if !sp.handle.Cancel() {
-		return // completion already fired this instant
-	}
-	remaining := sp.endsAt - now
-	if remaining < 0 {
-		remaining = 0
-	}
-	d.suspended = &suspendedOp{remaining: remaining, resume: sp.onResume}
-	d.suspendable = nil
+	p.left = p.endsAt - now // a pending completion is never in the past
+	d.suspended, d.suspendable = p, nil
 	s.setIdle(d, now)
 	s.stats.Suspensions++
 	s.dispatch(d, now)
@@ -358,11 +339,10 @@ func (s *SSD) dispatch(d *die, now sim.Time) {
 		s.startRead(d, t, now)
 		return
 	}
-	if d.suspended != nil {
-		op := d.suspended
+	if p := d.suspended; p != nil {
 		d.suspended = nil
 		s.setBusy(d, now)
-		op.resume(op.remaining)
+		p.run(s.eng.Now())
 		return
 	}
 	if s.gcUrgent(d) && len(d.gcQ) > 0 {
@@ -670,9 +650,9 @@ func (x *planExec) startOp(i int, at sim.Time) {
 	op := &x.plan.Ops[i]
 	switch op.Res {
 	case core.ResChannel:
-		x.s.channels[x.d.channel].acquireTag(at, op.Dur, x, i)
+		x.s.channels[x.d.channel].acquire(at, op.Dur, x, i)
 	case core.ResECC:
-		x.s.eccs[x.d.channel].acquireTag(at, op.Dur, x, i)
+		x.s.eccs[x.d.channel].acquire(at, op.Dur, x, i)
 	default: // die or controller-side: the die is owned by this plan
 		x.s.eng.ScheduleTag(at+op.Dur, x, i)
 	}
@@ -717,9 +697,9 @@ func (s *SSD) runPlanSlow(d *die, plan core.Plan, start sim.Time, onResponse, on
 		op := plan.Ops[i]
 		switch op.Res {
 		case core.ResChannel:
-			s.channels[d.channel].acquire(at, op.Dur, func(end sim.Time) { opDone(i, end) })
+			s.channels[d.channel].acquire(at, op.Dur, sim.Event(func(end sim.Time) { opDone(i, end) }), 0)
 		case core.ResECC:
-			s.eccs[d.channel].acquire(at, op.Dur, func(end sim.Time) { opDone(i, end) })
+			s.eccs[d.channel].acquire(at, op.Dur, sim.Event(func(end sim.Time) { opDone(i, end) }), 0)
 		default: // die or controller-side: the die is owned by this plan
 			s.eng.Schedule(at+op.Dur, func(t sim.Time) { opDone(i, t) })
 		}
@@ -755,12 +735,12 @@ func (s *SSD) startWrite(d *die, t *txn, now sim.Time) {
 	}
 	t.ppn = ppn
 	s.stats.PageWrites++
-	s.channels[d.channel].acquire(now, s.cfg.Timing.TDMA, func(end sim.Time) {
+	s.channels[d.channel].acquire(now, s.cfg.Timing.TDMA, sim.Event(func(end sim.Time) {
 		s.programPhase(d, chipAddr(ppn), end, func(done sim.Time) {
 			s.completePage(t, done)
 			s.afterWrite(d, ppn, done)
 		})
-	})
+	}), 0)
 }
 
 // programPhase runs the suspendable tPROG portion on the die.
@@ -772,24 +752,38 @@ func (s *SSD) programPhase(d *die, addr nand.Address, start sim.Time, onDone fun
 
 // dieBusyPhase occupies the die for dur, allowing suspension by reads.
 func (s *SSD) dieBusyPhase(d *die, start sim.Time, dur sim.Time, onDone func(sim.Time)) {
-	var run func(at, remaining sim.Time)
-	run = func(at, remaining sim.Time) {
-		end := at + remaining
-		sp := &suspendPoint{endsAt: end}
-		sp.onResume = func(left sim.Time) { run(s.eng.Now(), left) }
-		sp.handle = s.eng.Schedule(end, func(t sim.Time) {
-			sp.completed = true
-			d.suspendable = nil
-			onDone(t)
-		})
-		d.suspendable = sp
-		// Reads that arrived while this transaction was in its transfer
-		// phase suspend it the moment the die phase begins.
-		if !s.cfg.DisableSuspension && len(d.readQ) > 0 {
-			s.suspendCurrent(d, s.eng.Now())
-		}
+	(&diePhase{s: s, d: d, left: dur, onDone: onDone}).run(start)
+}
+
+// diePhase is one program or erase on a die: the die's suspendable phase
+// while its completion event is pending, its suspended phase while reads
+// hold the die, and suspendable again when dispatch resumes it for the
+// time it had left.
+type diePhase struct {
+	s      *SSD
+	d      *die
+	left   sim.Time // time still to run when run (re)starts the phase
+	endsAt sim.Time
+	end    sim.Handle // the pending completion
+	onDone func(sim.Time)
+}
+
+// run occupies the die from at for the phase's remaining time.
+func (p *diePhase) run(at sim.Time) {
+	p.endsAt = at + p.left
+	p.end = p.s.eng.ScheduleTag(p.endsAt, p, 0)
+	p.d.suspendable = p
+	// Reads that arrived while this transaction was in its transfer phase
+	// suspend it the moment the die phase begins.
+	if !p.s.cfg.DisableSuspension && len(p.d.readQ) > 0 {
+		p.s.suspendCurrent(p.d, p.s.eng.Now())
 	}
-	run(start, dur)
+}
+
+// Fire implements sim.Callback: the phase ran to completion.
+func (p *diePhase) Fire(t sim.Time, _ int) {
+	p.d.suspendable = nil
+	p.onDone(t)
 }
 
 // afterWrite finishes a write transaction: free the die and kick GC if the
@@ -863,13 +857,13 @@ func (s *SSD) runGCMove(d *die, t *txn, now sim.Time) {
 		if err != nil {
 			panic(fmt.Sprintf("ssd: gc relocation failed: %v", err))
 		}
-		s.channels[d.channel].acquire(rel, s.cfg.Timing.TDMA, func(end sim.Time) {
+		s.channels[d.channel].acquire(rel, s.cfg.Timing.TDMA, sim.Event(func(end sim.Time) {
 			s.programPhase(d, chipAddr(newPPN), end, func(done sim.Time) {
 				s.setIdle(d, done)
 				s.finishGCMove(d, t, done)
 				s.dispatch(d, done)
 			})
-		})
+		}), 0)
 	})
 }
 
@@ -927,81 +921,52 @@ func (s *SSD) completePage(t *txn, done sim.Time) {
 }
 
 // resourceQueue is a FIFO-arbitrated unit (channel bus or ECC engine). Its
-// end-of-occupancy events are scheduled through the tag API with itself as
-// the callback, so granting the resource allocates nothing; closure-based
-// acquires (the write path) ride the same machinery.
+// end-of-occupancy events are scheduled with itself as the callback, so
+// granting the resource allocates nothing.
 type resourceQueue struct {
 	eng      *sim.Engine
 	busy     bool
-	freeAt   sim.Time
+	cur      pendingAcquire // the in-flight occupant while busy
 	queue    []pendingAcquire
 	busyTime sim.Time
-	// cur{Done,CB,Tag} describe the in-flight occupant (exactly one while
-	// busy): either a done closure or a (callback, tag) pair.
-	curDone func(end sim.Time)
-	curCB   sim.Callback
-	curTag  int
 }
 
+// pendingAcquire is one occupant, queued or in flight: cb.Fire(end, tag)
+// runs when its dur-long occupancy ends.
 type pendingAcquire struct {
-	dur  sim.Time
-	done func(end sim.Time)
-	cb   sim.Callback
-	tag  int
+	dur sim.Time
+	cb  sim.Callback
+	tag int
 }
 
-// acquire requests the resource for dur starting no earlier than at; done
-// fires when the occupancy ends.
-func (r *resourceQueue) acquire(at sim.Time, dur sim.Time, done func(end sim.Time)) {
+// acquire requests the resource for dur starting no earlier than at;
+// cb.Fire(end, tag) runs when the occupancy ends.
+func (r *resourceQueue) acquire(at sim.Time, dur sim.Time, cb sim.Callback, tag int) {
+	a := pendingAcquire{dur: dur, cb: cb, tag: tag}
 	if r.busy {
-		r.queue = append(r.queue, pendingAcquire{dur: dur, done: done})
+		r.queue = append(r.queue, a)
 		return
 	}
-	r.grant(at, dur, done, nil, 0)
-}
-
-// acquireTag is acquire with an allocation-free completion: cb.Fire(end, tag)
-// runs when the occupancy ends.
-func (r *resourceQueue) acquireTag(at sim.Time, dur sim.Time, cb sim.Callback, tag int) {
-	if r.busy {
-		r.queue = append(r.queue, pendingAcquire{dur: dur, cb: cb, tag: tag})
-		return
-	}
-	r.grant(at, dur, nil, cb, tag)
+	r.grant(at, a)
 }
 
 // grant starts an occupancy immediately (the resource must be idle).
-func (r *resourceQueue) grant(at sim.Time, dur sim.Time, done func(end sim.Time), cb sim.Callback, tag int) {
-	start := at
-	if now := r.eng.Now(); start < now {
-		start = now
-	}
+func (r *resourceQueue) grant(at sim.Time, a pendingAcquire) {
 	r.busy = true
-	r.busyTime += dur
-	r.curDone, r.curCB, r.curTag = done, cb, tag
-	r.eng.ScheduleTag(start+dur, r, 0)
+	r.busyTime += a.dur
+	r.cur = a
+	r.eng.ScheduleTag(max(at, r.eng.Now())+a.dur, r, 0)
 }
 
-// Fire implements sim.Callback: the current occupancy ended. As in the
-// original closure (`r.release(t); done(t)`), the next queued acquire is
-// granted before the completed one's continuation runs.
+// Fire implements sim.Callback: the current occupancy ended. The next
+// queued acquire is granted before the finished one's continuation runs.
 func (r *resourceQueue) Fire(t sim.Time, _ int) {
-	done, cb, tag := r.curDone, r.curCB, r.curTag
-	r.curDone, r.curCB = nil, nil
-	r.release(t)
-	if cb != nil {
-		cb.Fire(t, tag)
-	} else {
-		done(t)
+	done := r.cur
+	r.cur, r.busy = pendingAcquire{}, false
+	if len(r.queue) > 0 {
+		next := r.queue[0]
+		r.queue = r.queue[1:]
+		r.grant(t, next)
 	}
-}
-
-func (r *resourceQueue) release(now sim.Time) {
-	r.busy = false
-	if len(r.queue) == 0 {
-		return
-	}
-	next := r.queue[0]
-	r.queue = r.queue[1:]
-	r.grant(now, next.dur, next.done, next.cb, next.tag)
+	done.cb.Fire(t, done.tag)
 }
