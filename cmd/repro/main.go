@@ -35,6 +35,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,8 +51,13 @@ import (
 	"readretry/internal/workload"
 )
 
+// experimentNames lists every value -only accepts; want matches them
+// case-insensitively.
+var experimentNames = []string{"table1", "table2", "fig4b", "fig5", "fig6", "fig7", "fig8", "fig9",
+	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "ext", "all"}
+
 var (
-	only     = flag.String("only", "all", "experiment to run: table1, table2, fig4b, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, ext, or all")
+	only     = flag.String("only", "all", "experiment to run: "+strings.Join(experimentNames, ", "))
 	quick    = flag.Bool("quick", false, "reduced Figure 14/15 sweeps")
 	samples  = flag.Int("samples", 8000, "characterization sample reads per condition")
 	seed     = flag.Uint64("seed", 1, "process-variation seed")
@@ -283,6 +289,10 @@ func main() {
 	}
 	if modes > 1 {
 		fmt.Fprintln(os.Stderr, "repro: -spawn-shards, -serve, -worker and -submit are mutually exclusive")
+		os.Exit(2)
+	}
+	if !slices.ContainsFunc(experimentNames, func(n string) bool { return strings.EqualFold(n, *only) }) {
+		fmt.Fprintf(os.Stderr, "repro: unknown -only %q; valid names: %s\n", *only, strings.Join(experimentNames, ", "))
 		os.Exit(2)
 	}
 	if *workerAddr != "" {

@@ -46,9 +46,6 @@ func (t Time) String() string {
 	}
 }
 
-// MaxTime is the largest representable simulation time.
-const MaxTime = Time(1<<63 - 1)
-
 // Callback is what the engine schedules: a long-lived object (a plan
 // executor, a resource queue) implements Fire once and is scheduled with an
 // integer tag identifying which of its pending completions fired, so
@@ -64,16 +61,15 @@ type Event func(now Time)
 // Fire implements Callback.
 func (f Event) Fire(now Time, _ int) { f(now) }
 
-// scheduled is the engine's one event record. Records recycle through the
-// engine's free list whether they fire or are canceled; gen counts the
-// recycles, so a Handle from an earlier use of the record matches nothing.
+// scheduled is the engine's one event record. A scheduled event cannot be
+// withdrawn: it fires, and its record returns to the engine's free list. A
+// caller that supersedes a pending event retires it by tag instead, so the
+// stale firing is a no-op.
 type scheduled struct {
 	at  Time
 	seq uint64 // insertion order breaks ties deterministically
 	cb  Callback
 	tag int
-	idx int
-	gen uint64
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). The
@@ -95,9 +91,8 @@ func eventLess(a, b *scheduled) bool {
 }
 
 func (h *eventHeap) push(s *scheduled) {
-	s.idx = len(*h)
 	*h = append(*h, s)
-	h.siftUp(s.idx)
+	h.siftUp(len(*h) - 1)
 }
 
 func (h *eventHeap) pop() *scheduled {
@@ -108,26 +103,10 @@ func (h *eventHeap) pop() *scheduled {
 	old[n] = nil
 	*h = old[:n]
 	if n > 0 {
-		last.idx = 0
 		old[0] = last
 		h.siftDown(0)
 	}
 	return s
-}
-
-// remove deletes the event at index i (the Cancel path).
-func (h *eventHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	last := old[n]
-	old[n] = nil
-	*h = old[:n]
-	if i < n {
-		last.idx = i
-		old[i] = last
-		h.siftDown(i)
-		h.siftUp(last.idx)
-	}
 }
 
 func (h eventHeap) siftUp(i int) {
@@ -139,11 +118,9 @@ func (h eventHeap) siftUp(i int) {
 			break
 		}
 		h[i] = p
-		p.idx = i
 		i = parent
 	}
 	h[i] = s
-	s.idx = i
 }
 
 func (h eventHeap) siftDown(i int) {
@@ -168,11 +145,9 @@ func (h eventHeap) siftDown(i int) {
 			break
 		}
 		h[i] = h[min]
-		h[i].idx = i
 		i = min
 	}
 	h[i] = s
-	s.idx = i
 }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
@@ -227,13 +202,13 @@ func (e *Engine) Feed(at []Time, cb Callback) {
 }
 
 // Schedule enqueues fn to run at time at; it is ScheduleTag(at, fn, 0).
-func (e *Engine) Schedule(at Time, fn Event) Handle { return e.ScheduleTag(at, fn, 0) }
+func (e *Engine) Schedule(at Time, fn Event) { e.ScheduleTag(at, fn, 0) }
 
 // ScheduleTag enqueues cb.Fire(at, tag). Scheduling in the past (before the
 // current clock) panics: it always indicates a model bug, and silently
 // reordering time would corrupt every latency statistic downstream.
 // Same-instant events fire in scheduling order.
-func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) Handle {
+func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
@@ -247,26 +222,6 @@ func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) Handle {
 	s.at, s.seq, s.cb, s.tag = at, e.seq, cb, tag
 	e.seq++
 	e.events.push(s)
-	return Handle{engine: e, rec: s, gen: s.gen}
-}
-
-// Handle allows cancelling a scheduled event. The zero Handle cancels
-// nothing.
-type Handle struct {
-	engine *Engine
-	rec    *scheduled
-	gen    uint64
-}
-
-// Cancel removes the event if it has not fired. It reports whether the event
-// was actually cancelled.
-func (h Handle) Cancel() bool {
-	if h.rec == nil || h.rec.gen != h.gen {
-		return false
-	}
-	h.engine.events.remove(h.rec.idx)
-	h.engine.recycle(h.rec)
-	return true
 }
 
 // Step fires the next event, advancing the clock to its timestamp. It
@@ -287,17 +242,10 @@ func (e *Engine) Step() bool {
 	e.now = s.at
 	e.fired++
 	cb, tag := s.cb, s.tag
-	e.recycle(s)
+	s.cb = nil
+	e.free = append(e.free, s)
 	cb.Fire(e.now, tag)
 	return true
-}
-
-// recycle returns a fired or canceled record to the free list, retiring
-// every Handle to it.
-func (e *Engine) recycle(s *scheduled) {
-	s.cb = nil
-	s.gen++
-	e.free = append(e.free, s)
 }
 
 // streamFirst reports whether the next event to fire is the arrival
@@ -306,34 +254,8 @@ func (e *Engine) streamFirst() bool {
 	return e.next < len(e.arrivals) && (len(e.events) == 0 || e.arrivals[e.next] <= e.events[0].at)
 }
 
-// nextAt returns the time of the next event Step would fire, if any.
-func (e *Engine) nextAt() (Time, bool) {
-	if e.streamFirst() {
-		return e.arrivals[e.next], true
-	}
-	if len(e.events) > 0 {
-		return e.events[0].at, true
-	}
-	return 0, false
-}
-
 // Run fires events until the queue is empty.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil fires events with timestamps ≤ deadline, then advances the clock
-// to the deadline (if it is ahead) and returns.
-func (e *Engine) RunUntil(deadline Time) {
-	for {
-		at, ok := e.nextAt()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }

@@ -69,68 +69,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.Schedule(5, func(Time) {})
 }
 
-func TestCancel(t *testing.T) {
-	var e Engine
-	fired := false
-	h := e.Schedule(10, func(Time) { fired = true })
-	if !h.Cancel() {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if h.Cancel() {
-		t.Error("second Cancel should return false")
-	}
-	e.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
-func TestCancelAfterFire(t *testing.T) {
-	var e Engine
-	h := e.Schedule(10, func(Time) {})
-	e.Run()
-	if h.Cancel() {
-		t.Error("Cancel after fire should return false")
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	var e Engine
-	var order []int
-	_ = e.Schedule(1, func(Time) { order = append(order, 1) })
-	h2 := e.Schedule(2, func(Time) { order = append(order, 2) })
-	_ = e.Schedule(3, func(Time) { order = append(order, 3) })
-	if !h2.Cancel() {
-		t.Fatal("cancel failed")
-	}
-	e.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Errorf("order = %v, want [1 3]", order)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(10, func(Time) { fired++ })
-	e.Schedule(20, func(Time) { fired++ })
-	e.Schedule(30, func(Time) { fired++ })
-	e.RunUntil(20)
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2", fired)
-	}
-	if e.Now() != 20 {
-		t.Errorf("clock = %v, want 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
-	}
-	e.RunUntil(100)
-	if fired != 3 || e.Now() != 100 {
-		t.Errorf("after second RunUntil: fired=%d now=%v", fired, e.Now())
-	}
-}
-
 func TestFiredCounter(t *testing.T) {
 	var e Engine
 	for i := 0; i < 5; i++ {

@@ -16,25 +16,23 @@ type firing struct {
 	ID int
 }
 
-// probe is the engine's observable state after a RunUntil.
-type probe struct {
-	Now     Time
-	Pending int
-	Fired   uint64
+// final is the engine's observable state once a run has drained.
+type final struct {
+	Now   Time
+	Fired uint64
 }
 
 // streamWorld is a random model driven by an arrival trace: each arrival
 // and each internal event schedules further internal events, often at the
-// same instant, through Schedule (its Handle kept or dropped) and
-// ScheduleTag, and sometimes cancels an earlier one. Its randomness is
-// consumed in firing order, so any change in that order changes the whole
-// log.
+// same instant, through Schedule and ScheduleTag, and sometimes retires an
+// earlier one, whose firing then does nothing — the way a suspension
+// supersedes a pending completion. Its randomness is consumed in firing
+// order, so any change in that order changes the whole log.
 type streamWorld struct {
 	e       *Engine
 	r       *rng.Source
 	log     []firing
-	handles []Handle
-	created int
+	retired []bool // by creation index
 }
 
 // Fire implements Callback for the arrivals.
@@ -45,33 +43,33 @@ func (w *streamWorld) Fire(now Time, i int) {
 
 func (w *streamWorld) spawn(now Time, depth int) {
 	for k := w.r.Intn(3); k > 0; k-- {
-		id := -1 - w.created
-		w.created++
+		c := len(w.retired)
+		w.retired = append(w.retired, false)
 		fire := func(t Time) {
-			w.log = append(w.log, firing{t, id})
+			if w.retired[c] {
+				return
+			}
+			w.log = append(w.log, firing{t, -1 - c})
 			if depth > 0 {
 				w.spawn(t, depth-1)
 			}
 		}
 		at := now + Time(w.r.Intn(3))
-		switch w.r.Intn(3) {
-		case 0:
-			w.handles = append(w.handles, w.e.Schedule(at, fire))
-		case 1:
+		if w.r.Intn(2) == 0 {
 			w.e.Schedule(at, fire)
-		default:
+		} else {
 			w.e.ScheduleTag(at, Event(fire), 0)
 		}
 	}
-	if len(w.handles) > 0 && w.r.Intn(4) == 0 {
-		w.handles[w.r.Intn(len(w.handles))].Cancel()
+	if len(w.retired) > 0 && w.r.Intn(4) == 0 {
+		w.retired[w.r.Intn(len(w.retired))] = true
 	}
 }
 
 // runWorld replays the arrival times through a fresh engine, either as a
-// Feed stream or scheduled up front, stepping with RunUntil through every
-// deadline before draining. It returns the firing log and the probes.
-func runWorld(seed uint64, at []Time, deadlines []Time, stream bool) ([]firing, []probe) {
+// Feed stream or scheduled up front, and drains it. It returns the firing
+// log and the final clock and fired count.
+func runWorld(seed uint64, at []Time, stream bool) ([]firing, final) {
 	w := &streamWorld{e: &Engine{}, r: rng.New(seed)}
 	if stream {
 		w.e.Feed(at, w)
@@ -80,22 +78,16 @@ func runWorld(seed uint64, at []Time, deadlines []Time, stream bool) ([]firing, 
 			w.e.ScheduleTag(t, w, i)
 		}
 	}
-	var probes []probe
-	for _, d := range deadlines {
-		w.e.RunUntil(d)
-		probes = append(probes, probe{w.e.Now(), w.e.Pending(), w.e.Fired()})
-	}
 	w.e.Run()
-	probes = append(probes, probe{w.e.Now(), w.e.Pending(), w.e.Fired()})
-	return w.log, probes
+	return w.log, final{w.e.Now(), w.e.Fired()}
 }
 
 // TestArrivalStreamMatchesUpFrontScheduling is the arrival stream's
 // differential property: a Feed stream must fire exactly as scheduling
 // every arrival up front did, with many arrivals tied at each instant and
-// internal events scheduled at those same instants, canceled, and chained.
-// The (time, identity) firing sequences, and Now/Pending/Fired after every
-// RunUntil, must be identical.
+// internal events scheduled at those same instants, retired, and chained.
+// The full (time, identity) firing logs, and the final Now and Fired, must
+// be identical.
 func TestArrivalStreamMatchesUpFrontScheduling(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -104,12 +96,8 @@ func TestArrivalStreamMatchesUpFrontScheduling(t *testing.T) {
 			at[i] = Time(r.Intn(60))
 		}
 		slices.Sort(at)
-		var deadlines []Time
-		for d := Time(-1); d < 70; d += Time(1 + r.Intn(8)) {
-			deadlines = append(deadlines, d)
-		}
-		streamLog, streamProbes := runWorld(seed, at, deadlines, true)
-		upLog, upProbes := runWorld(seed, at, deadlines, false)
+		streamLog, streamEnd := runWorld(seed, at, true)
+		upLog, upEnd := runWorld(seed, at, false)
 		if !reflect.DeepEqual(streamLog, upLog) {
 			for i := range streamLog {
 				if i >= len(upLog) || streamLog[i] != upLog[i] {
@@ -119,8 +107,8 @@ func TestArrivalStreamMatchesUpFrontScheduling(t *testing.T) {
 			}
 			return false
 		}
-		if !reflect.DeepEqual(streamProbes, upProbes) {
-			t.Logf("probes: stream %v\nup front %v", streamProbes, upProbes)
+		if streamEnd != upEnd {
+			t.Logf("final state: stream %+v, up front %+v", streamEnd, upEnd)
 			return false
 		}
 		return true
@@ -135,7 +123,8 @@ func TestFeedRejectsBadStreams(t *testing.T) {
 	cases := map[string]func(e *Engine){
 		"unsorted": func(e *Engine) { e.Feed([]Time{1, 3, 2}, &cb) },
 		"in the past": func(e *Engine) {
-			e.RunUntil(10)
+			e.Schedule(10, func(Time) {})
+			e.Run()
 			e.Feed([]Time{5, 20}, &cb)
 		},
 		"replacing a pending stream": func(e *Engine) {

@@ -97,6 +97,72 @@ func TestEraseSuspendedByRead(t *testing.T) {
 	}
 }
 
+// TestEraseSuspendedTwice: reads arriving at two different instants each
+// suspend the same erase. Each suspension retires the pending completion,
+// so the erase must finish exactly once, at tBERS plus the die time the two
+// reads held.
+func TestEraseSuspendedTwice(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.PEC, cfg.RetentionMonths = 0, 0
+	dev, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dev.dies[0]
+	if _, ok := dev.flash.Lookup(0); !ok {
+		dev.flash.Precondition(0)
+	}
+	// The plan a read of LPN 0 on die 0 runs, resolved on a twin device so
+	// the measured one is left untouched. Nothing else uses the channel,
+	// so each read holds the die for exactly the plan's DieHold.
+	twin, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := twin.flash.Lookup(0); !ok {
+		twin.flash.Precondition(0)
+	}
+	ppn, _ := twin.flash.Lookup(0)
+	oc := twin.resolveRead(twin.chips[d.id], chipAddr(ppn))
+	if oc.fallback {
+		t.Fatal("fresh page needed a fallback re-read")
+	}
+	hold := core.BuildPlan(cfg.Scheme, oc.nrr, oc.timings, cfg.CoreOpts).DieHold()
+
+	var doneAt []sim.Time
+	dev.eng.Schedule(0, func(now sim.Time) {
+		dev.setBusy(d, now)
+		dev.dieBusyPhase(d, now, cfg.Timing.TBers, func(done sim.Time) {
+			doneAt = append(doneAt, done)
+			dev.setIdle(d, done)
+			dev.dispatch(d, done)
+		})
+	})
+	// The second read arrives after the first has released the die and the
+	// erase has resumed.
+	arrivals := []sim.Time{sim.Millisecond, 3 * sim.Millisecond}
+	if sim.Millisecond+hold >= arrivals[1] {
+		t.Fatalf("read die hold %v too long for the schedule", hold)
+	}
+	for _, at := range arrivals {
+		dev.eng.Schedule(at, func(now sim.Time) {
+			req := &request{arrival: now, lpn: 0, pages: 1, remaining: 1}
+			dev.enqueue(d, &txn{kind: txnRead, lpn: 0, req: req}, now)
+		})
+	}
+	dev.eng.Run()
+	if len(doneAt) != 1 {
+		t.Fatalf("erase completed %d times, want once", len(doneAt))
+	}
+	if dev.stats.Suspensions != 2 {
+		t.Errorf("Suspensions = %d, want 2", dev.stats.Suspensions)
+	}
+	if want := cfg.Timing.TBers + 2*hold; doneAt[0] != want {
+		t.Errorf("erase done at %v, want tBERS %v + 2 × read hold %v = %v",
+			doneAt[0], cfg.Timing.TBers, hold, want)
+	}
+}
+
 func TestGCChainsWhenPlaneStaysLow(t *testing.T) {
 	// Hammer one stripe with writes so a single plane needs several
 	// successive collections; each erase must chain the next job.

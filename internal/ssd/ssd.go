@@ -316,9 +316,10 @@ func (s *SSD) enqueue(d *die, t *txn, now sim.Time) {
 // suspendCurrent interrupts the die's current program/erase.
 func (s *SSD) suspendCurrent(d *die, now sim.Time) {
 	p := d.suspendable
-	if p == nil || d.suspended != nil || !p.end.Cancel() {
+	if p == nil || d.suspended != nil {
 		return
 	}
+	p.epoch++               // retires the pending completion
 	p.left = p.endsAt - now // a pending completion is never in the past
 	d.suspended, d.suspendable = p, nil
 	s.setIdle(d, now)
@@ -758,20 +759,22 @@ func (s *SSD) dieBusyPhase(d *die, start sim.Time, dur sim.Time, onDone func(sim
 // diePhase is one program or erase on a die: the die's suspendable phase
 // while its completion event is pending, its suspended phase while reads
 // hold the die, and suspendable again when dispatch resumes it for the
-// time it had left.
+// time it had left. Each run schedules its completion tagged with the
+// current epoch; a suspension bumps the epoch, so the superseded
+// completion fires as a no-op.
 type diePhase struct {
 	s      *SSD
 	d      *die
 	left   sim.Time // time still to run when run (re)starts the phase
 	endsAt sim.Time
-	end    sim.Handle // the pending completion
+	epoch  int // tag of the one live completion
 	onDone func(sim.Time)
 }
 
 // run occupies the die from at for the phase's remaining time.
 func (p *diePhase) run(at sim.Time) {
 	p.endsAt = at + p.left
-	p.end = p.s.eng.ScheduleTag(p.endsAt, p, 0)
+	p.s.eng.ScheduleTag(p.endsAt, p, p.epoch)
 	p.d.suspendable = p
 	// Reads that arrived while this transaction was in its transfer phase
 	// suspend it the moment the die phase begins.
@@ -780,8 +783,12 @@ func (p *diePhase) run(at sim.Time) {
 	}
 }
 
-// Fire implements sim.Callback: the phase ran to completion.
-func (p *diePhase) Fire(t sim.Time, _ int) {
+// Fire implements sim.Callback: the phase ran to completion, unless a
+// suspension retired this completion.
+func (p *diePhase) Fire(t sim.Time, epoch int) {
+	if epoch != p.epoch {
+		return
+	}
 	p.d.suspendable = nil
 	p.onDone(t)
 }
