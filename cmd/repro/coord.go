@@ -234,9 +234,6 @@ func runServeMode(cfg experiments.Config, figs []figureSweep, addr string, spawn
 	srv := &http.Server{Handler: server.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go c.ExpireLoop(ctx, 0)
 	coordLogf("coordinator: serving sweeps on %s (lease TTL %v); start workers with: repro -worker %s",
 		ln.Addr(), *leaseTTL, ln.Addr())
 
@@ -245,7 +242,6 @@ func runServeMode(cfg experiments.Config, figs []figureSweep, addr string, spawn
 	// then flush and close the journal.
 	finish := func() error {
 		server.Drain()
-		cancel()
 		shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer shutCancel()
 		_ = srv.Shutdown(shutCtx)

@@ -8,8 +8,8 @@
 //
 //   - Coordinator is the transport-free state machine: jobs (one per
 //     submitted sweep, deduplicated by ConfigHash), per-shard lease state
-//     (pending → leased → done, with expiry back to pending), and the
-//     incremental merge. Time is injected through Clock, so every lease
+//     (pending → leased → done; a shard whose lease passed its deadline
+//     is leasable again), and the incremental merge. Time is injected through Clock, so every lease
 //     transition is testable on a fake clock with no sleeping.
 //   - Server/Client (http.go) put the state machine on the wire: POST
 //     /submit, /lease, /heartbeat, /complete; GET /job, /result.
@@ -24,7 +24,6 @@
 package coord
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -38,9 +37,9 @@ import (
 )
 
 // Clock abstracts time for the lease state machine. The coordinator never
-// sleeps or sets timers through it — expiry is evaluated lazily against
-// Now() on every state access (plus ExpireLoop's periodic sweep in real
-// deployments) — so a test clock only needs a settable Now.
+// sleeps or sets timers through it — expiry is evaluated against Now()
+// whenever a lease is granted or renewed — so a test clock only needs a
+// settable Now.
 type Clock interface {
 	Now() time.Time
 }
@@ -113,9 +112,9 @@ func (s Spec) Config() experiments.Config {
 var ErrUnknownLease = errors.New("coord: unknown lease")
 
 // ErrLeaseExpired reports an operation on a lease whose deadline has
-// passed (or that was revoked because its shard completed through another
-// path). The worker holding it must stop assuming ownership of the shard;
-// any completion record it still delivers is merged idempotently.
+// passed (or whose shard has since completed, or been re-leased). The
+// worker holding it must stop assuming ownership of the shard; any
+// completion record it still delivers is merged idempotently.
 var ErrLeaseExpired = errors.New("coord: lease expired")
 
 // ErrBadRecord reports a completion record that is internally inconsistent
@@ -160,14 +159,30 @@ type Lease struct {
 type shardStatus uint8
 
 const (
-	shardPending shardStatus = iota // waiting for a worker (initial, or re-leased after expiry)
-	shardLeased                     // held by exactly one unexpired lease
+	shardPending shardStatus = iota // waiting for its first worker
+	shardLeased                     // held by leaseID until deadline
 	shardDone                       // a valid completion record covered it
 )
 
+// shardState is the one record of a shard's lease: while status is
+// shardLeased, leaseID holds it and is valid strictly before deadline.
 type shardState struct {
-	status  shardStatus
-	leaseID string // the holding lease while status == shardLeased
+	status   shardStatus
+	leaseID  string
+	deadline time.Time
+}
+
+// leasable reports whether the shard can be granted at now: it is pending,
+// or its lease has reached its deadline (expired exactly at it, a sharp
+// boundary the property tests pin down to the nanosecond).
+func (s shardState) leasable(now time.Time) bool {
+	return s.status == shardPending || s.status == shardLeased && !now.Before(s.deadline)
+}
+
+// leaseSlot locates the shard a lease ID was granted on.
+type leaseSlot struct {
+	job   *Job
+	shard int
 }
 
 // Job is one submitted sweep: its plan, per-shard lease state, and the
@@ -237,14 +252,6 @@ type Options struct {
 	Cache cellcache.Cache
 }
 
-type lease struct {
-	id       string
-	job      *Job
-	shardIdx int
-	worker   string
-	deadline time.Time
-}
-
 // Coordinator is the transport-free sweep service: submitted jobs, the
 // shard work-queue, lease lifecycle, and the incremental merge. All
 // methods are safe for concurrent use.
@@ -261,26 +268,23 @@ type Coordinator struct {
 	journal *Journal // guarded by mu
 	// draining refuses new leases (graceful shutdown: in-flight completes
 	// still merge, heartbeats still answer, but no new work goes out).
-	draining bool              // guarded by mu
-	jobs     map[string]*Job   // guarded by mu; by ConfigHash
-	order    []*Job            // guarded by mu; submission order, for fair lease scanning
-	leases   map[string]*lease // guarded by mu
-	// expired remembers revoked/expired lease IDs (and the job they
-	// belonged to, so finalizing a job reclaims its tombstones) to tell a
-	// late heartbeat "expired" rather than "unknown".
-	expired map[string]*Job // guarded by mu
-	seq     uint64          // guarded by mu
+	draining bool            // guarded by mu
+	jobs     map[string]*Job // guarded by mu; by ConfigHash
+	order    []*Job          // guarded by mu; submission order, for fair lease scanning
+	// leases indexes every lease ID issued for a job that has not
+	// finalized; only the shard's state says whether that lease is live.
+	leases map[string]leaseSlot // guarded by mu
+	seq    uint64               // guarded by mu
 }
 
 // New builds a Coordinator.
 func New(opts Options) *Coordinator {
 	c := &Coordinator{
-		clock:   opts.Clock,
-		ttl:     opts.LeaseTTL,
-		cache:   opts.Cache,
-		jobs:    make(map[string]*Job),
-		leases:  make(map[string]*lease),
-		expired: make(map[string]*Job),
+		clock:  opts.Clock,
+		ttl:    opts.LeaseTTL,
+		cache:  opts.Cache,
+		jobs:   make(map[string]*Job),
+		leases: make(map[string]leaseSlot),
 	}
 	if c.clock == nil {
 		c.clock = SystemClock()
@@ -459,16 +463,16 @@ func (c *Coordinator) statusLocked(j *Job) JobStatus {
 	return st
 }
 
-// Lease hands out the next unleased shard across all unfinished jobs, in
+// Lease hands out the next leasable shard across all unfinished jobs, in
 // submission order, or reports none available (everything done, or every
-// pending shard currently leased). Expired leases are reclaimed first, so
-// a dead worker's shard becomes available the moment its deadline passes —
-// no separate expiry pass needs to have run.
+// pending shard currently leased). A shard whose lease has reached its
+// deadline is leasable again, so a dead worker's shard becomes available
+// the moment its deadline passes. workerID is advisory: the coordinator
+// neither records nor checks it.
 func (c *Coordinator) Lease(workerID string) (*Lease, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock.Now()
-	c.expireLocked(now)
 	if c.draining {
 		return nil, false
 	}
@@ -479,51 +483,49 @@ func (c *Coordinator) Lease(workerID string) (*Lease, bool) {
 		default:
 		}
 		for i := range j.shards {
-			if j.shards[i].status != shardPending {
+			if !j.shards[i].leasable(now) {
 				continue
 			}
 			c.seq++
-			l := &lease{
-				id:       fmt.Sprintf("lease-%d", c.seq),
-				job:      j,
-				shardIdx: i,
-				worker:   workerID,
+			st := shardState{
+				status:   shardLeased,
+				leaseID:  fmt.Sprintf("lease-%d", c.seq),
 				deadline: now.Add(c.ttl),
 			}
-			c.leases[l.id] = l
-			j.shards[i] = shardState{status: shardLeased, leaseID: l.id}
+			c.leases[st.leaseID] = leaseSlot{job: j, shard: i}
+			j.shards[i] = st
 			return &Lease{
-				ID:       l.id,
+				ID:       st.leaseID,
 				JobID:    j.ID,
 				Spec:     j.Spec,
 				Manifest: j.plan.Shards[i],
 				TTL:      c.ttl,
-				Deadline: l.deadline,
+				Deadline: st.deadline,
 			}, true
 		}
 	}
 	return nil, false
 }
 
-// Heartbeat renews a lease, returning its new deadline. A lease whose
-// deadline has already passed — even if no expiry pass has run — gets
-// ErrLeaseExpired: renewal cannot resurrect it, because its shard may
-// already be leased to another worker. An ID the coordinator never issued
-// gets ErrUnknownLease.
+// Heartbeat renews a lease, returning its new deadline. A lease at or past
+// its deadline, or whose shard has since completed or been re-leased, gets
+// ErrLeaseExpired: renewal cannot resurrect it. An ID the coordinator never
+// issued, or issued for a job that has since finalized, gets
+// ErrUnknownLease.
 func (c *Coordinator) Heartbeat(leaseID string) (time.Time, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock.Now()
-	c.expireLocked(now)
-	l, ok := c.leases[leaseID]
+	slot, ok := c.leases[leaseID]
 	if !ok {
-		if _, was := c.expired[leaseID]; was {
-			return time.Time{}, ErrLeaseExpired
-		}
 		return time.Time{}, ErrUnknownLease
 	}
-	l.deadline = now.Add(c.ttl)
-	return l.deadline, nil
+	st := &slot.job.shards[slot.shard]
+	if st.status != shardLeased || st.leaseID != leaseID || st.leasable(now) {
+		return time.Time{}, ErrLeaseExpired
+	}
+	st.deadline = now.Add(c.ttl)
+	return st.deadline, nil
 }
 
 // Complete accepts a shard's completion record and merges its measurements
@@ -545,10 +547,10 @@ func (c *Coordinator) Heartbeat(leaseID string) (time.Time, error) {
 //     produce — and discarding finished work would only waste it.
 //
 // When the record matches one of the job's planned shards exactly, that
-// shard is marked done and any lease still on it (the deliverer's, or a
-// re-leased worker's) is revoked; the revoked worker learns at its next
-// heartbeat. The returned duplicate flag reports whether the shard had
-// already completed. When the last cell lands the job finalizes: the
+// shard is marked done, so any lease still on it (the deliverer's, or a
+// re-leased worker's) reads as expired at its holder's next heartbeat.
+// The returned duplicate flag reports whether the shard had already
+// completed. When the last cell lands the job finalizes: the
 // merged grid is normalized once (shard.Assemble) and Done closes.
 func (c *Coordinator) Complete(leaseID string, rec *shard.Record) (duplicate bool, err error) {
 	if rec == nil {
@@ -556,7 +558,6 @@ func (c *Coordinator) Complete(leaseID string, rec *shard.Record) (duplicate boo
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked(c.clock.Now())
 
 	j, ok := c.jobs[rec.Manifest.ConfigHash]
 	if !ok {
@@ -629,10 +630,7 @@ func (c *Coordinator) Complete(leaseID string, rec *shard.Record) (duplicate boo
 			}
 		}
 	}
-	if shardIdx >= 0 && j.shards[shardIdx].status != shardDone {
-		if st := j.shards[shardIdx]; st.status == shardLeased {
-			c.revokeLocked(st.leaseID)
-		}
+	if shardIdx >= 0 {
 		j.shards[shardIdx] = shardState{status: shardDone}
 	}
 	if !finalized && j.remaining == 0 {
@@ -641,75 +639,16 @@ func (c *Coordinator) Complete(leaseID string, rec *shard.Record) (duplicate boo
 	return duplicate, nil
 }
 
-// ExpireNow reclaims every lease whose deadline has passed, returning how
-// many shards went back to pending. Lazy expiry inside Lease/Heartbeat/
-// Complete makes this unnecessary for correctness; ExpireLoop calls it so
-// an idle daemon's state (and /job output) still converges in real time.
-func (c *Coordinator) ExpireNow() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.expireLocked(c.clock.Now())
-}
-
-// ExpireLoop runs ExpireNow every interval until ctx ends (interval 0
-// selects half the lease TTL). Only deployments on the system clock need
-// it; tests drive expiry through their fake clock instead.
-func (c *Coordinator) ExpireLoop(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = c.ttl / 2
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			c.ExpireNow()
-		}
-	}
-}
-
-// expireLocked reclaims leases at or past deadline: a lease is valid
-// strictly before its deadline and expired exactly at it, so "missed
-// heartbeat expires at the deadline" is a sharp boundary the property
-// tests pin down to the nanosecond. The caller holds c.mu.
-func (c *Coordinator) expireLocked(now time.Time) int {
-	n := 0
-	for id, l := range c.leases {
-		if now.Before(l.deadline) {
-			continue
-		}
-		delete(c.leases, id)
-		c.expired[id] = l.job
-		st := &l.job.shards[l.shardIdx]
-		if st.status == shardLeased && st.leaseID == id {
-			*st = shardState{status: shardPending}
-			n++
-		}
-	}
-	return n
-}
-
-// revokeLocked retires a live lease whose shard completed through another
-// path; the holder's next heartbeat reports ErrLeaseExpired. The caller
-// holds c.mu.
-func (c *Coordinator) revokeLocked(id string) {
-	if l, ok := c.leases[id]; ok {
-		delete(c.leases, id)
-		c.expired[id] = l.job
-	}
-}
-
 // finalizeLocked assembles and normalizes the merged grid and closes done.
-// Tombstoned lease IDs of the finished job are reclaimed so a long-lived
-// daemon's expired-set stays proportional to its *active* jobs. The caller
-// holds c.mu.
+// Every lease ID issued for the job is dropped, live or dead, so a
+// long-lived daemon's lease index stays proportional to its *active* jobs
+// and a worker still on a finished job's shard learns it is unknown. The
+// caller holds c.mu.
 func (c *Coordinator) finalizeLocked(j *Job) {
 	j.result, j.err = shard.Assemble(j.grid, j.Spec.Variants, j.got)
-	for id, owner := range c.expired {
-		if owner == j {
-			delete(c.expired, id)
+	for id, slot := range c.leases {
+		if slot.job == j {
+			delete(c.leases, id)
 		}
 	}
 	close(j.done)

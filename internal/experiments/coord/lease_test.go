@@ -7,6 +7,7 @@ package coord
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"readretry/internal/experiments"
+	"readretry/internal/experiments/shard"
 )
 
 // fakeClock is a settable Clock, safe for concurrent use.
@@ -177,45 +179,101 @@ func TestLeaseExhaustionAndDisjointGrants(t *testing.T) {
 	}
 }
 
-// checkLeaseInvariants asserts, under the coordinator's own lock, the
-// exclusivity the lease machine promises: the live-lease table never holds
-// two leases for the same (job, shard), and the table and the per-shard
-// state agree in both directions. The -race hammer below calls this
-// concurrently with lease traffic.
+// TestLeasesOfFinalizedJobAreDropped: a job can finalize through a
+// record cut under another partition, which marks none of its planned
+// shards done. The leases still on those shards must go with the job:
+// their holders hear "unknown" (and stop simulating a finished sweep), and
+// the lease index holds nothing for it.
+func TestLeasesOfFinalizedJobAreDropped(t *testing.T) {
+	cfg, variants := testConfig(7), testVariants()
+	c := New(Options{Clock: newFakeClock()})
+	j, err := c.Submit(SpecOf(cfg, variants), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []string
+	for len(held) < 2 {
+		l, ok := c.Lease("w")
+		if !ok {
+			t.Fatalf("lease %d of 2 not granted", len(held)+1)
+		}
+		held = append(held, l.ID)
+	}
+
+	whole, err := shard.NewPlan(cfg, variants, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCfg := cfg
+	runCfg.Parallelism = 1
+	rec, err := shard.Run(context.Background(), runCfg, variants, whole.Shards[0], "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Complete("", rec); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	default:
+		t.Fatal("a record covering every cell did not finalize the job")
+	}
+
+	for _, id := range held {
+		if _, err := c.Heartbeat(id); !errors.Is(err, ErrUnknownLease) {
+			t.Errorf("heartbeat on %s after its job finalized: %v, want ErrUnknownLease", id, err)
+		}
+	}
+	c.mu.Lock()
+	n := len(c.leases)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("lease index holds %d entries after its only job finalized, want 0", n)
+	}
+	checkLeaseInvariants(t, c)
+}
+
+// checkLeaseInvariants asserts, under the coordinator's own lock, that the
+// lease index and the per-shard state agree: every leased shard of an
+// unfinished job maps its lease ID back to that shard, and no index entry
+// outlives its job. A shard
+// holds one lease by construction, so two live leases on it cannot arise.
+// The -race hammer below calls this concurrently with lease traffic.
 func checkLeaseInvariants(t *testing.T, c *Coordinator) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	type slot struct {
-		j *Job
-		i int
-	}
-	holder := make(map[slot]string)
-	for id, l := range c.leases {
-		s := slot{l.job, l.shardIdx}
-		if other, dup := holder[s]; dup {
-			t.Errorf("shard %d held by two live leases: %s and %s", l.shardIdx, other, id)
-		}
-		holder[s] = id
-		if st := l.job.shards[l.shardIdx]; st.status != shardLeased || st.leaseID != id {
-			t.Errorf("live lease %s on shard %d, but shard state is {%d %q}", id, l.shardIdx, st.status, st.leaseID)
-		}
-	}
 	for _, j := range c.order {
+		select {
+		case <-j.done:
+			continue
+		default:
+		}
 		for i, st := range j.shards {
 			if st.status != shardLeased {
 				continue
 			}
-			if _, ok := c.leases[st.leaseID]; !ok {
-				t.Errorf("shard %d marked leased by %s, but that lease is not live", i, st.leaseID)
+			if slot, ok := c.leases[st.leaseID]; !ok || slot.job != j || slot.shard != i {
+				t.Errorf("shard %d marked leased by %s, but the index maps it to %+v (present=%v)", i, st.leaseID, slot, ok)
 			}
+		}
+	}
+	for id, slot := range c.leases {
+		select {
+		case <-slot.job.done:
+			t.Errorf("lease %s outlived its finalized job", id)
+		default:
+		}
+		if c.jobs[slot.job.ID] != slot.job {
+			t.Errorf("lease %s indexes a job the coordinator does not track", id)
 		}
 	}
 }
 
-// TestNoConcurrentLeaseHoldersUnderRace hammers Lease/Heartbeat/expiry
-// from many goroutines while the clock advances concurrently, asserting
-// after every operation that no shard is ever held by two live leases.
+// TestNoConcurrentLeaseHoldersUnderRace hammers Lease/Heartbeat from many
+// goroutines while the clock advances concurrently (so leases expire
+// mid-traffic), asserting after every operation that the lease index and
+// the shard states agree.
 // Run under -race (CI does), this doubles as the data-race proof for the
 // coordinator's locking.
 func TestNoConcurrentLeaseHoldersUnderRace(t *testing.T) {
@@ -256,20 +314,15 @@ func TestNoConcurrentLeaseHoldersUnderRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			var held []string
 			for i := 0; i < 200; i++ {
-				switch rng.Intn(3) {
-				case 0:
+				if rng.Intn(2) == 0 {
 					if l, ok := c.Lease("hammer"); ok {
 						held = append(held, l.ID)
 					}
-				case 1:
-					if len(held) > 0 {
-						// A rejected heartbeat is expected here (the clock
-						// goroutine expires leases constantly); the property
-						// under test is exclusivity, not liveness.
-						_, _ = c.Heartbeat(held[rng.Intn(len(held))])
-					}
-				case 2:
-					c.ExpireNow()
+				} else if len(held) > 0 {
+					// A rejected heartbeat is expected here (the clock
+					// goroutine expires leases constantly); the property
+					// under test is exclusivity, not liveness.
+					_, _ = c.Heartbeat(held[rng.Intn(len(held))])
 				}
 				checkLeaseInvariants(t, c)
 			}

@@ -9,6 +9,25 @@ import (
 	"readretry/internal/experiments/shard"
 )
 
+const (
+	// heartbeatMisses is how many *consecutive* failed heartbeats the
+	// worker rides out before abandoning the shard. Only the
+	// coordinator's word — ErrLeaseExpired / ErrUnknownLease — cancels
+	// immediately: a transient transport failure is not evidence the
+	// lease is lost (the coordinator may be mid-restart), and cancelling
+	// a healthy run over one dropped packet throws away real simulation
+	// time. The tolerance is bounded by the lease itself: once the TTL
+	// passes un-renewed the coordinator re-leases the shard and the next
+	// successful heartbeat comes back ErrLeaseExpired anyway.
+	heartbeatMisses = 3
+	// goneAfter is how many consecutive transport-failed polls (after
+	// first contact) the worker tolerates before concluding the
+	// coordinator served its sweeps and exited. Each failed poll already
+	// spans the client's full retry budget, so the streak rides out a
+	// coordinator restart without masking a real exit for long.
+	goneAfter = 3
+)
+
 // Worker pulls shards from a coordinator and runs them. The loop is
 // deliberately stateless between shards: each lease carries a
 // self-contained Spec + Manifest, so a worker needs nothing but the
@@ -35,23 +54,6 @@ type Worker struct {
 	// HeartbeatEvery overrides the heartbeat cadence; 0 selects a third
 	// of the lease TTL (three chances before the lease dies).
 	HeartbeatEvery time.Duration
-	// HeartbeatMisses is how many *consecutive* failed heartbeats the
-	// worker rides out before abandoning the shard; 0 means 3. Only the
-	// coordinator's word — ErrLeaseExpired / ErrUnknownLease — cancels
-	// immediately: a transient transport failure is not evidence the
-	// lease is lost (the coordinator may be mid-restart), and cancelling
-	// a healthy run over one dropped packet throws away real simulation
-	// time. The tolerance is bounded by the lease itself: once the TTL
-	// passes un-renewed the coordinator re-leases the shard and the next
-	// successful heartbeat comes back ErrLeaseExpired anyway.
-	HeartbeatMisses int
-	// GoneAfter is how many consecutive transport-failed polls (after
-	// first contact) the worker tolerates before concluding the
-	// coordinator served its sweeps and exited; 0 means 3. Each failed
-	// poll already spans the client's full retry budget, so the streak
-	// rides out a coordinator restart without masking a real exit for
-	// long.
-	GoneAfter int
 	// OnCell, when non-nil, observes per-cell progress within a shard —
 	// also the fault-injection hook the tests use to kill a worker
 	// mid-shard.
@@ -79,7 +81,7 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
 // Run pulls and executes shards until ctx ends or the coordinator goes
 // away. Before first contact, transport errors retry indefinitely (worker
 // started before the coordinator finished binding); after first contact,
-// only GoneAfter *consecutive* transport-failed polls are read as
+// only goneAfter *consecutive* transport-failed polls are read as
 // "coordinator served its sweeps and exited" — the CI topology — so a
 // coordinator restart (crash + Recover on the same address) looks like a
 // brief streak that a surviving poll resets, not an exit. A lost lease
@@ -96,10 +98,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	poll := w.Poll
 	if poll <= 0 {
 		poll = time.Second
-	}
-	goneAfter := w.GoneAfter
-	if goneAfter <= 0 {
-		goneAfter = 3
 	}
 	contacted := false
 	goneStreak := 0
@@ -152,8 +150,9 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			if errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrUnknownLease) {
-				// The coordinator gave this shard away; its copy of the
-				// work is authoritative, ours is abandoned.
+				// The coordinator gave this shard away (or its job is
+				// already done); its copy of the work is authoritative,
+				// ours is abandoned.
 				w.logf("worker %s: lost lease %s on shard %d/%d: %v", id, l.ID, l.Manifest.Index, l.Manifest.Count, err)
 				continue
 			}
@@ -183,7 +182,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // re-leased (and the duplicate would be harmlessly idempotent anyway, the
 // cancel just saves the simulation time). A heartbeat that merely fails
 // to reach the coordinator is different: it proves nothing about the
-// lease, so the worker keeps simulating through HeartbeatMisses
+// lease, so the worker keeps simulating through heartbeatMisses
 // consecutive misses (each already carrying the client's retry/backoff
 // budget) before treating the coordinator as unreachable.
 func (w *Worker) runLease(ctx context.Context, l *Lease) error {
@@ -205,10 +204,6 @@ func (w *Worker) runLease(ctx context.Context, l *Lease) error {
 	}
 	if interval <= 0 {
 		interval = time.Second
-	}
-	allowedMisses := w.HeartbeatMisses
-	if allowedMisses <= 0 {
-		allowedMisses = 3
 	}
 	go func() {
 		defer close(hbDone)
@@ -236,12 +231,12 @@ func (w *Worker) runLease(ctx context.Context, l *Lease) error {
 				return
 			}
 			misses++
-			if misses >= allowedMisses {
+			if misses >= heartbeatMisses {
 				hbErr = err
 				cancel()
 				return
 			}
-			w.logf("worker: heartbeat for lease %s failed (%d/%d, %v); continuing shard", l.ID, misses, allowedMisses, err)
+			w.logf("worker: heartbeat for lease %s failed (%d/%d, %v); continuing shard", l.ID, misses, heartbeatMisses, err)
 		}
 	}()
 

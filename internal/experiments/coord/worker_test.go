@@ -91,7 +91,7 @@ func TestWorkerSurvivesSingleDroppedHeartbeat(t *testing.T) {
 }
 
 // TestWorkerAbandonsShardAfterHeartbeatMissBudget: when every heartbeat
-// fails at the transport, the worker gives the coordinator HeartbeatMisses
+// fails at the transport, the worker gives the coordinator heartbeatMisses
 // chances and then cancels the in-flight shard with the transport error as
 // the cause.
 func TestWorkerAbandonsShardAfterHeartbeatMissBudget(t *testing.T) {
@@ -108,7 +108,7 @@ func TestWorkerAbandonsShardAfterHeartbeatMissBudget(t *testing.T) {
 
 	w := &Worker{
 		Client: client, ID: "w", Cache: cellcache.Memory(), Parallelism: 1,
-		HeartbeatEvery: time.Millisecond, HeartbeatMisses: 2,
+		HeartbeatEvery: time.Millisecond,
 	}
 	l, ok, err := client.Lease(context.Background(), "w")
 	if !ok || err != nil {
@@ -118,13 +118,13 @@ func TestWorkerAbandonsShardAfterHeartbeatMissBudget(t *testing.T) {
 	if err == nil || !isTransportError(err) {
 		t.Fatalf("runLease with dead heartbeats returned %v, want the transport error", err)
 	}
-	if got := ft.Attempts("/heartbeat"); got != 2 {
-		t.Fatalf("heartbeat attempted %d times before abandoning, want HeartbeatMisses=2", got)
+	if got := ft.Attempts("/heartbeat"); got != heartbeatMisses {
+		t.Fatalf("heartbeat attempted %d times before abandoning, want heartbeatMisses=%d", got, heartbeatMisses)
 	}
 }
 
 // TestWorkerGoneStreak: after first contact, consecutive transport-failed
-// polls below GoneAfter are ridden out (a restart blip), and a successful
+// polls below goneAfter are ridden out (a restart blip), and a successful
 // poll resets the streak; only a full streak reads as "coordinator gone".
 func TestWorkerGoneStreak(t *testing.T) {
 	t.Run("blip-tolerated", func(t *testing.T) {
@@ -136,7 +136,7 @@ func TestWorkerGoneStreak(t *testing.T) {
 		lc := &logCapture{}
 		sleeps := 0
 		w := &Worker{
-			Client: client, ID: "w", Poll: time.Millisecond, GoneAfter: 3, Logf: lc.logf,
+			Client: client, ID: "w", Poll: time.Millisecond, Logf: lc.logf,
 			Sleep: func(ctx context.Context, d time.Duration) bool {
 				sleeps++
 				return sleeps < 8 // end the test loop without wall-clock time
@@ -146,7 +146,7 @@ func TestWorkerGoneStreak(t *testing.T) {
 			t.Fatalf("worker run: %v", err)
 		}
 		if lc.has("coordinator gone") {
-			t.Fatalf("a 2-poll blip below GoneAfter=3 was read as gone; log: %v", lc.lines)
+			t.Fatalf("a 2-poll blip below goneAfter=3 was read as gone; log: %v", lc.lines)
 		}
 		if !lc.has("retrying") {
 			t.Fatalf("blip never observed; log: %v", lc.lines)
@@ -163,14 +163,14 @@ func TestWorkerGoneStreak(t *testing.T) {
 
 		lc := &logCapture{}
 		w := &Worker{
-			Client: client, ID: "w", Poll: time.Millisecond, GoneAfter: 3, Logf: lc.logf,
+			Client: client, ID: "w", Poll: time.Millisecond, Logf: lc.logf,
 			Sleep: func(ctx context.Context, d time.Duration) bool { return true },
 		}
 		if err := w.Run(context.Background()); err != nil {
 			t.Fatalf("worker run: %v", err)
 		}
 		if !lc.has("coordinator gone") {
-			t.Fatalf("3 consecutive failures with GoneAfter=3 not read as gone; log: %v", lc.lines)
+			t.Fatalf("3 consecutive failures with goneAfter=3 not read as gone; log: %v", lc.lines)
 		}
 		if got := ft.Attempts("/lease"); got != 4 {
 			t.Fatalf("worker polled %d times, want contact + exactly the 3-failure streak", got)

@@ -10,7 +10,6 @@
 package ftl
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 )
@@ -89,12 +88,11 @@ const (
 	blockClosed
 )
 
-// plane is the allocation domain: free blocks, the active (open) block for
-// host/GC writes, and the preconditioning cold block.
+// plane is the allocation domain: the free-block count, the active (open)
+// block for host/GC writes, and the preconditioning cold block.
 type plane struct {
-	free      freeHeap // min-heap by erase count (wear leveling)
-	active    int      // open block for writes, −1 if none
-	coldOpen  int      // open block for preconditioned cold fill, −1 if none
+	active    int // open block for writes, −1 if none
+	coldOpen  int // open block for preconditioned cold fill, −1 if none
 	freeCount int
 }
 
@@ -209,11 +207,6 @@ func New(cfg Config) (*FTL, error) {
 		f.blocks[p] = make([]blockMeta, cfg.BlocksPerPlane)
 		f.planes[p].active = -1
 		f.planes[p].coldOpen = -1
-		f.planes[p].free = make(freeHeap, cfg.BlocksPerPlane)
-		for b := 0; b < cfg.BlocksPerPlane; b++ {
-			f.planes[p].free[b] = freeBlock{block: b, erases: 0, seq: b}
-		}
-		heap.Init(&f.planes[p].free)
 		f.planes[p].freeCount = cfg.BlocksPerPlane
 	}
 	return f, nil
@@ -238,10 +231,10 @@ func (f *FTL) Freeze() {
 }
 
 // Clone returns an FTL in the state of the frozen image f, which evolves
-// independently of f and of every other clone. It copies the table, the
-// block metadata and the free heaps; the reverse maps stay shared until a
-// clone appends to a block. Clone only reads f, so any number of
-// goroutines may clone one image at once. It panics unless f is frozen.
+// independently of f and of every other clone. It copies the table and the
+// block metadata; the reverse maps stay shared until a clone appends to a
+// block. Clone only reads f, so any number of goroutines may clone one
+// image at once. It panics unless f is frozen.
 func (f *FTL) Clone() *FTL {
 	if !f.frozen {
 		panic("ftl: Clone of an FTL that is not frozen")
@@ -253,7 +246,6 @@ func (f *FTL) Clone() *FTL {
 	c.planes = slices.Clone(f.planes)
 	for p := range f.blocks {
 		c.blocks[p] = slices.Clone(f.blocks[p])
-		c.planes[p].free = slices.Clone(f.planes[p].free)
 	}
 	return &c
 }
@@ -291,22 +283,29 @@ func (f *FTL) Mapped() int { return f.table.count }
 // FreeBlocks returns the free-block count of a plane.
 func (f *FTL) FreeBlocks(die, pl int) int { return f.planes[f.planeIndex(die, pl)].freeCount }
 
-// popFree removes the least-worn free block of a plane. It returns −1 when
-// the plane is exhausted — a catastrophic condition the simulator treats as
-// a configuration error (overprovisioning too small for the workload).
+// popFree opens the least-worn free block of a plane (wear leveling),
+// breaking ties by the lowest block index for determinism. It returns −1
+// when the plane is exhausted — a catastrophic condition the simulator
+// treats as a configuration error (overprovisioning too small for the
+// workload).
 func (f *FTL) popFree(pi int) int {
-	pl := &f.planes[pi]
-	if pl.free.Len() == 0 {
+	blocks := f.blocks[pi]
+	best := -1
+	for b := range blocks {
+		if blocks[b].state == blockFree && (best < 0 || blocks[b].erases < blocks[best].erases) {
+			best = b
+		}
+	}
+	if best < 0 {
 		return -1
 	}
-	fb := heap.Pop(&pl.free).(freeBlock)
-	pl.freeCount--
-	f.blocks[pi][fb.block] = blockMeta{
+	f.planes[pi].freeCount--
+	blocks[best] = blockMeta{
 		state:  blockOpen,
-		erases: fb.erases,
+		erases: blocks[best].erases,
 		lpns:   make([]int64, f.cfg.PagesPerBlock),
 	}
-	return fb.block
+	return best
 }
 
 // Precondition maps a logical page that existed before the simulation
@@ -446,11 +445,8 @@ func (f *FTL) OnErase(die, pl, block int) {
 		panic(fmt.Sprintf("ftl: erasing block (d%d p%d b%d) with %d valid pages",
 			die, pl, block, meta.valid))
 	}
-	erases := meta.erases + 1
-	f.blocks[pi][block] = blockMeta{state: blockFree, erases: erases}
-	p := &f.planes[pi]
-	heap.Push(&p.free, freeBlock{block: block, erases: erases, seq: block})
-	p.freeCount++
+	f.blocks[pi][block] = blockMeta{state: blockFree, erases: meta.erases + 1}
+	f.planes[pi].freeCount++
 }
 
 // BlockValid returns the valid-page count of a block, for tests and stats.
@@ -474,31 +470,4 @@ func (f *FTL) WriteAmplification() float64 {
 		return 1
 	}
 	return float64(f.hostWrites+f.gcWrites) / float64(f.hostWrites)
-}
-
-// freeHeap is a min-heap of free blocks ordered by erase count, breaking
-// ties by block index for determinism.
-type freeBlock struct {
-	block  int
-	erases int
-	seq    int
-}
-
-type freeHeap []freeBlock
-
-func (h freeHeap) Len() int { return len(h) }
-func (h freeHeap) Less(i, j int) bool {
-	if h[i].erases != h[j].erases {
-		return h[i].erases < h[j].erases
-	}
-	return h[i].seq < h[j].seq
-}
-func (h freeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *freeHeap) Push(x any)   { *h = append(*h, x.(freeBlock)) }
-func (h *freeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }
