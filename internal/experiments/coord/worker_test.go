@@ -9,6 +9,7 @@ package coord
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
+	"readretry/internal/experiments/shard"
 )
 
 // logCapture collects Worker.Logf lines for assertions.
@@ -93,22 +95,40 @@ func TestWorkerSurvivesSingleDroppedHeartbeat(t *testing.T) {
 // TestWorkerAbandonsShardAfterHeartbeatMissBudget: when every heartbeat
 // fails at the transport, the worker gives the coordinator heartbeatMisses
 // chances and then cancels the in-flight shard with the transport error as
-// the cause.
+// the cause. The shard's first cell is held until the heartbeat loop has
+// given up (the heartbeats' context is the run's, so its cancellation is
+// that signal); however fast the simulator, the shard cannot finish first.
 func TestWorkerAbandonsShardAfterHeartbeatMissBudget(t *testing.T) {
 	cfg := testConfig(7)
 	variants := testVariants()
 	c := New(Options{Clock: newFakeClock()})
 	client, ft, _ := newFaultClient(t, c)
 	client.Retry.Attempts = 1
+	client.RequestTimeout = 0 // a heartbeat request's context is then the run's own
 	if _, err := client.Submit(context.Background(), SpecOf(cfg, variants), 1); err != nil {
 		t.Fatal(err)
 	}
 	ft.Script("/heartbeat",
 		FaultDrop, FaultDrop, FaultDrop, FaultDrop, FaultDrop, FaultDrop)
+	runCtx := make(chan context.Context, 1)
+	client.HTTP.Transport = roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.URL.Path == "/heartbeat" {
+			select {
+			case runCtx <- req.Context():
+			default:
+			}
+		}
+		return ft.RoundTrip(req)
+	})
 
 	w := &Worker{
 		Client: client, ID: "w", Cache: cellcache.Memory(), Parallelism: 1,
 		HeartbeatEvery: time.Millisecond,
+		OnCell: func(_ shard.Manifest, done, _ int) {
+			if done == 1 {
+				<-(<-runCtx).Done()
+			}
+		},
 	}
 	l, ok, err := client.Lease(context.Background(), "w")
 	if !ok || err != nil {
@@ -122,6 +142,11 @@ func TestWorkerAbandonsShardAfterHeartbeatMissBudget(t *testing.T) {
 		t.Fatalf("heartbeat attempted %d times before abandoning, want heartbeatMisses=%d", got, heartbeatMisses)
 	}
 }
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
 
 // TestWorkerGoneStreak: after first contact, consecutive transport-failed
 // polls below goneAfter are ridden out (a restart blip), and a successful

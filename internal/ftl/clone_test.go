@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -151,18 +152,31 @@ func replay(t *testing.T, r *rng.Source, a, b *FTL, collected, coldAppends *int)
 	return true
 }
 
+// wideConfig spans 16 table chunks, so random writes and cold maps cross
+// chunk boundaries and land in shared, copied and missing chunks.
+func wideConfig() Config {
+	cfg := smallConfig()
+	cfg.PagesPerBlock = 64
+	return cfg
+}
+
 // TestCloneMatchesFreshPrecondition is the clone's differential property:
 // random workloads on a freshly preconditioned FTL and on a Clone of the
 // frozen image of the same preconditioning must agree at every step, and
 // end in the same Lookup, BlockValid, FreeBlocks and Victim state. A
 // sibling clone runs a different workload against its own fresh twin:
-// clones share the image's reverse maps, so a copy-on-write slip shows up
-// as one clone's appends corrupting the other's victims. The image itself
-// must end exactly as preconditioned.
+// clones share the image's table chunks and reverse maps, so a
+// copy-on-write slip shows up as one clone's writes corrupting the other's
+// lookups or victims. The image itself must end exactly as preconditioned.
+// It runs on a 2-chunk and a 16-chunk geometry.
 func TestCloneMatchesFreshPrecondition(t *testing.T) {
+	t.Run("small", func(t *testing.T) { checkCloneMatchesFresh(t, smallConfig()) })
+	t.Run("wide", func(t *testing.T) { checkCloneMatchesFresh(t, wideConfig()) })
+}
+
+func checkCloneMatchesFresh(t *testing.T, cfg Config) {
 	var collected, coldAppends int
 	check := func(seed uint64, fill uint16) bool {
-		cfg := smallConfig()
 		total := int64(cfg.Dies * cfg.PlanesPerDie * cfg.BlocksPerPlane * cfg.PagesPerBlock)
 		pages := int64(fill) % (total * 7 / 10)
 		img := preconditionedFTL(t, cfg, pages)
@@ -228,22 +242,68 @@ func TestFrozenImageRejectsMutation(t *testing.T) {
 	newFTL(t).Clone()
 }
 
-// TestCloneTrimsTable checks that an image keeps only the table prefix up
-// to its highest mapped LPN, and that a clone still grows it on demand.
-func TestCloneTrimsTable(t *testing.T) {
+// TestCloneGrowsTable checks that an image's table covers only the chunks
+// its preconditioning wrote, and that a clone grows it on demand without
+// the image seeing the write.
+func TestCloneGrowsTable(t *testing.T) {
 	f := preconditionedFTL(t, smallConfig(), 100)
 	f.Freeze()
-	if got := len(f.table.entries); got != 100 {
-		t.Fatalf("frozen table holds %d entries, want 100", got)
+	if got, want := len(f.table.chunks), (100+chunkLen-1)/chunkLen; got != want {
+		t.Fatalf("frozen table holds %d chunks, want %d", got, want)
 	}
 	c := f.Clone()
 	if _, _, err := c.AllocateWrite(900, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Lookup(900); !ok {
-		t.Fatal("clone did not map an LPN beyond the trimmed table")
+		t.Fatal("clone did not map an LPN beyond the image's last chunk")
 	}
 	if _, ok := f.Lookup(900); ok {
 		t.Fatal("a clone's write reached the image")
+	}
+}
+
+// TestCloneCopiesOnlyWrittenChunks pins the copy-on-write table: a clone's
+// first write copies the one 4 KiB chunk it lands in, a second write to
+// that chunk copies nothing, and neither the image nor a sibling clone
+// sees the write.
+func TestCloneCopiesOnlyWrittenChunks(t *testing.T) {
+	cfg := wideConfig()
+	img := preconditionedFTL(t, cfg, 8*chunkLen)
+	img.Freeze()
+	clone, sibling := img.Clone(), img.Clone()
+	lpn := int64(3*chunkLen + 5)
+	old, _ := img.Lookup(lpn)
+
+	allocated := func(write int64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := clone.AllocateWrite(write, false)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The first write also opens the plane's active block, whose reverse
+	// map is one page per LPN: the slack covers it.
+	const chunkBytes = chunkLen * 8
+	slack := uint64(cfg.PagesPerBlock*8 + 512)
+	if got := allocated(lpn); got < chunkBytes || got > chunkBytes+slack {
+		t.Errorf("first write allocated %d bytes, want one %d-byte chunk plus at most %d", got, chunkBytes, slack)
+	}
+	// Same die and plane, same chunk: the open block and the chunk are
+	// already the clone's own.
+	stripe := int64(cfg.Dies * cfg.PlanesPerDie)
+	if got := allocated(lpn + stripe); got != 0 {
+		t.Errorf("second write into the same chunk allocated %d bytes, want 0", got)
+	}
+	if p, _ := clone.Lookup(lpn); p == old {
+		t.Fatal("clone still maps the written LPN to its old page")
+	}
+	for name, f := range map[string]*FTL{"image": img, "sibling clone": sibling} {
+		if p, ok := f.Lookup(lpn); !ok || p != old {
+			t.Errorf("%s maps LPN %d to %v, want its old page %v", name, lpn, p, old)
+		}
 	}
 }

@@ -97,16 +97,30 @@ type plane struct {
 }
 
 // pageTable is the LPN → PPN map. Logical page numbers are dense (workloads
-// address a contiguous footprint), so the table is a flat slice of packed
-// PPNs indexed by LPN rather than a hash map: lookups are a bounds check and
-// a shift, inserts never rehash, and a preconditioned experiment-scale
-// device costs ~8 bytes per page instead of a multi-hundred-megabyte map
-// churn (map fill and rehash used to dominate ssd.New, ~60 % of a sweep
-// cell's total CPU).
+// address a contiguous footprint), so the table is a chunked slice of packed
+// PPNs indexed by LPN rather than a hash map: lookups are a bounds check, a
+// shift and a mask, inserts never rehash, and a preconditioned
+// experiment-scale device costs ~8 bytes per page instead of a
+// multi-hundred-megabyte map churn (map fill and rehash used to dominate
+// ssd.New, ~60 % of a sweep cell's total CPU). The chunks are what a frozen
+// image shares with its clones: a clone copies the chunk pointers, and a
+// chunk itself only on its first write, so a cell that writes a few hundred
+// pages copies a few chunks of the image's table, not all of it.
 type pageTable struct {
-	entries []uint64 // packed PPN | ppnValidBit; zero means unmapped
-	count   int
+	chunks []*[chunkLen]uint64 // packed PPN | ppnValidBit; zero means unmapped
+	// shared marks chunks aliased by a frozen image and its clones (see
+	// Freeze); set copies such a chunk before its first write.
+	shared []bool
+	count  int
 }
+
+// A table chunk holds chunkLen = 512 entries, 4 KiB: small enough that a
+// cell's scattered writes copy little of a shared table, large enough that
+// the chunk pointers a clone copies stay a fraction of the entries.
+const (
+	chunkShift = 9
+	chunkLen   = 1 << chunkShift
+)
 
 func packPPN(p PPN) uint64 {
 	return ppnValidBit |
@@ -125,11 +139,21 @@ func unpackPPN(e uint64) PPN {
 	}
 }
 
-func (t *pageTable) get(lpn int64) (PPN, bool) {
-	if lpn < 0 || lpn >= int64(len(t.entries)) {
-		return InvalidPPN, false
+// at returns lpn's packed entry, or 0 for an LPN outside the table or in
+// a chunk never written.
+func (t *pageTable) at(lpn int64) uint64 {
+	if lpn < 0 || lpn>>chunkShift >= int64(len(t.chunks)) {
+		return 0
 	}
-	e := t.entries[lpn]
+	c := t.chunks[lpn>>chunkShift]
+	if c == nil {
+		return 0
+	}
+	return c[lpn&(chunkLen-1)]
+}
+
+func (t *pageTable) get(lpn int64) (PPN, bool) {
+	e := t.at(lpn)
 	if e&ppnValidBit == 0 {
 		return InvalidPPN, false
 	}
@@ -140,35 +164,32 @@ func (t *pageTable) get(lpn int64) (PPN, bool) {
 // valid iff the LPN it was written for still maps to it, so this is the
 // validity test GC uses.
 func (t *pageTable) mapsTo(lpn int64, p PPN) bool {
-	return lpn >= 0 && lpn < int64(len(t.entries)) && t.entries[lpn] == packPPN(p)
+	return t.at(lpn) == packPPN(p)
 }
 
+// set maps lpn to p, growing the table to lpn's chunk and giving that chunk
+// its own copy if it is missing or shared.
 func (t *pageTable) set(lpn int64, p PPN) {
 	if lpn < 0 {
 		panic(fmt.Sprintf("ftl: negative LPN %d", lpn))
 	}
-	if lpn >= int64(len(t.entries)) {
-		grown := make([]uint64, growTo(lpn+1, int64(len(t.entries))))
-		copy(grown, t.entries)
-		t.entries = grown
+	i := int(lpn >> chunkShift)
+	if grow := i + 1 - len(t.chunks); grow > 0 {
+		t.chunks = append(t.chunks, make([]*[chunkLen]uint64, grow)...)
+		t.shared = append(t.shared, make([]bool, grow)...)
 	}
-	if t.entries[lpn]&ppnValidBit == 0 {
+	if c := t.chunks[i]; c == nil || t.shared[i] {
+		own := new([chunkLen]uint64)
+		if c != nil {
+			*own = *c
+		}
+		t.chunks[i], t.shared[i] = own, false
+	}
+	e := &t.chunks[i][lpn&(chunkLen-1)]
+	if *e&ppnValidBit == 0 {
 		t.count++
 	}
-	t.entries[lpn] = packPPN(p)
-}
-
-// growTo sizes the table for at least need entries, doubling the current
-// capacity so sequential fills stay amortized O(1).
-func growTo(need, cur int64) int64 {
-	next := cur * 2
-	if next < 1024 {
-		next = 1024
-	}
-	if next < need {
-		next = need
-	}
-	return next
+	*e = packPPN(p)
 }
 
 // FTL is the translation layer state.
@@ -178,7 +199,7 @@ type FTL struct {
 	blocks [][]blockMeta // [globalPlane][block]
 	planes []plane
 	// maxLPN bounds the logical address space to the device's physical page
-	// count: the slice-backed table is sized by the largest LPN seen, so an
+	// count: the chunked table grows to the largest LPN seen, so an
 	// out-of-range LPN must be rejected up front rather than allocating an
 	// arbitrarily large table.
 	maxLPN int64
@@ -213,15 +234,13 @@ func New(cfg Config) (*FTL, error) {
 }
 
 // Freeze turns f into an immutable image for Clone: every later mutation
-// of f panics. It trims the table to the highest mapped LPN and marks every
-// block's reverse map as shared, so clones copy it on their first append
-// to the block instead of up front.
+// of f panics. It marks every table chunk and every block's reverse map as
+// shared, so clones copy each on their first write to it instead of up
+// front.
 func (f *FTL) Freeze() {
-	hi := len(f.table.entries)
-	for hi > 0 && f.table.entries[hi-1] == 0 {
-		hi--
+	for i := range f.table.shared {
+		f.table.shared[i] = true
 	}
-	f.table.entries = slices.Clone(f.table.entries[:hi])
 	for _, blocks := range f.blocks {
 		for b := range blocks {
 			blocks[b].shared = blocks[b].lpns != nil
@@ -231,17 +250,18 @@ func (f *FTL) Freeze() {
 }
 
 // Clone returns an FTL in the state of the frozen image f, which evolves
-// independently of f and of every other clone. It copies the table and the
-// block metadata; the reverse maps stay shared until a clone appends to a
-// block. Clone only reads f, so any number of goroutines may clone one
-// image at once. It panics unless f is frozen.
+// independently of f and of every other clone. It copies the table's chunk
+// pointers and the block metadata; table chunks and reverse maps stay
+// shared until a clone writes to them. Clone only reads f, so any number
+// of goroutines may clone one image at once. It panics unless f is frozen.
 func (f *FTL) Clone() *FTL {
 	if !f.frozen {
 		panic("ftl: Clone of an FTL that is not frozen")
 	}
 	c := *f
 	c.frozen = false
-	c.table.entries = slices.Clone(f.table.entries)
+	c.table.chunks = slices.Clone(f.table.chunks)
+	c.table.shared = slices.Clone(f.table.shared)
 	c.blocks = make([][]blockMeta, len(f.blocks))
 	c.planes = slices.Clone(f.planes)
 	for p := range f.blocks {
