@@ -60,7 +60,7 @@ var (
 	only     = flag.String("only", "all", "experiment to run: "+strings.Join(experimentNames, ", "))
 	quick    = flag.Bool("quick", false, "reduced Figure 14/15 sweeps")
 	samples  = flag.Int("samples", 8000, "characterization sample reads per condition")
-	seed     = flag.Uint64("seed", 1, "process-variation seed")
+	seed     = flag.Uint64("seed", 1, "seed for characterization, the Table 2 trace and the RPT profile; the Figure 14/15 sweeps do not read it and use trace seed experiments.DefaultConfig().Seed (7), which no flag sets")
 	parallel = flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	progress = flag.Bool("progress", true, "report sweep progress on stderr")
 	csvDir   = flag.String("csv", "", "directory to stream per-figure sweep CSVs into (fig14.csv, fig15.csv), written row-by-row as cells complete")

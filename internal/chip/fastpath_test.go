@@ -149,3 +149,40 @@ func TestProfileMemoization(t *testing.T) {
 		t.Fatalf("profiles after feature toggle = %d, want 2", len(c.profiles))
 	}
 }
+
+// TestFastReadRetryAllocatesNothing pins the fast read path's 0 allocs/op
+// contract (BenchmarkReadPath/fast at the repository root): once a chip's
+// condition and feature register are set, ReadRetry over a spread of
+// addresses allocates nothing.
+func TestFastReadRetryAllocatesNothing(t *testing.T) {
+	model := vth.NewModel(vth.DefaultParams(), 1)
+	geom := nand.DefaultGeometry()
+	c, err := New(geom, nand.DefaultTiming(), model, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetFastPath(true)
+	c.SetCondition(2000, 12, 30)
+	var reg nand.FeatureRegister
+	reg.Set(6, 0, 0)
+	c.SetFeature(reg)
+	addrs := make([]nand.Address, 64)
+	for i := range addrs {
+		addrs[i] = nand.Address{
+			Plane: i % geom.PlanesPerDie,
+			Block: (i * 37) % geom.BlocksPerPlane,
+			Page:  (i * 11) % geom.PagesPerBlock,
+		}
+	}
+	// One run reads every address, so AllocsPerRun's per-run average
+	// cannot round a once-per-sweep allocation down to 0; its warm-up run
+	// touches each address first.
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, a := range addrs {
+			c.ReadRetry(a, 30)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("fast ReadRetry made %v allocs per %d reads, want 0", allocs, len(addrs))
+	}
+}

@@ -8,44 +8,51 @@ import (
 	"readretry/internal/core"
 	"readretry/internal/rpt"
 	"readretry/internal/trace"
-	"readretry/internal/workload"
 )
 
 func fastpathTrace(t *testing.T, cfg Config, nreq int) []trace.Record {
 	t.Helper()
-	spec, err := workload.ByName("YCSB-A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.FootprintPages = cfg.TotalPages() * 6 / 10
-	spec.AvgIOPS = 1500
-	return workload.NewGenerator(spec, 7).Generate(nreq)
+	return workloadTrace(t, cfg, "YCSB-A", nreq, 1500)
 }
 
 // TestFastPathMatchesSlowPath runs every scheme (plus PSO and the §8
 // extensions) through the fast and reference read paths on one device and
 // requires bit-identical statistics. The repository-level differential test
 // extends this to the full Figure 14 grid; this one is the fast feedback
-// loop.
+// loop. Two inputs beyond the YCSB-A trace reach the continuations the
+// grid's read-dominant cells rarely take: a write-heavy trace (GC moves,
+// erases, suspensions) and a cold, aged PnAR² device (AR² fallbacks). The
+// variant set must exercise all four, so the coverage cannot silently
+// vanish.
 func TestFastPathMatchesSlowPath(t *testing.T) {
 	base := tinyConfig()
 	base.PEC, base.RetentionMonths = 2000, 6
 	recs := fastpathTrace(t, base, 600)
-	variants := []func(c *Config){
-		func(c *Config) {},
-		func(c *Config) { c.Scheme = core.PR2 },
-		func(c *Config) { c.Scheme = core.AR2 },
-		func(c *Config) { c.Scheme = core.PnAR2 },
-		func(c *Config) { c.Scheme = core.NoRR },
-		func(c *Config) { c.Scheme = core.PnAR2; c.UsePSO = true },
-		func(c *Config) { c.Scheme = core.AR2; c.ReducedRegularReads = true },
-		func(c *Config) { c.UseDriftPredictor = true },
-		func(c *Config) { c.Scheme = core.PR2; c.CoreOpts.NoSpeculativeReset = true },
-		func(c *Config) { c.Scheme = core.AR2; c.CoreOpts.PerStepSetFeature = true },
+	writeHeavy := workloadTrace(t, base, "stg_0", 1500, 1500)
+	variants := []struct {
+		recs  []trace.Record
+		apply func(c *Config)
+	}{
+		{recs, func(c *Config) {}},
+		{recs, func(c *Config) { c.Scheme = core.PR2 }},
+		{recs, func(c *Config) { c.Scheme = core.AR2 }},
+		{recs, func(c *Config) { c.Scheme = core.PnAR2 }},
+		{recs, func(c *Config) { c.Scheme = core.NoRR }},
+		{recs, func(c *Config) { c.Scheme = core.PnAR2; c.UsePSO = true }},
+		{recs, func(c *Config) { c.Scheme = core.AR2; c.ReducedRegularReads = true }},
+		{recs, func(c *Config) { c.UseDriftPredictor = true }},
+		{recs, func(c *Config) { c.Scheme = core.PR2; c.CoreOpts.NoSpeculativeReset = true }},
+		{recs, func(c *Config) { c.Scheme = core.AR2; c.CoreOpts.PerStepSetFeature = true }},
+		{writeHeavy, func(c *Config) {}},
+		{recs, func(c *Config) {
+			c.Scheme = core.PnAR2
+			c.PEC, c.RetentionMonths, c.TempC = 2500, 18, 25
+		}},
 	}
+	var seen Stats
 	for i, v := range variants {
 		fastCfg := base
-		v(&fastCfg)
+		v.apply(&fastCfg)
 		slowCfg := fastCfg
 		slowCfg.DisableReadFastPath = true
 
@@ -54,7 +61,7 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := dev.Run(recs)
+			st, err := dev.Run(v.recs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,6 +72,14 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 			t.Fatalf("variant %d (%+v): fast path diverges from reference\nfast: %+v\nslow: %+v",
 				i, fastCfg.Scheme, fast, slow)
 		}
+		seen.GCJobs += fast.GCJobs
+		seen.Erases += fast.Erases
+		seen.Suspensions += fast.Suspensions
+		seen.AR2Fallbacks += fast.AR2Fallbacks
+	}
+	if seen.GCJobs == 0 || seen.Erases == 0 || seen.Suspensions == 0 || seen.AR2Fallbacks == 0 {
+		t.Errorf("variants never reached every continuation: %d GC jobs, %d erases, %d suspensions, %d AR² fallbacks",
+			seen.GCJobs, seen.Erases, seen.Suspensions, seen.AR2Fallbacks)
 	}
 }
 

@@ -62,14 +62,7 @@ func TestEraseSuspendedByRead(t *testing.T) {
 		t.Skip("fresh FTL should have no victim; test relies on manual erase txn")
 	}
 	_ = block
-	dev.eng.Schedule(0, func(now sim.Time) {
-		dev.setBusy(d, now)
-		dev.stats.Erases++
-		dev.dieBusyPhase(d, now, cfg.Timing.TBers, func(done sim.Time) {
-			dev.setIdle(d, done)
-			dev.dispatch(d, done)
-		})
-	})
+	dev.eng.Schedule(0, func(now sim.Time) { enqueueErase(t, dev, d, emptyBlock(dev), now) })
 	// A read arrives 1 ms into the 5 ms erase.
 	var readDone sim.Time
 	dev.eng.Schedule(sim.Millisecond, func(now sim.Time) {
@@ -78,7 +71,8 @@ func TestEraseSuspendedByRead(t *testing.T) {
 		if _, okk := dev.flash.Lookup(0); !okk {
 			dev.flash.Precondition(0)
 		}
-		tx := &txn{kind: txnRead, lpn: 0, req: req}
+		tx := dev.newTxn(txnRead)
+		tx.lpn, tx.req = 0, req
 		dev.enqueue(d, tx, now)
 	})
 	dev.eng.Run()
@@ -129,15 +123,8 @@ func TestEraseSuspendedTwice(t *testing.T) {
 	}
 	hold := core.BuildPlan(cfg.Scheme, oc.nrr, oc.timings, cfg.CoreOpts).DieHold()
 
-	var doneAt []sim.Time
-	dev.eng.Schedule(0, func(now sim.Time) {
-		dev.setBusy(d, now)
-		dev.dieBusyPhase(d, now, cfg.Timing.TBers, func(done sim.Time) {
-			doneAt = append(doneAt, done)
-			dev.setIdle(d, done)
-			dev.dispatch(d, done)
-		})
-	})
+	block := emptyBlock(dev)
+	dev.eng.Schedule(0, func(now sim.Time) { enqueueErase(t, dev, d, block, now) })
 	// The second read arrives after the first has released the die and the
 	// erase has resumed.
 	arrivals := []sim.Time{sim.Millisecond, 3 * sim.Millisecond}
@@ -147,10 +134,20 @@ func TestEraseSuspendedTwice(t *testing.T) {
 	for _, at := range arrivals {
 		dev.eng.Schedule(at, func(now sim.Time) {
 			req := &request{arrival: now, lpn: 0, pages: 1, remaining: 1}
-			dev.enqueue(d, &txn{kind: txnRead, lpn: 0, req: req}, now)
+			tx := dev.newTxn(txnRead)
+			tx.lpn, tx.req = 0, req
+			dev.enqueue(d, tx, now)
 		})
 	}
-	dev.eng.Run()
+	// The erase completes when the FTL takes its block back.
+	var doneAt []sim.Time
+	erases := dev.flash.BlockErases(d.id, 0, block)
+	for dev.eng.Step() {
+		if n := dev.flash.BlockErases(d.id, 0, block); n != erases {
+			doneAt = append(doneAt, dev.eng.Now())
+			erases = n
+		}
+	}
 	if len(doneAt) != 1 {
 		t.Fatalf("erase completed %d times, want once", len(doneAt))
 	}
@@ -161,6 +158,20 @@ func TestEraseSuspendedTwice(t *testing.T) {
 		t.Errorf("erase done at %v, want tBERS %v + 2 × read hold %v = %v",
 			doneAt[0], cfg.Timing.TBers, hold, want)
 	}
+}
+
+// emptyBlock is plane 0's last block, which preconditioning leaves empty.
+func emptyBlock(dev *SSD) int { return dev.cfg.Geometry.BlocksPerPlane - 1 }
+
+// enqueueErase queues on die d the GC erase of an empty block of plane 0,
+// as a collection job whose victim held no valid pages does.
+func enqueueErase(t *testing.T, dev *SSD, d *die, block int, now sim.Time) {
+	t.Helper()
+	if v := dev.flash.BlockValid(d.id, 0, block); v != 0 {
+		t.Fatalf("block %d holds %d valid pages; the erase needs an empty one", block, v)
+	}
+	d.gcActive[0] = true
+	dev.enqueueGCErase(d, 0, block, now)
 }
 
 func TestGCChainsWhenPlaneStaysLow(t *testing.T) {

@@ -37,6 +37,11 @@ type SSD struct {
 	// steady-state read loop reuses a handful of executors instead of
 	// allocating per-read closure graphs.
 	execFree []*planExec
+	// txnFree recycles page transactions, host and GC alike: a txn returns
+	// here when its last continuation has run. txns counts every txn made,
+	// so txns - len(txnFree) are in flight.
+	txnFree []*txn
+	txns    int
 
 	// metrics is the per-physical-address retry accounting layer
 	// (Config.RetryMetrics); nil when disabled. history holds each block's
@@ -68,7 +73,9 @@ func New(cfg Config) (*SSD, error) {
 		c.SetFastPath(!cfg.DisableReadFastPath)
 		c.SetCondition(cfg.PEC, cfg.RetentionMonths, cfg.TempC)
 		s.chips = append(s.chips, c)
-		s.dies = append(s.dies, &die{id: d, channel: d / cfg.DiesPerChannel})
+		dd := &die{s: s, id: d, channel: d / cfg.DiesPerChannel}
+		dd.phase.d = dd
+		s.dies = append(s.dies, dd)
 	}
 	for ch := 0; ch < cfg.Channels; ch++ {
 		s.channels = append(s.channels, &resourceQueue{eng: s.eng})
@@ -134,11 +141,21 @@ func (s *SSD) RPT() *rpt.Table { return s.table }
 // order, which fires same-instant requests in trace order and before any
 // device event, exactly as scheduling each request up front would.
 func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
+	if err := s.start(recs); err != nil {
+		return nil, err
+	}
+	s.eng.Run()
+	return s.finish()
+}
+
+// start installs the request stream as the engine's arrival stream.
+func (s *SSD) start(recs []trace.Record) error {
 	if s.ran {
-		return nil, errors.New("ssd: Run on a device that already ran; build a new one with New")
+		return errors.New("ssd: Run on a device that already ran; build a new one with New")
 	}
 	s.ran = true
 	feed := &hostArrivals{s: s, reqs: make([]request, len(recs))}
+	reads := 0
 	for i := range recs {
 		r := &recs[i]
 		feed.reqs[i] = request{
@@ -147,6 +164,13 @@ func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
 			lpn:     r.Offset / workload.PageSize,
 			pages:   max(1, (r.Size+workload.PageSize-1)/workload.PageSize),
 		}
+		if !r.Write {
+			reads++
+		}
+	}
+	if reads > 0 {
+		// One sample per read request, so completions never grow the slice.
+		s.stats.readSamples = make([]float64, 0, reads)
 	}
 	slices.SortStableFunc(feed.reqs, func(a, b request) int { return cmp.Compare(a.arrival, b.arrival) })
 	at := make([]sim.Time, len(feed.reqs))
@@ -154,8 +178,13 @@ func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
 		at[i] = feed.reqs[i].arrival
 	}
 	s.eng.Feed(at, feed)
-	s.eng.Run()
-	if n := s.pendingTxns(); n != 0 {
+	return nil
+}
+
+// finish checks, once the engine has drained, that every transaction
+// completed, and totals the run's statistics.
+func (s *SSD) finish() (*Stats, error) {
+	if n := s.txns - len(s.txnFree); n != 0 {
 		return nil, fmt.Errorf("ssd: %d transactions stranded after run", n)
 	}
 	s.stats.SimEnd = s.eng.Now()
@@ -173,17 +202,6 @@ func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
 	host, gc := s.flash.WriteCounts()
 	s.stats.HostPageWrites, s.stats.GCPageWrites = host, gc
 	return &s.stats, nil
-}
-
-func (s *SSD) pendingTxns() int {
-	n := 0
-	for _, d := range s.dies {
-		n += len(d.readQ) + len(d.writeQ) + len(d.gcQ)
-		if d.busy {
-			n++
-		}
-	}
-	return n
 }
 
 // hostArrivals feeds a run's requests, sorted by arrival, to the engine:
@@ -205,7 +223,8 @@ type request struct {
 	remaining int
 }
 
-// txn is one page-granularity flash transaction.
+// txn is one page-granularity flash transaction. Txns recycle through
+// SSD.txnFree (newTxn, freeTxn).
 type txn struct {
 	kind txnKind
 	lpn  int64
@@ -214,11 +233,38 @@ type txn struct {
 	// seq is the global arrival order, used for FIFO scheduling when read
 	// priority is disabled.
 	seq uint64
-	// enqueuedAt stamps queue entry for the queueing-delay statistics.
-	enqueuedAt sim.Time
+	// enqueuedAt stamps queue entry for the queueing-delay statistics;
+	// serviceStart stamps when a read's service began.
+	enqueuedAt   sim.Time
+	serviceStart sim.Time
+	// fallback is an AR² fallback read's outcome, which its Baseline
+	// re-read needs when the failed first pass releases the die.
+	fallback readOutcome
 	// gcPlane identifies the collection job for gcMove/gcErase.
 	gcPlane int
 	gcBlock int
+}
+
+// newTxn takes a transaction of the given kind from the free list,
+// allocating only when every txn made so far is in flight.
+func (s *SSD) newTxn(kind txnKind) *txn {
+	var t *txn
+	if n := len(s.txnFree); n > 0 {
+		t = s.txnFree[n-1]
+		s.txnFree = s.txnFree[:n-1]
+	} else {
+		t = new(txn)
+		s.txns++
+	}
+	t.kind = kind
+	return t
+}
+
+// freeTxn returns t to the free list. Its last continuation has run, and
+// nothing dereferences it again until newTxn hands it out anew.
+func (s *SSD) freeTxn(t *txn) {
+	*t = txn{}
+	s.txnFree = append(s.txnFree, t)
 }
 
 type txnKind uint8
@@ -232,6 +278,7 @@ const (
 
 // die is the per-die scheduler state.
 type die struct {
+	s       *SSD
 	id      int
 	channel int
 	busy    bool
@@ -241,12 +288,18 @@ type die struct {
 	// chip (for the reduced-regular-read extension's SET FEATURE
 	// accounting).
 	lastPreLevel int
-	readQ        []*txn
-	writeQ       []*txn
-	gcQ          []*txn
-	// suspendable is the program or erase running on the die, nil when
-	// the current txn is in no interruptible phase; suspended is the one
-	// that reads interrupted.
+	readQ        ring[*txn]
+	writeQ       ring[*txn]
+	gcQ          ring[*txn]
+	// cur is the write, GC move or erase that owns the die from its channel
+	// transfer (or erase start) until its program or erase completes. A
+	// suspension lets reads through but never another such txn, so there
+	// is at most one, and the die itself is the callback for its transfer.
+	cur *txn
+	// phase is the die's one program/erase record. suspendable points at
+	// it while it runs, nil when cur is in no interruptible phase;
+	// suspended points at it while reads hold the die.
+	phase       diePhase
 	suspendable *diePhase
 	suspended   *diePhase
 	gcActive    []bool  // per plane: a collection job is in flight
@@ -275,11 +328,9 @@ func (s *SSD) submit(req *request, now sim.Time) {
 	s.stats.Submitted++
 	for i := 0; i < req.pages; i++ {
 		lpn := req.lpn + int64(i)
-		t := &txn{lpn: lpn, req: req}
-		if req.write {
-			t.kind = txnWrite
-		} else {
-			t.kind = txnRead
+		kind := txnWrite
+		if !req.write {
+			kind = txnRead
 			if _, ok := s.flash.Lookup(lpn); !ok {
 				// Pre-existing (cold) data: map it without simulated cost.
 				if _, err := s.flash.Precondition(lpn); err != nil {
@@ -287,6 +338,8 @@ func (s *SSD) submit(req *request, now sim.Time) {
 				}
 			}
 		}
+		t := s.newTxn(kind)
+		t.lpn, t.req = lpn, req
 		dieIdx, _ := s.flash.StripeOf(lpn)
 		s.enqueue(s.dies[dieIdx], t, now)
 	}
@@ -299,16 +352,16 @@ func (s *SSD) enqueue(d *die, t *txn, now sim.Time) {
 	t.enqueuedAt = now
 	switch t.kind {
 	case txnRead:
-		d.readQ = append(d.readQ, t)
+		d.readQ.push(t)
 		// Out-of-order read priority: an arriving read may suspend an
 		// in-flight program/erase (§7.2's baseline features).
 		if !s.cfg.DisableSuspension && d.busy && d.suspendable != nil {
 			s.suspendCurrent(d, now)
 		}
 	case txnWrite:
-		d.writeQ = append(d.writeQ, t)
+		d.writeQ.push(t)
 	default:
-		d.gcQ = append(d.gcQ, t)
+		d.gcQ.push(t)
 	}
 	s.dispatch(d, now)
 }
@@ -334,10 +387,8 @@ func (s *SSD) dispatch(d *die, now sim.Time) {
 	if d.busy {
 		return
 	}
-	if len(d.readQ) > 0 && !s.cfg.DisableReadPrio {
-		t := d.readQ[0]
-		d.readQ = d.readQ[1:]
-		s.startRead(d, t, now)
+	if d.readQ.len() > 0 && !s.cfg.DisableReadPrio {
+		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
 	if p := d.suspended; p != nil {
@@ -346,37 +397,27 @@ func (s *SSD) dispatch(d *die, now sim.Time) {
 		p.run(s.eng.Now())
 		return
 	}
-	if s.gcUrgent(d) && len(d.gcQ) > 0 {
-		t := d.gcQ[0]
-		d.gcQ = d.gcQ[1:]
-		s.startGC(d, t, now)
+	if s.gcUrgent(d) && d.gcQ.len() > 0 {
+		s.startGC(d, d.gcQ.pop(), now)
 		return
 	}
 	// FIFO order across reads and writes when read priority is disabled:
 	// serve whichever queued host transaction arrived first.
-	if s.cfg.DisableReadPrio && len(d.readQ) > 0 &&
-		(len(d.writeQ) == 0 || d.readQ[0].seq < d.writeQ[0].seq) {
-		t := d.readQ[0]
-		d.readQ = d.readQ[1:]
-		s.startRead(d, t, now)
+	if s.cfg.DisableReadPrio && d.readQ.len() > 0 &&
+		(d.writeQ.len() == 0 || d.readQ.peek().seq < d.writeQ.peek().seq) {
+		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
-	if len(d.writeQ) > 0 {
-		t := d.writeQ[0]
-		d.writeQ = d.writeQ[1:]
-		s.startWrite(d, t, now)
+	if d.writeQ.len() > 0 {
+		s.startWrite(d, d.writeQ.pop(), now)
 		return
 	}
-	if s.cfg.DisableReadPrio && len(d.readQ) > 0 {
-		t := d.readQ[0]
-		d.readQ = d.readQ[1:]
-		s.startRead(d, t, now)
+	if s.cfg.DisableReadPrio && d.readQ.len() > 0 {
+		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
-	if len(d.gcQ) > 0 {
-		t := d.gcQ[0]
-		d.gcQ = d.gcQ[1:]
-		s.startGC(d, t, now)
+	if d.gcQ.len() > 0 {
+		s.startGC(d, d.gcQ.pop(), now)
 		return
 	}
 }
@@ -540,7 +581,7 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 	if t.req != nil {
 		s.stats.ReadQueueDelay.Add((now - t.enqueuedAt).Microseconds())
 	}
-	serviceStart := now
+	t.serviceStart = now
 	ppn, ok := s.flash.Lookup(t.lpn)
 	if !ok {
 		panic("ssd: read of unmapped LPN") // submit preconditions all reads
@@ -565,62 +606,91 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 		s.stats.RegReadSetFeatures++
 	}
 	now = start
+	if oc.fallback {
+		s.stats.AR2Fallbacks++
+	}
+	if s.cfg.DisableReadFastPath {
+		s.startReadSlow(d, t, oc, now)
+		return
+	}
+	stage := stageRead
+	if oc.fallback {
+		stage, t.fallback = stageFallback, oc
+	}
+	s.runPlan(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, s.cfg.CoreOpts), now, t, stage)
+}
 
-	finish := func(sim.Time) {
-		s.setIdle(d, s.eng.Now())
-		s.dispatch(d, s.eng.Now())
+// startReadSlow is startRead's reference continuation graph, behind
+// Config.DisableReadFastPath: closures over plans rebuilt per read, driven
+// by the reference executor.
+func (s *SSD) startReadSlow(d *die, t *txn, oc readOutcome, start sim.Time) {
+	plan := func(scheme core.Scheme, nrr int) core.Plan {
+		return core.BuildPlan(scheme, nrr, oc.timings, s.cfg.CoreOpts)
 	}
-	respond := func(done sim.Time) {
-		if t.req != nil {
-			s.stats.ReadService.Add((done - serviceStart).Microseconds())
-		}
-		s.completePage(t, done)
-	}
+	respond := func(done sim.Time) { s.readResponse(t, done) }
+	finish := func(sim.Time) { s.releaseDie(d, s.eng.Now()) }
 	if oc.fallback {
 		// Chain the default-timing re-read after the failed reduced pass.
-		s.stats.AR2Fallbacks++
-		s.execute(d, s.cfg.Scheme, oc.nrr, oc.timings, now, func(sim.Time) {}, func(rel sim.Time) {
-			s.execute(d, core.Baseline, oc.fbNRR, oc.timings, rel, respond, finish)
+		s.runPlanSlow(d, plan(s.cfg.Scheme, oc.nrr), start, nil, func(rel sim.Time) {
+			s.runPlanSlow(d, plan(core.Baseline, oc.fbNRR), rel, respond, finish)
 		})
 		return
 	}
-	s.execute(d, s.cfg.Scheme, oc.nrr, oc.timings, now, respond, finish)
+	s.runPlanSlow(d, plan(s.cfg.Scheme, oc.nrr), start, respond, finish)
 }
 
-// execute runs the controller plan for one page read. The fast path fetches
-// the memoized immutable plan and drives it with a pooled executor; the
-// reference path (Config.DisableReadFastPath) rebuilds the plan per read and
-// runs the original closure-graph executor. Both produce identical event
-// sequences, so simulation results are bit-identical.
-func (s *SSD) execute(d *die, scheme core.Scheme, nrr int, tm core.StepTimings,
-	start sim.Time, onResponse, onRelease func(sim.Time)) {
-	if s.cfg.DisableReadFastPath {
-		s.runPlanSlow(d, core.BuildPlan(scheme, nrr, tm, s.cfg.CoreOpts), start, onResponse, onRelease)
-		return
+// readResponse completes a host page read at done and recycles its txn:
+// the die release that may still follow needs only the die.
+func (s *SSD) readResponse(t *txn, done sim.Time) {
+	if t.req != nil {
+		s.stats.ReadService.Add((done - t.serviceStart).Microseconds())
 	}
-	s.runPlan(d, core.CachedPlan(scheme, nrr, tm, s.cfg.CoreOpts), start, onResponse, onRelease)
+	s.completePage(t, done)
+	s.freeTxn(t)
 }
 
-// planExec drives one shared, immutable plan. All mutable state — the
-// per-op waiting counts and the outstanding-op counter — lives here, never
-// in the plan; executors recycle through SSD.execFree once their last
-// operation completes. More than one executor can be in flight on a die (a
-// regular plan releases the die at its final DMA while its last ECC decode
-// is still pending), which is why the scratch is pooled rather than per-die.
+// releaseDie frees the die at the end of a read and starts its next txn.
+func (s *SSD) releaseDie(d *die, now sim.Time) {
+	s.setIdle(d, now)
+	s.dispatch(d, now)
+}
+
+// execStage is what a plan executor does at its plan's response and
+// release operations.
+type execStage uint8
+
+const (
+	// stageRead: a host read; respond at ResponseOp, free the die at
+	// ReleaseOp.
+	stageRead execStage = iota
+	// stageFallback: the failed reduced-timing pass of an AR² fallback;
+	// start the Baseline re-read at ReleaseOp.
+	stageFallback
+	// stageGCMove: a GC relocation's read; write the page back at
+	// ReleaseOp.
+	stageGCMove
+)
+
+// planExec drives one shared, immutable plan for the page read of txn t.
+// All mutable state — the per-op waiting counts and the outstanding-op
+// counter — lives here, never in the plan; executors recycle through
+// SSD.execFree once their last operation completes. More than one executor
+// can be in flight on a die (a regular plan releases the die at its final
+// DMA while its last ECC decode is still pending), which is why the
+// scratch is pooled rather than per-die.
 type planExec struct {
-	s          *SSD
-	d          *die
-	plan       *core.Plan
-	waiting    []int32
-	remaining  int
-	onResponse func(sim.Time)
-	onRelease  func(sim.Time)
+	s         *SSD
+	d         *die
+	t         *txn
+	stage     execStage
+	plan      *core.Plan
+	waiting   []int32
+	remaining int
 }
 
-// runPlan executes a memoized controller plan starting at start. onResponse
-// fires at the host-visible completion, onRelease when the die is free
-// again.
-func (s *SSD) runPlan(d *die, plan *core.Plan, start sim.Time, onResponse, onRelease func(sim.Time)) {
+// runPlan executes a memoized controller plan for t starting at start;
+// stage says what its response and release do.
+func (s *SSD) runPlan(d *die, plan *core.Plan, start sim.Time, t *txn, stage execStage) {
 	var x *planExec
 	if n := len(s.execFree); n > 0 {
 		x = s.execFree[n-1]
@@ -628,8 +698,7 @@ func (s *SSD) runPlan(d *die, plan *core.Plan, start sim.Time, onResponse, onRel
 	} else {
 		x = &planExec{s: s}
 	}
-	x.d, x.plan = d, plan
-	x.onResponse, x.onRelease = onResponse, onRelease
+	x.d, x.t, x.stage, x.plan = d, t, stage, plan
 	n := len(plan.Ops)
 	if cap(x.waiting) < n {
 		x.waiting = make([]int32, n)
@@ -661,11 +730,11 @@ func (x *planExec) startOp(i int, at sim.Time) {
 
 // Fire implements sim.Callback: operation i of the plan completed at t.
 func (x *planExec) Fire(t sim.Time, i int) {
-	if i == x.plan.ResponseOp && x.onResponse != nil {
-		x.onResponse(t)
+	if i == x.plan.ResponseOp && x.stage == stageRead {
+		x.s.readResponse(x.t, t)
 	}
-	if i == x.plan.ReleaseOp && x.onRelease != nil {
-		x.onRelease(t)
+	if i == x.plan.ReleaseOp {
+		x.release(t)
 	}
 	for _, dep := range x.plan.Dependents(i) {
 		x.waiting[dep]--
@@ -675,8 +744,23 @@ func (x *planExec) Fire(t sim.Time, i int) {
 	}
 	x.remaining--
 	if x.remaining == 0 {
-		x.onResponse, x.onRelease, x.plan, x.d = nil, nil, nil, nil
+		x.t, x.plan, x.d = nil, nil, nil
 		x.s.execFree = append(x.s.execFree, x)
+	}
+}
+
+// release runs at the plan's ReleaseOp, when the read no longer needs the
+// die.
+func (x *planExec) release(at sim.Time) {
+	s := x.s
+	switch x.stage {
+	case stageRead:
+		s.releaseDie(x.d, at)
+	case stageFallback:
+		fb := &x.t.fallback
+		s.runPlan(x.d, core.CachedPlan(core.Baseline, fb.fbNRR, fb.timings, s.cfg.CoreOpts), at, x.t, stageRead)
+	case stageGCMove:
+		s.gcWriteBack(x.d, x.t, at)
 	}
 }
 
@@ -736,61 +820,85 @@ func (s *SSD) startWrite(d *die, t *txn, now sim.Time) {
 	}
 	t.ppn = ppn
 	s.stats.PageWrites++
-	s.channels[d.channel].acquire(now, s.cfg.Timing.TDMA, sim.Event(func(end sim.Time) {
-		s.programPhase(d, chipAddr(ppn), end, func(done sim.Time) {
-			s.completePage(t, done)
-			s.afterWrite(d, ppn, done)
-		})
-	}), 0)
+	d.cur = t
+	s.channels[d.channel].acquire(now, s.cfg.Timing.TDMA, d, 0)
 }
 
-// programPhase runs the suspendable tPROG portion on the die.
-func (s *SSD) programPhase(d *die, addr nand.Address, start sim.Time, onDone func(sim.Time)) {
-	c := s.chips[d.id]
-	dur := c.Program(addr) // resets the block's retention age
-	s.dieBusyPhase(d, start, dur, onDone)
+// Fire implements sim.Callback: the channel transfer of the die's write or
+// GC move ended at t, so its program phase begins.
+func (d *die) Fire(t sim.Time, _ int) {
+	dur := d.s.chips[d.id].Program(chipAddr(d.cur.ppn)) // resets the block's retention age
+	d.phase.start(t, dur)
 }
 
-// dieBusyPhase occupies the die for dur, allowing suspension by reads.
-func (s *SSD) dieBusyPhase(d *die, start sim.Time, dur sim.Time, onDone func(sim.Time)) {
-	(&diePhase{s: s, d: d, left: dur, onDone: onDone}).run(start)
-}
-
-// diePhase is one program or erase on a die: the die's suspendable phase
-// while its completion event is pending, its suspended phase while reads
-// hold the die, and suspendable again when dispatch resumes it for the
-// time it had left. Each run schedules its completion tagged with the
-// current epoch; a suspension bumps the epoch, so the superseded
-// completion fires as a no-op.
+// diePhase is the program or erase of a die's cur txn: the die's
+// suspendable phase while its completion event is pending, its suspended
+// phase while reads hold the die, and suspendable again when dispatch
+// resumes it for the time it had left. Each run schedules its completion
+// tagged with the current epoch; a suspension bumps the epoch, so the
+// superseded completion fires as a no-op.
+//
+// Each die owns one record and reuses it for every program and erase. The
+// epoch is never reset: it only grows, so a completion retired during any
+// earlier use carries an older epoch than the live one, and reusing the
+// record cannot revive it.
 type diePhase struct {
-	s      *SSD
 	d      *die
 	left   sim.Time // time still to run when run (re)starts the phase
 	endsAt sim.Time
 	epoch  int // tag of the one live completion
-	onDone func(sim.Time)
+}
+
+// start begins a dur-long program or erase of the die's cur txn at at.
+func (p *diePhase) start(at, dur sim.Time) {
+	p.left = dur
+	p.run(at)
 }
 
 // run occupies the die from at for the phase's remaining time.
 func (p *diePhase) run(at sim.Time) {
+	s := p.d.s
 	p.endsAt = at + p.left
-	p.s.eng.ScheduleTag(p.endsAt, p, p.epoch)
+	s.eng.ScheduleTag(p.endsAt, p, p.epoch)
 	p.d.suspendable = p
 	// Reads that arrived while this transaction was in its transfer phase
 	// suspend it the moment the die phase begins.
-	if !p.s.cfg.DisableSuspension && len(p.d.readQ) > 0 {
-		p.s.suspendCurrent(p.d, p.s.eng.Now())
+	if !s.cfg.DisableSuspension && p.d.readQ.len() > 0 {
+		s.suspendCurrent(p.d, s.eng.Now())
 	}
 }
 
 // Fire implements sim.Callback: the phase ran to completion, unless a
-// suspension retired this completion.
+// suspension retired this completion. The die's cur txn is done.
 func (p *diePhase) Fire(t sim.Time, epoch int) {
 	if epoch != p.epoch {
 		return
 	}
-	p.d.suspendable = nil
-	p.onDone(t)
+	d, s := p.d, p.d.s
+	d.suspendable = nil
+	tx := d.cur
+	d.cur = nil
+	switch tx.kind {
+	case txnWrite:
+		ppn := tx.ppn
+		s.completePage(tx, t)
+		s.freeTxn(tx)
+		s.afterWrite(d, ppn, t)
+	case txnGCMove:
+		s.setIdle(d, t)
+		s.finishGCMove(d, tx, t)
+		s.freeTxn(tx)
+		s.dispatch(d, t)
+	case txnGCErase:
+		plane, block := tx.gcPlane, tx.gcBlock
+		s.freeTxn(tx)
+		s.flash.OnErase(d.id, plane, block)
+		d.gcActive[plane] = false
+		s.setIdle(d, t)
+		// The plane may still be below threshold: chain another job.
+		s.maybeStartGC(d, plane, t)
+		s.dispatch(d, t)
+	}
 }
 
 // afterWrite finishes a write transaction: free the die and kick GC if the
@@ -813,15 +921,22 @@ func (s *SSD) maybeStartGC(d *die, plane int, now sim.Time) {
 	d.gcActive[plane] = true
 	s.stats.GCJobs++
 	if len(valids) == 0 {
-		er := &txn{kind: txnGCErase, gcPlane: plane, gcBlock: block}
-		s.enqueue(d, er, now)
+		s.enqueueGCErase(d, plane, block, now)
 		return
 	}
 	// The erase is enqueued by the last completed move (see finishGCMove).
 	d.gcMovesLeft = append(d.gcMovesLeft, gcJob{plane: plane, block: block, moves: len(valids)})
 	for _, lpn := range valids {
-		s.enqueue(d, &txn{kind: txnGCMove, lpn: lpn, gcPlane: plane, gcBlock: block}, now)
+		t := s.newTxn(txnGCMove)
+		t.lpn, t.gcPlane, t.gcBlock = lpn, plane, block
+		s.enqueue(d, t, now)
 	}
+}
+
+func (s *SSD) enqueueGCErase(d *die, plane, block int, now sim.Time) {
+	t := s.newTxn(txnGCErase)
+	t.gcPlane, t.gcBlock = plane, block
+	s.enqueue(d, t, now)
 }
 
 type gcJob struct {
@@ -850,6 +965,7 @@ func (s *SSD) runGCMove(d *die, t *txn, now sim.Time) {
 		// move is moot.
 		s.setIdle(d, now)
 		s.finishGCMove(d, t, now)
+		s.freeTxn(t)
 		s.dispatch(d, now)
 		return
 	}
@@ -858,20 +974,24 @@ func (s *SSD) runGCMove(d *die, t *txn, now sim.Time) {
 	oc := s.resolveRead(c, addr)
 	s.recordReadMetrics(c, addr, oc, now-t.enqueuedAt)
 	s.stats.GCPageReads++
-	s.execute(d, s.cfg.Scheme, oc.nrr, oc.timings, now, nil, func(rel sim.Time) {
-		// Write the page back out: channel transfer + program.
-		newPPN, _, err := s.flash.AllocateWrite(t.lpn, true)
-		if err != nil {
-			panic(fmt.Sprintf("ssd: gc relocation failed: %v", err))
-		}
-		s.channels[d.channel].acquire(rel, s.cfg.Timing.TDMA, sim.Event(func(end sim.Time) {
-			s.programPhase(d, chipAddr(newPPN), end, func(done sim.Time) {
-				s.setIdle(d, done)
-				s.finishGCMove(d, t, done)
-				s.dispatch(d, done)
-			})
-		}), 0)
-	})
+	if s.cfg.DisableReadFastPath {
+		s.runPlanSlow(d, core.BuildPlan(s.cfg.Scheme, oc.nrr, oc.timings, s.cfg.CoreOpts), now, nil,
+			func(rel sim.Time) { s.gcWriteBack(d, t, rel) })
+		return
+	}
+	s.runPlan(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, s.cfg.CoreOpts), now, t, stageGCMove)
+}
+
+// gcWriteBack writes a relocated page back out once its read released the
+// die: a channel transfer, then the program.
+func (s *SSD) gcWriteBack(d *die, t *txn, at sim.Time) {
+	ppn, _, err := s.flash.AllocateWrite(t.lpn, true)
+	if err != nil {
+		panic(fmt.Sprintf("ssd: gc relocation failed: %v", err))
+	}
+	t.ppn = ppn
+	d.cur = t
+	s.channels[d.channel].acquire(at, s.cfg.Timing.TDMA, d, 0)
 }
 
 // finishGCMove decrements the job's outstanding moves and queues the erase
@@ -883,28 +1003,20 @@ func (s *SSD) finishGCMove(d *die, t *txn, now sim.Time) {
 			job.moves--
 			if job.moves == 0 {
 				d.gcMovesLeft = append(d.gcMovesLeft[:i], d.gcMovesLeft[i+1:]...)
-				er := &txn{kind: txnGCErase, gcPlane: t.gcPlane, gcBlock: t.gcBlock}
-				s.enqueue(d, er, now)
+				s.enqueueGCErase(d, t.gcPlane, t.gcBlock, now)
 			}
 			return
 		}
 	}
 }
 
-// runGCErase erases the collected block (suspendable) and returns it to
-// the free pool.
+// runGCErase erases the collected block (suspendable); the die phase's
+// completion returns it to the free pool.
 func (s *SSD) runGCErase(d *die, t *txn, now sim.Time) {
-	c := s.chips[d.id]
-	dur := c.Erase(nand.BlockID{Die: 0, Plane: t.gcPlane, Block: t.gcBlock})
+	dur := s.chips[d.id].Erase(nand.BlockID{Die: 0, Plane: t.gcPlane, Block: t.gcBlock})
 	s.stats.Erases++
-	s.dieBusyPhase(d, now, dur, func(done sim.Time) {
-		s.flash.OnErase(d.id, t.gcPlane, t.gcBlock)
-		d.gcActive[t.gcPlane] = false
-		s.setIdle(d, done)
-		// The plane may still be below threshold: chain another job.
-		s.maybeStartGC(d, t.gcPlane, done)
-		s.dispatch(d, done)
-	})
+	d.cur = t
+	d.phase.start(now, dur)
 }
 
 // completePage accounts a finished host page transaction.
@@ -934,7 +1046,7 @@ type resourceQueue struct {
 	eng      *sim.Engine
 	busy     bool
 	cur      pendingAcquire // the in-flight occupant while busy
-	queue    []pendingAcquire
+	queue    ring[pendingAcquire]
 	busyTime sim.Time
 }
 
@@ -951,7 +1063,7 @@ type pendingAcquire struct {
 func (r *resourceQueue) acquire(at sim.Time, dur sim.Time, cb sim.Callback, tag int) {
 	a := pendingAcquire{dur: dur, cb: cb, tag: tag}
 	if r.busy {
-		r.queue = append(r.queue, a)
+		r.queue.push(a)
 		return
 	}
 	r.grant(at, a)
@@ -970,10 +1082,8 @@ func (r *resourceQueue) grant(at sim.Time, a pendingAcquire) {
 func (r *resourceQueue) Fire(t sim.Time, _ int) {
 	done := r.cur
 	r.cur, r.busy = pendingAcquire{}, false
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
-		r.grant(t, next)
+	if r.queue.len() > 0 {
+		r.grant(t, r.queue.pop())
 	}
 	done.cb.Fire(t, done.tag)
 }

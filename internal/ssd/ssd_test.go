@@ -21,16 +21,22 @@ func tinyConfig() Config {
 	return cfg
 }
 
-func runWorkload(t *testing.T, cfg Config, name string, nreq int, iops float64) *Stats {
+// workloadTrace generates nreq requests of the named workload at iops,
+// with the footprint sized to ~60 % of the device.
+func workloadTrace(t *testing.T, cfg Config, name string, nreq int, iops float64) []trace.Record {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Size the footprint to ~60 % of the device.
 	spec.FootprintPages = cfg.TotalPages() * 6 / 10
 	spec.AvgIOPS = iops
-	recs := workload.NewGenerator(spec, 7).Generate(nreq)
+	return workload.NewGenerator(spec, 7).Generate(nreq)
+}
+
+func runWorkload(t *testing.T, cfg Config, name string, nreq int, iops float64) *Stats {
+	t.Helper()
+	recs := workloadTrace(t, cfg, name, nreq, iops)
 	dev, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
