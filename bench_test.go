@@ -15,13 +15,11 @@ import (
 	"readretry/internal/charz"
 	"readretry/internal/chip"
 	"readretry/internal/core"
-	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
 	"readretry/internal/experiments/coord"
 	"readretry/internal/experiments/shard"
 	"readretry/internal/nand"
-	"readretry/internal/rng"
 	"readretry/internal/rpt"
 	"readretry/internal/ssd"
 	"readretry/internal/trace"
@@ -557,38 +555,6 @@ func BenchmarkExtensionDriftPredictor(b *testing.B) {
 
 // --- Substrate micro-benchmarks -------------------------------------------------
 
-func BenchmarkLDPCSoftDecode(b *testing.B) {
-	code, err := ecc.NewArrayLDPC(61, 4, 24)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	data := make([]byte, (code.K()+7)/8)
-	for i := range data {
-		data[i] = byte(r.Uint64())
-	}
-	if rem := code.K() % 8; rem != 0 {
-		data[len(data)-1] &= byte(0xFF << (8 - rem))
-	}
-	cw, err := code.Encode(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		corrupted := append([]byte(nil), cw...)
-		for e := 0; e < 6; e++ {
-			pos := r.Intn(code.N())
-			corrupted[pos/8] ^= 1 << (7 - uint(pos%8))
-		}
-		b.StartTimer()
-		if _, err := code.DecodeSoft(code.HardLLR(corrupted, 2.0), 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReadPath measures the steady-state per-read cost of the chip
 // read stack (PR 3's tentpole target): one ReadRetry through the
 // condition-resident profile fast path versus the preserved direct-model
@@ -680,56 +646,6 @@ func BenchmarkVthModelRead(b *testing.B) {
 		steps = model.Read(pg, cond, nand.CSB, nand.Reduction{}).RetrySteps
 	}
 	_ = steps
-}
-
-func BenchmarkBCHEncode(b *testing.B) {
-	code, err := ecc.NewBCH(13, 8, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	data := make([]byte, 512)
-	for i := range data {
-		data[i] = byte(r.Uint64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := code.Encode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(data)))
-}
-
-func BenchmarkBCHDecode(b *testing.B) {
-	code, err := ecc.NewBCH(13, 8, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	data := make([]byte, 512)
-	for i := range data {
-		data[i] = byte(r.Uint64())
-	}
-	parity, err := code.Encode(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		corrupted := append([]byte(nil), data...)
-		for e := 0; e < code.T(); e++ {
-			pos := r.Intn(code.DataBits())
-			corrupted[pos/8] ^= 1 << (7 - uint(pos%8))
-		}
-		par := append([]byte(nil), parity...)
-		b.StartTimer()
-		if _, err := code.Decode(corrupted, par); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(data)))
 }
 
 func BenchmarkSSDSimulationThroughput(b *testing.B) {

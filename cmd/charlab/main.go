@@ -12,12 +12,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"readretry/internal/charz"
-	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/nand"
+	"readretry/internal/vth"
 )
 
 func main() {
@@ -25,6 +26,16 @@ func main() {
 	samples := flag.Int("samples", 8000, "page reads sampled per measured condition")
 	seed := flag.Uint64("seed", 1, "process-variation seed")
 	flag.Parse()
+
+	figs := []string{"4b", "5", "7", "8", "9", "10", "11", "all"}
+	if !slices.ContainsFunc(figs, func(f string) bool { return strings.EqualFold(f, *fig) }) {
+		fmt.Fprintf(os.Stderr, "charlab: unknown -fig %q; valid names: %s\n", *fig, strings.Join(figs, ", "))
+		os.Exit(2)
+	}
+	if *samples < 1 {
+		fmt.Fprintf(os.Stderr, "charlab: -samples must be at least 1, got %d\n", *samples)
+		os.Exit(2)
+	}
 
 	lab := charz.DefaultLab(*samples, *seed)
 	out := os.Stdout
@@ -57,7 +68,7 @@ func main() {
 	run("7", func() {
 		pts := lab.FinalStepMargin([]int{0, 1000, 2000}, []float64{0, 3, 6, 9, 12},
 			[]float64{85, 55, 30})
-		experiments.RenderFigure7(out, pts, ecc.DefaultEngine().Capability)
+		experiments.RenderFigure7(out, pts, vth.DefaultParams().CapabilityPerKiB)
 	})
 
 	run("8", func() {

@@ -41,7 +41,6 @@ import (
 
 	"readretry/internal/charz"
 	"readretry/internal/core"
-	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/nand"
 	"readretry/internal/rpt"
@@ -386,7 +385,7 @@ func main() {
 
 	if want("fig6") {
 		header("Figure 6: CACHE READ pipelining for consecutive reads")
-		experiments.RenderFigure6(os.Stdout, nand.DefaultTiming(), ecc.DefaultEngine().DecodeLatency)
+		experiments.RenderFigure6(os.Stdout, nand.DefaultTiming())
 		add("Fig 6", "CACHE READ saving per pipelined read", "tDMA (16 µs)",
 			fmt.Sprintf("%v", experiments.Figure6Saving(nand.DefaultTiming())))
 	}
@@ -419,7 +418,7 @@ func main() {
 		header("Figure 7: ECC-capability margin in the final retry step")
 		pts := lab.FinalStepMargin([]int{0, 1000, 2000}, []float64{0, 3, 6, 9, 12},
 			[]float64{85, 55, 30})
-		experiments.RenderFigure7(os.Stdout, pts, ecc.DefaultEngine().Capability)
+		experiments.RenderFigure7(os.Stdout, pts, vth.DefaultParams().CapabilityPerKiB)
 		find := func(pec int, mo, temp float64) charz.MarginPoint {
 			for _, p := range pts {
 				if p.PEC == pec && p.Months == mo && p.TempC == temp {

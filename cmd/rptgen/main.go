@@ -21,6 +21,13 @@ func main() {
 	seed := flag.Uint64("seed", 1, "process-variation seed")
 	flag.Parse()
 
+	switch *format {
+	case "table", "json", "hex":
+	default:
+		fmt.Fprintf(os.Stderr, "rptgen: unknown -format %q; valid formats: table, json, hex\n", *format)
+		os.Exit(2)
+	}
+
 	cfg := rpt.DefaultConfig()
 	cfg.SafetyMarginBits = *margin
 	model := vth.NewModel(vth.DefaultParams(), *seed)

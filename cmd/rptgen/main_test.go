@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// childEnv makes this test binary run the command itself, so a test can
+// check the exit status and output of a real invocation.
+const childEnv = "RPTGEN_TEST_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(childEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadFlagsAreRejected: an invalid flag value exits 2 with a message
+// naming the valid values, and prints nothing to stdout.
+func TestBadFlagsAreRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string // each must appear in stderr
+	}{
+		{[]string{"-format", "bogus"}, []string{`"bogus"`, "table, json, hex"}},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("rptgen %v: %v, want exit status 2\n%s", tc.args, err, stderr.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("rptgen %v printed to stdout:\n%s", tc.args, stdout.String())
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr.String(), w) {
+				t.Errorf("rptgen %v: stderr does not mention %s:\n%s", tc.args, w, stderr.String())
+			}
+		}
+	}
+}

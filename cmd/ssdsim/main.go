@@ -36,6 +36,15 @@ func main() {
 	seed := flag.Uint64("seed", 7, "seed for workload and process variation")
 	flag.Parse()
 
+	if *requests < 0 {
+		fmt.Fprintf(os.Stderr, "ssdsim: -requests must be at least 0, got %d\n", *requests)
+		os.Exit(2)
+	}
+	if !(*iops >= 0) {
+		fmt.Fprintf(os.Stderr, "ssdsim: -iops must be at least 0 (0 = workload default), got %g\n", *iops)
+		os.Exit(2)
+	}
+
 	scheme, err := core.ParseScheme(*schemeName)
 	if err != nil {
 		log.Fatalf("ssdsim: %v", err)

@@ -22,6 +22,15 @@ func main() {
 	list := flag.Bool("list", false, "list available workloads and exit")
 	flag.Parse()
 
+	if !(*iops >= 0) {
+		fmt.Fprintf(os.Stderr, "tracegen: -iops must be at least 0 (0 = workload default), got %g\n", *iops)
+		os.Exit(2)
+	}
+	if *footprint < 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: -footprint must be at least 0 (0 = workload default), got %d\n", *footprint)
+		os.Exit(2)
+	}
+
 	if *list {
 		for _, s := range workload.Table2() {
 			fmt.Printf("%-8s read=%.2f cold=%.2f\n", s.Name, s.ReadRatio, s.ColdRatio)

@@ -30,7 +30,6 @@ var DeterminismCriticalPackages = []string{
 	"internal/charz",
 	"internal/rpt",
 	"internal/mathx",
-	"internal/ecc",
 }
 
 // SeededRandExemptPackages lists the only packages allowed to touch

@@ -39,7 +39,7 @@ func TestFloatEqScope(t *testing.T) {
 		}
 	}
 	for _, path := range []string{
-		"readretry/internal/experiments", "readretry/internal/ecc",
+		"readretry/internal/experiments",
 	} {
 		if PathInList(path, FloatEqPackages) {
 			t.Errorf("%s must not be float-eq restricted", path)

@@ -46,7 +46,9 @@ func (lc *logCapture) has(sub string) bool {
 // TestWorkerSurvivesSingleDroppedHeartbeat is the regression test for the
 // old behavior (any heartbeat failure → cancel the shard): exactly one
 // heartbeat is dropped on the floor mid-shard, and the worker must finish
-// the shard and the sweep without ever treating the lease as lost.
+// the shard and the sweep without ever treating the lease as lost. The
+// shard's first cell is held until the heartbeat after the dropped one has
+// returned, so the shard cannot finish before the drop is ridden out.
 func TestWorkerSurvivesSingleDroppedHeartbeat(t *testing.T) {
 	cfg := testConfig(7)
 	variants := testVariants()
@@ -58,11 +60,28 @@ func TestWorkerSurvivesSingleDroppedHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft.Script("/heartbeat", FaultDrop)
+	recovered := make(chan struct{})
+	var heartbeats int
+	client.HTTP.Transport = roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := ft.RoundTrip(req)
+		if req.URL.Path == "/heartbeat" {
+			// Heartbeats are sequential: one goroutine sends them.
+			if heartbeats++; heartbeats == 2 {
+				close(recovered)
+			}
+		}
+		return resp, err
+	})
 
 	lc := &logCapture{}
 	w := &Worker{
 		Client: client, ID: "w", Cache: cellcache.Memory(), Parallelism: 1,
 		Poll: time.Millisecond, HeartbeatEvery: time.Millisecond, Logf: lc.logf,
+		OnCell: func(_ shard.Manifest, done, _ int) {
+			if done == 1 {
+				<-recovered
+			}
+		},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

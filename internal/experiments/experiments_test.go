@@ -251,7 +251,7 @@ func TestFigure6Saving(t *testing.T) {
 		t.Errorf("CACHE READ saving = %v, want tDMA", got)
 	}
 	var sb strings.Builder
-	RenderFigure6(&sb, tm, 20_000)
+	RenderFigure6(&sb, tm)
 	if !strings.Contains(sb.String(), "saved") {
 		t.Error("Figure 6 render missing the saving line")
 	}

@@ -112,10 +112,10 @@ func RenderFigure11(w io.Writer, points []charz.SafePoint) {
 // back-to-back reads on one die (the mechanism Figure 6 depicts): with the
 // basic command, read B's sensing waits for read A's data transfer; with
 // CACHE READ it overlaps, saving tDMA from B's response time.
-func RenderFigure6(w io.Writer, t nand.Timing, eccLat sim.Time) {
+func RenderFigure6(w io.Writer, t nand.Timing) {
 	tr := t.AvgTR()
-	basic := tr + t.TDMA + tr + t.TDMA + eccLat
-	cached := tr + tr + t.TDMA + eccLat
+	basic := tr + t.TDMA + tr + t.TDMA + t.TECC
+	cached := tr + tr + t.TDMA + t.TECC
 	fmt.Fprintln(w, "Figure 6: two consecutive reads on one die (REQ2 response time)")
 	fmt.Fprintf(w, "  %-22s %v\n", "basic PAGE READ:", basic)
 	fmt.Fprintf(w, "  %-22s %v\n", "CACHE READ pipelining:", cached)
@@ -177,7 +177,7 @@ func PaperTimings() core.StepTimings {
 		SenseDefault: tm.AvgTR(),
 		SenseReduced: avgTRReduced(tm, nand.Reduction{Pre: nand.LevelFraction(6)}),
 		DMA:          tm.TDMA,
-		ECC:          20 * sim.Microsecond,
+		ECC:          tm.TECC,
 		Set:          tm.TSet,
 		Reset:        tm.TRst,
 	}

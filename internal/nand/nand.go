@@ -229,10 +229,11 @@ type Timing struct {
 	TSet   sim.Time // SET FEATURE
 	TRst   sim.Time // RESET of an in-flight read
 	TDMA   sim.Time // page transfer chip → controller (16 KiB @ 1 Gb/s)
+	TECC   sim.Time // controller ECC decode of one page (§7.1)
 }
 
 // DefaultTiming returns Table 1's values, measured from the paper's 160
-// characterized chips.
+// characterized chips, plus §7.1's tECC.
 func DefaultTiming() Timing {
 	return Timing{
 		TPre:   24 * sim.Microsecond,
@@ -243,6 +244,7 @@ func DefaultTiming() Timing {
 		TSet:   1 * sim.Microsecond,
 		TRst:   5 * sim.Microsecond,
 		TDMA:   16 * sim.Microsecond,
+		TECC:   20 * sim.Microsecond,
 	}
 }
 

@@ -166,6 +166,9 @@ func TestDefaultTimingTable1(t *testing.T) {
 	if tm.TSet != sim.Microsecond || tm.TRst != 5*sim.Microsecond || tm.TDMA != 16*sim.Microsecond {
 		t.Error("tSET/tRST/tDMA do not match Table 1")
 	}
+	if tm.TECC != 20*sim.Microsecond {
+		t.Errorf("tECC = %v, want §7.1's 20us", tm.TECC)
+	}
 }
 
 func TestTRPerPageType(t *testing.T) {

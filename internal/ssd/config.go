@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"readretry/internal/core"
-	"readretry/internal/ecc"
 	"readretry/internal/nand"
 	"readretry/internal/rpt"
 	"readretry/internal/vth"
@@ -30,10 +29,9 @@ type Config struct {
 	DiesPerChannel int
 	// Geometry describes one die (Dies must be 1; the SSD composes them).
 	Geometry nand.Geometry
-	// Timing is the chip timing (Table 1).
+	// Timing is the chip timing (Table 1) plus the per-channel ECC
+	// engine's decode latency tECC.
 	Timing nand.Timing
-	// ECC is the per-channel engine (72 b / 1 KiB / 20 µs).
-	ECC ecc.Engine
 	// VthParams select the NAND error model; Seed the process variation.
 	VthParams vth.Params
 	Seed      uint64
@@ -120,7 +118,6 @@ func DefaultConfig() Config {
 		DiesPerChannel:    4,
 		Geometry:          nand.DefaultGeometry(),
 		Timing:            nand.DefaultTiming(),
-		ECC:               ecc.DefaultEngine(),
 		VthParams:         vth.DefaultParams(),
 		Seed:              1,
 		Scheme:            core.Baseline,
@@ -163,8 +160,8 @@ func (c Config) Validate() error {
 	if c.Geometry.Dies != 1 {
 		return fmt.Errorf("ssd: per-die geometry must have Dies=1, got %d", c.Geometry.Dies)
 	}
-	if err := c.ECC.Validate(); err != nil {
-		return err
+	if c.Timing.TECC < 0 {
+		return fmt.Errorf("ssd: negative tECC %v", c.Timing.TECC)
 	}
 	if err := c.VthParams.Validate(); err != nil {
 		return err

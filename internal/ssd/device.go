@@ -49,8 +49,8 @@ func ParseDevice(s string) (Device, error) {
 }
 
 // Apply returns the config with the preset's cell-level fields installed:
-// Geometry.CellBits, VthParams, and the ECC capability (kept in lockstep
-// with VthParams.CapabilityPerKiB, which the retry loop tests against).
+// Geometry.CellBits and VthParams, whose CapabilityPerKiB is the ECC
+// capability the retry loop tests against.
 // Everything else — parallelism, block counts, timing, scheme, condition —
 // is preserved, so presets compose with ExperimentConfig and sweep variants.
 func (d Device) Apply(cfg Config) Config {
@@ -58,7 +58,6 @@ func (d Device) Apply(cfg Config) Config {
 	case DeviceQLC16:
 		cfg.Geometry.CellBits = 4
 		cfg.VthParams = vth.QLC16Params()
-		cfg.ECC.Capability = cfg.VthParams.CapabilityPerKiB
 	default:
 		// DeviceTLC (and the unset sentinel) is the baseline the rest of
 		// the config already describes.

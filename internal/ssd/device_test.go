@@ -52,10 +52,6 @@ func TestDeviceQLC16Apply(t *testing.T) {
 	if !reflect.DeepEqual(cfg.VthParams, vth.QLC16Params()) {
 		t.Error("VthParams should be the QLC16 calibration")
 	}
-	if cfg.ECC.Capability != cfg.VthParams.CapabilityPerKiB {
-		t.Errorf("ECC capability %d out of lockstep with vth capability %d",
-			cfg.ECC.Capability, cfg.VthParams.CapabilityPerKiB)
-	}
 	// Scale fields are preserved so presets compose with ExperimentConfig.
 	base := ExperimentConfig()
 	if cfg.Geometry.BlocksPerPlane != base.Geometry.BlocksPerPlane ||

@@ -135,7 +135,9 @@ func (s *SSD) Config() Config { return s.cfg }
 func (s *SSD) RPT() *rpt.Table { return s.table }
 
 // Run replays the request stream to completion and returns the statistics.
-// A device replays one stream: a second Run returns an error.
+// A device replays one stream: a second Run returns an error. So does a
+// stream with a request that arrives before time 0, has a negative offset,
+// or ends past the logical space; the error names the request's index.
 //
 // The requests reach the engine as an arrival stream in stable arrival
 // order, which fires same-instant requests in trace order and before any
@@ -156,14 +158,25 @@ func (s *SSD) start(recs []trace.Record) error {
 	s.ran = true
 	feed := &hostArrivals{s: s, reqs: make([]request, len(recs))}
 	reads := 0
+	logical := s.cfg.TotalPages()
 	for i := range recs {
 		r := &recs[i]
-		feed.reqs[i] = request{
+		req := request{
 			arrival: r.Arrival,
 			write:   r.Write,
 			lpn:     r.Offset / workload.PageSize,
 			pages:   max(1, (r.Size+workload.PageSize-1)/workload.PageSize),
 		}
+		switch {
+		case r.Arrival < 0:
+			return fmt.Errorf("ssd: request %d arrives at %v, before the stream starts", i, r.Arrival)
+		case r.Offset < 0:
+			return fmt.Errorf("ssd: request %d has negative offset %d", i, r.Offset)
+		case int64(req.pages) > logical-req.lpn:
+			return fmt.Errorf("ssd: request %d (offset %d, %d bytes) ends past the %d-page logical space",
+				i, r.Offset, r.Size, logical)
+		}
+		feed.reqs[i] = req
 		if !r.Write {
 			reads++
 		}
@@ -454,12 +467,11 @@ func (s *SSD) resolveRead(c *chip.Chip, addr nand.Address) readOutcome {
 	var out readOutcome
 	tm := s.cfg.Timing
 	pt := s.cfg.Geometry.PageType(addr.Page)
-	eccLat := s.cfg.ECC.DecodeLatency
 	out.timings = core.StepTimings{
 		SenseDefault: tm.TR(pt, nand.Reduction{}),
 		SenseReduced: tm.TR(pt, nand.Reduction{}),
 		DMA:          tm.TDMA,
-		ECC:          eccLat,
+		ECC:          tm.TECC,
 		Set:          tm.TSet,
 		Reset:        tm.TRst,
 	}

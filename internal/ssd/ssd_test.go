@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"readretry/internal/core"
@@ -78,11 +79,37 @@ func TestConfigValidation(t *testing.T) {
 		"negative retention":      func(c *Config) { c.RetentionMonths = -5 },
 		"NaN retention":           func(c *Config) { c.RetentionMonths = math.NaN() },
 		"infinite retention":      func(c *Config) { c.RetentionMonths = math.Inf(1) },
+		"negative tECC":           func(c *Config) { c.Timing.TECC = -1 },
 	} {
 		bad = DefaultConfig()
 		mutate(&bad)
 		if bad.Validate() == nil {
 			t.Errorf("%s should fail validation", name)
+		}
+	}
+}
+
+// TestRunRejectsMalformedRequests covers request streams a trace file can
+// carry: each is rejected before the run, naming the offending record.
+func TestRunRejectsMalformedRequests(t *testing.T) {
+	cfg := tinyConfig()
+	logical := cfg.TotalPages() * workload.PageSize
+	for name, bad := range map[string]trace.Record{
+		"negative arrival":      {Arrival: -100 * sim.Millisecond, Size: 4096},
+		"negative offset":       {Offset: -2 * workload.PageSize, Size: 4096},
+		"small negative offset": {Offset: -100, Size: 4096},
+		"read past logical end": {Offset: logical, Size: 4096},
+		"write past logical end": {Offset: logical - workload.PageSize, Size: 2 * workload.PageSize,
+			Write: true},
+	} {
+		dev, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := []trace.Record{{Arrival: sim.Millisecond, Size: 4096}, bad}
+		_, err = dev.Run(recs)
+		if err == nil || !strings.Contains(err.Error(), "request 1 ") {
+			t.Errorf("%s: Run error %v, want one naming request 1", name, err)
 		}
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"readretry/internal/charz"
 	"readretry/internal/chip"
 	"readretry/internal/core"
-	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
 	"readretry/internal/experiments/coord"
@@ -201,27 +200,6 @@ func DefaultRPTConfig() RPTConfig { return rpt.DefaultConfig() }
 func ProfileRPT(params ChipParams, seed uint64, cfg RPTConfig) (*RPT, error) {
 	return rpt.Profile(vth.NewModel(params, seed), cfg)
 }
-
-// ECC engine.
-type ECCEngine = ecc.Engine
-
-// DefaultECC returns the §7.1 engine: 72 bits per 1-KiB codeword in 20 µs.
-func DefaultECC() ECCEngine { return ecc.DefaultEngine() }
-
-// BCH is the real codec realizing the engine's capability.
-type BCH = ecc.BCH
-
-// NewBCH constructs a binary BCH code over GF(2^m) correcting t bit errors
-// in dataBits of payload.
-func NewBCH(m, t, dataBits int) (*BCH, error) { return ecc.NewBCH(m, t, dataBits) }
-
-// LDPC is the other ECC family modern controllers deploy (§2.4), with hard
-// bit-flipping and soft min-sum decoders.
-type LDPC = ecc.LDPC
-
-// NewArrayLDPC constructs a quasi-cyclic array LDPC code with circulant
-// size z (an odd prime), j block rows, and l block columns.
-func NewArrayLDPC(z, j, l int) (*LDPC, error) { return ecc.NewArrayLDPC(z, j, l) }
 
 // SSD simulation.
 type (

@@ -177,27 +177,3 @@ func TestFacadeWorkloadRoster(t *testing.T) {
 		t.Errorf("workloads = %d, want 12", got)
 	}
 }
-
-func TestFacadeBCH(t *testing.T) {
-	code, err := readretry.NewBCH(8, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte{0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3, 4}
-	parity, err := code.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[0] ^= 0x10
-	n, err := code.Decode(data, parity)
-	if err != nil || n != 1 || data[0] != 0xDE {
-		t.Errorf("decode: n=%d err=%v data[0]=%#x", n, err, data[0])
-	}
-}
-
-func TestFacadeECCDefaults(t *testing.T) {
-	e := readretry.DefaultECC()
-	if e.Capability != 72 {
-		t.Errorf("capability = %d", e.Capability)
-	}
-}
