@@ -407,29 +407,6 @@ func BenchmarkSweepSharded(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) -------------------------------------------------
 
-func BenchmarkAblationPR2NoReset(b *testing.B) {
-	cfg := benchSSDConfig()
-	cfg.PEC, cfg.RetentionMonths = 2000, 6
-	cfg.Scheme = core.PR2
-	recs := benchTrace(b, cfg, "YCSB-A", 1000)
-	var penalty float64
-	for i := 0; i < b.N; i++ {
-		with := runScheme(b, cfg, recs, core.PR2, false)
-		noReset := cfg
-		noReset.CoreOpts.NoSpeculativeReset = true
-		dev, err := ssd.New(noReset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := dev.Run(recs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		penalty = st.MeanAll()/with.MeanAll() - 1
-	}
-	b.ReportMetric(penalty*100, "no_reset_penalty_pct")
-}
-
 func BenchmarkAblationAR2PerStepSet(b *testing.B) {
 	tm := experiments.PaperTimings()
 	var extra float64
@@ -476,29 +453,6 @@ func BenchmarkAblationDischargeShave(b *testing.B) {
 	}
 	b.ReportMetric(costBits, "extra_error_bits")
 	b.ReportMetric(tm.TRFraction(nand.Reduction{Disch: nand.LevelFraction(1)})*100, "tR_gain_pct")
-}
-
-func BenchmarkAblationScheduler(b *testing.B) {
-	cfg := benchSSDConfig()
-	cfg.PEC, cfg.RetentionMonths = 1000, 3
-	recs := benchTrace(b, cfg, "hm_0", 1500)
-	var penalty float64
-	for i := 0; i < b.N; i++ {
-		with := runScheme(b, cfg, recs, core.Baseline, false)
-		plain := cfg
-		plain.DisableSuspension = true
-		plain.DisableReadPrio = true
-		dev, err := ssd.New(plain)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := dev.Run(recs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		penalty = st.MeanRead()/with.MeanRead() - 1
-	}
-	b.ReportMetric(penalty*100, "no_sched_read_penalty_pct")
 }
 
 // --- §8 extension benches -------------------------------------------------------

@@ -294,6 +294,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: unknown -only %q; valid names: %s\n", *only, strings.Join(experimentNames, ", "))
 		os.Exit(2)
 	}
+	if *samples < 1 {
+		fmt.Fprintf(os.Stderr, "repro: -samples must be at least 1, got %d\n", *samples)
+		os.Exit(2)
+	}
+	if *serveShards < 1 {
+		fmt.Fprintf(os.Stderr, "repro: -serve-shards must be at least 1, got %d\n", *serveShards)
+		os.Exit(2)
+	}
+	if *leaseTTL <= 0 {
+		fmt.Fprintf(os.Stderr, "repro: -lease-ttl must be positive, got %v\n", *leaseTTL)
+		os.Exit(2)
+	}
 	if *workerAddr != "" {
 		if err := runWorkerMode(); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: worker: %v\n", err)

@@ -120,14 +120,6 @@ type RetryHistogram struct {
 	Max    int
 }
 
-// Probability returns P(N_RR = n).
-func (h RetryHistogram) Probability(n int) float64 {
-	if n < 0 || n >= len(h.Counts) || h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[n]) / float64(h.Total)
-}
-
 // FractionAtLeast returns P(N_RR ≥ n), the statistic behind the paper's
 // dot-circle annotations.
 func (h RetryHistogram) FractionAtLeast(n int) float64 {

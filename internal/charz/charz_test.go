@@ -64,18 +64,16 @@ func TestFigure5GridShape(t *testing.T) {
 func TestHistogramProbabilities(t *testing.T) {
 	l := lab()
 	h := l.RetrySteps(1000, 6, 30)
-	sum := 0.0
-	for n := 0; n < len(h.Counts); n++ {
-		sum += h.Probability(n)
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-	if h.Probability(-1) != 0 || h.Probability(len(h.Counts)) != 0 {
-		t.Error("out-of-range probability should be 0")
-	}
 	if h.FractionAtLeast(0) != 1 {
 		t.Error("FractionAtLeast(0) should be 1")
+	}
+	if h.FractionAtLeast(len(h.Counts)) != 0 {
+		t.Error("FractionAtLeast past the last count should be 0")
+	}
+	for n := 1; n <= len(h.Counts); n++ {
+		if h.FractionAtLeast(n) > h.FractionAtLeast(n-1) {
+			t.Errorf("FractionAtLeast(%d) rises above FractionAtLeast(%d)", n, n-1)
+		}
 	}
 }
 

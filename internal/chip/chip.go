@@ -42,9 +42,6 @@ type Chip struct {
 	blocks []BlockState
 	// features is the read-timing feature register (SET FEATURE target).
 	features nand.FeatureRegister
-	// Counters for observability.
-	setFeatureCount int
-	resetCount      int
 
 	// tempC is the chip's resident operating temperature — the third axis
 	// of the condition state SetCondition establishes. Read-facing methods
@@ -190,7 +187,6 @@ func (c *Chip) SetFeature(reg nand.FeatureRegister) sim.Time {
 		c.invalidateProfile()
 	}
 	c.features = reg
-	c.setFeatureCount++
 	return c.timing.TSet
 }
 
@@ -202,29 +198,6 @@ func (c *Chip) ResetFeature() sim.Time {
 
 // Features returns the current feature register (GET FEATURE).
 func (c *Chip) Features() nand.FeatureRegister { return c.features }
-
-// SetFeatureCount returns how many SET FEATURE commands the chip has seen.
-func (c *Chip) SetFeatureCount() int { return c.setFeatureCount }
-
-// Reset models the RESET command terminating an in-flight read and returns
-// its latency (tRST).
-func (c *Chip) Reset() sim.Time {
-	c.resetCount++
-	return c.timing.TRst
-}
-
-// ResetCount returns how many RESET commands the chip has seen.
-func (c *Chip) ResetCount() int { return c.resetCount }
-
-// SenseTime returns tR for a page under the current feature register.
-func (c *Chip) SenseTime(a nand.Address) sim.Time {
-	return c.timing.TRKind(c.geom.CellKind(), c.geom.PageType(a.Page), c.features.Reduction())
-}
-
-// DefaultSenseTime returns tR for a page with manufacturer-default timing.
-func (c *Chip) DefaultSenseTime(a nand.Address) sim.Time {
-	return c.timing.TRKind(c.geom.CellKind(), c.geom.PageType(a.Page), nand.Reduction{})
-}
 
 // ReadRetry walks the full read-retry ladder for the page under the current
 // feature register and operating temperature, returning the error model's
@@ -249,15 +222,6 @@ func (c *Chip) StepErrors(a nand.Address, tempC float64, step int) int {
 		return c.profileFor(a.BlockOf(), tempC).StepErrors(c.pageID(a), pt, step)
 	}
 	return c.model.StepErrors(c.pageID(a), c.Condition(a.BlockOf(), tempC), pt, step, c.features.Reduction())
-}
-
-// PageDrift exposes the page's V_OPT displacement in ladder steps — the
-// quantity PSO-style controllers estimate and cache.
-func (c *Chip) PageDrift(a nand.Address, tempC float64) float64 {
-	if c.fastPath {
-		return c.profileFor(a.BlockOf(), tempC).PageDrift(c.pageID(a))
-	}
-	return c.model.PageDrift(c.pageID(a), c.Condition(a.BlockOf(), tempC))
 }
 
 // Program models programming a page: the block's retention age resets (the

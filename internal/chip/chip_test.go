@@ -56,8 +56,12 @@ func TestBlockPanicsOutOfRange(t *testing.T) {
 
 func TestSetFeatureAffectsSenseTime(t *testing.T) {
 	c := testChip(t)
-	addr := nand.Address{Die: 0, Plane: 0, Block: 0, Page: 1} // CSB page
-	def := c.SenseTime(addr)
+	pt := c.Geometry().PageType(1) // CSB page
+	// senseTime prices the page's tR under the current feature register.
+	senseTime := func() sim.Time {
+		return c.Timing().TRKind(c.Geometry().CellKind(), pt, c.Features().Reduction())
+	}
+	def := senseTime()
 	if def != 117*sim.Microsecond {
 		t.Fatalf("default CSB tR = %v, want 117us", def)
 	}
@@ -66,20 +70,14 @@ func TestSetFeatureAffectsSenseTime(t *testing.T) {
 	if lat := c.SetFeature(reg); lat != sim.Microsecond {
 		t.Errorf("SET FEATURE latency = %v, want 1us", lat)
 	}
-	reduced := c.SenseTime(addr)
+	reduced := senseTime()
 	// 40 % tPRE: sensing 24×0.6+5+10 = 29.4 µs; CSB ×3 = 88.2 µs.
 	if reduced <= 85*sim.Microsecond || reduced >= 90*sim.Microsecond {
 		t.Errorf("reduced CSB tR = %v, want ≈ 88.2us", reduced)
 	}
 	c.ResetFeature()
-	if c.SenseTime(addr) != def {
+	if senseTime() != def {
 		t.Error("ResetFeature did not restore default timing")
-	}
-	if c.SetFeatureCount() != 2 {
-		t.Errorf("SetFeatureCount = %d, want 2", c.SetFeatureCount())
-	}
-	if c.DefaultSenseTime(addr) != def {
-		t.Error("DefaultSenseTime should ignore the register")
 	}
 }
 
@@ -154,16 +152,6 @@ func TestEraseIncrementsPEC(t *testing.T) {
 	}
 }
 
-func TestResetCommand(t *testing.T) {
-	c := testChip(t)
-	if lat := c.Reset(); lat != 5*sim.Microsecond {
-		t.Errorf("tRST = %v, want 5us", lat)
-	}
-	if c.ResetCount() != 1 {
-		t.Errorf("ResetCount = %d", c.ResetCount())
-	}
-}
-
 func TestFleetSharedModelDistinctChips(t *testing.T) {
 	f, err := NewFleet(4, nand.DefaultGeometry(), nand.DefaultTiming(), vth.DefaultParams(), 9)
 	if err != nil {
@@ -175,7 +163,7 @@ func TestFleetSharedModelDistinctChips(t *testing.T) {
 	// underlying model.
 	drifts := map[float64]bool{}
 	for _, c := range f.Chips {
-		drifts[c.PageDrift(addr, 85)] = true
+		drifts[c.Model().PageDrift(c.pageID(addr), c.Condition(addr.BlockOf(), 85))] = true
 	}
 	if len(drifts) < 2 {
 		t.Error("chips in a fleet should exhibit process variation")

@@ -51,9 +51,6 @@ func TestParseScheme(t *testing.T) {
 }
 
 func TestSchemePredicates(t *testing.T) {
-	if !PR2.Pipelined() || !PnAR2.Pipelined() || Baseline.Pipelined() || AR2.Pipelined() {
-		t.Error("Pipelined predicate wrong")
-	}
 	if !AR2.Adaptive() || !PnAR2.Adaptive() || Baseline.Adaptive() || PR2.Adaptive() {
 		t.Error("Adaptive predicate wrong")
 	}

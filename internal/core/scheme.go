@@ -63,9 +63,6 @@ func ParseScheme(name string) (Scheme, error) {
 	return 0, fmt.Errorf("core: unknown scheme %q (want one of %v)", name, schemeNames)
 }
 
-// Pipelined reports whether the scheme issues speculative CACHE READ steps.
-func (s Scheme) Pipelined() bool { return s == PR2 || s == PnAR2 }
-
 // Adaptive reports whether the scheme reduces read timing during retries.
 func (s Scheme) Adaptive() bool { return s == AR2 || s == PnAR2 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"readretry/internal/ssd"
 	"readretry/internal/workload"
@@ -27,9 +28,9 @@ type Grid struct {
 
 // NewGrid resolves and validates a sweep's cell-index space. It performs
 // exactly the upfront checks RunSweep does — at least one variant, a known
-// workload roster, a meaningful condition grid, a well-formed temperature
-// axis — so an invalid configuration fails identically whether it is about
-// to be run, sharded, or merged.
+// workload roster, a meaningful condition grid, well-formed temperature and
+// device axes, no axis value listed twice — so an invalid configuration
+// fails identically whether it is about to be run, sharded, or merged.
 func NewGrid(cfg Config, variants []Variant) (*Grid, error) {
 	if len(variants) == 0 {
 		return nil, errors.New("experiments: sweep needs at least one variant")
@@ -54,6 +55,14 @@ func NewGrid(cfg Config, variants []Variant) (*Grid, error) {
 			return nil, errors.New("experiments: Temps must not contain 0 (the \"device default\" sentinel); set Base.TempC to change the default temperature instead")
 		}
 	}
+	// A repeated axis value would run every one of its cells twice, write
+	// each row twice and count it twice in every reduction average.
+	if t, ok := firstRepeat(cfg.Temps); ok {
+		return nil, fmt.Errorf("experiments: Temps lists %g°C twice", t)
+	}
+	if c, ok := firstRepeat(cfg.Conditions); ok {
+		return nil, fmt.Errorf("experiments: Conditions lists %s twice", c)
+	}
 	if len(cfg.Temps) > 0 {
 		// Crossing overwrites each condition's TempC; a condition that
 		// already pins one would be silently re-measured elsewhere, so the
@@ -72,6 +81,9 @@ func NewGrid(cfg Config, variants []Variant) (*Grid, error) {
 			return nil, fmt.Errorf("experiments: Devices contains unknown device %q (supported: %v)", d, ssd.Devices())
 		}
 	}
+	if d, ok := firstRepeat(cfg.Devices); ok {
+		return nil, fmt.Errorf("experiments: Devices lists %q twice", d)
+	}
 	if len(cfg.Devices) > 0 {
 		// Same ambiguity as the temperature axis: crossing overwrites each
 		// condition's Device.
@@ -87,6 +99,18 @@ func NewGrid(cfg Config, variants []Variant) (*Grid, error) {
 		}
 	}
 	return &Grid{Workloads: wls, Conds: conds, Variants: variants}, nil
+}
+
+// firstRepeat returns the first element of xs that an earlier element
+// equals.
+func firstRepeat[T comparable](xs []T) (T, bool) {
+	for i, x := range xs {
+		if slices.Contains(xs[:i], x) {
+			return x, true
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // Total returns the number of cells in the grid.

@@ -3,7 +3,10 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
+
+	"readretry/internal/ssd"
 )
 
 func TestGridCellAtDecodesCanonicalOrder(t *testing.T) {
@@ -39,6 +42,35 @@ func TestGridCellAtDecodesCanonicalOrder(t *testing.T) {
 		if got != wl+" "+cond.String()+" "+v.Name {
 			t.Fatalf("Label(0) = %q", got)
 		}
+	}
+}
+
+// TestNewGridRejectsRepeatedAxisValues checks that a value listed twice on
+// any axis is an error naming that value, not a grid whose cells run twice.
+func TestNewGridRejectsRepeatedAxisValues(t *testing.T) {
+	cases := []struct {
+		name  string
+		apply func(*Config)
+		want  string
+	}{
+		{"temps", func(c *Config) { c.Temps = []float64{25, 85, 25} }, "25°C"},
+		{"devices", func(c *Config) { c.Devices = []ssd.Device{ssd.DeviceTLC, ssd.DeviceQLC16, ssd.DeviceTLC} }, `"tlc"`},
+		{"conditions", func(c *Config) {
+			c.Conditions = []Condition{{PEC: 1000, Months: 3}, {PEC: 2000, Months: 6}, {PEC: 1000, Months: 3}}
+		}, "1K/3mo"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tinySweepConfig(7)
+			tc.apply(&cfg)
+			_, err := NewGrid(cfg, Figure14Variants())
+			if err == nil {
+				t.Fatal("NewGrid accepted a repeated axis value")
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "twice") {
+				t.Errorf("error %q does not name the repeated value %s", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -1,25 +1,19 @@
 // Package mathx provides the small numeric toolkit shared by the NAND
-// threshold-voltage model and the characterization harness: Gaussian tail
-// probabilities, scalar root finding and minimization, and running
-// statistics.
+// threshold-voltage model, the characterization harness and the simulator's
+// statistics: the Gaussian upper tail, running count/mean/min/max,
+// percentiles over samples and over count histograms, and clamping.
 //
 // Everything here is deterministic and allocation-light; the V_TH model calls
 // these routines millions of times per characterization sweep.
 package mathx
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
 
-// Sqrt2 is math.Sqrt(2), precomputed for the Gaussian tail functions.
+// sqrt2 is math.Sqrt(2), precomputed for Q.
 var sqrt2 = math.Sqrt(2)
-
-// Phi returns the standard normal CDF at x.
-func Phi(x float64) float64 {
-	return 0.5 * math.Erfc(-x/sqrt2)
-}
 
 // Q returns the standard normal upper-tail probability P(Z > x).
 // It is numerically accurate far into the tail (uses Erfc, not 1-CDF).
@@ -27,92 +21,11 @@ func Q(x float64) float64 {
 	return 0.5 * math.Erfc(x/sqrt2)
 }
 
-// GaussianTailAbove returns the probability that a N(mu, sigma²) variable
-// exceeds x. A non-positive sigma degenerates to a step function.
-func GaussianTailAbove(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if mu > x {
-			return 1
-		}
-		return 0
-	}
-	return Q((x - mu) / sigma)
-}
-
-// GaussianTailBelow returns the probability that a N(mu, sigma²) variable
-// is below x. A non-positive sigma degenerates to a step function.
-func GaussianTailBelow(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if mu < x {
-			return 1
-		}
-		return 0
-	}
-	return Q((mu - x) / sigma)
-}
-
-// ErrNoBracket is returned by Bisect when f(lo) and f(hi) do not bracket a
-// sign change.
-var ErrNoBracket = errors.New("mathx: root not bracketed")
-
-// Bisect finds x in [lo, hi] with f(x) = 0 to within tol using bisection.
-// f(lo) and f(hi) must have opposite signs.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 { //lint:floateq exact-root short-circuit; any nonzero residual proceeds to bisection
-		return lo, nil
-	}
-	if fhi == 0 { //lint:floateq exact-root short-circuit; any nonzero residual proceeds to bisection
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, ErrNoBracket
-	}
-	for hi-lo > tol {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 { //lint:floateq exact-root short-circuit; bisection converges via the tol loop otherwise
-			return mid, nil
-		}
-		if (fm > 0) == (flo > 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2, nil
-}
-
-// invphi is the inverse golden ratio, used by MinimizeGolden.
-const invphi = 0.6180339887498949
-
-// MinimizeGolden finds the x in [lo, hi] minimizing f using golden-section
-// search. f must be unimodal on the interval; tol is the absolute width at
-// which the search stops.
-func MinimizeGolden(f func(float64) float64, lo, hi, tol float64) float64 {
-	a, b := lo, hi
-	c := b - (b-a)*invphi
-	d := a + (b-a)*invphi
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - (b-a)*invphi
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + (b-a)*invphi
-			fd = f(d)
-		}
-	}
-	return a + (b-a)/2
-}
-
-// Running accumulates streaming summary statistics (count, mean, variance via
-// Welford's algorithm, min, max). The zero value is ready to use.
+// Running accumulates streaming summary statistics (count, incremental mean,
+// min, max). The zero value is ready to use.
 type Running struct {
 	n        int64
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -129,9 +42,7 @@ func (r *Running) Add(x float64) {
 			r.max = x
 		}
 	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // N returns the number of observations.
@@ -145,40 +56,6 @@ func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest observation, or 0 with no observations.
 func (r *Running) Max() float64 { return r.max }
-
-// Variance returns the sample variance, or 0 with fewer than two observations.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Merge folds the observations of other into r.
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	n := r.n + other.n
-	d := other.mean - r.mean
-	mean := r.mean + d*float64(other.n)/float64(n)
-	m2 := r.m2 + other.m2 + d*d*float64(r.n)*float64(other.n)/float64(n)
-	min, max := r.min, r.max
-	if other.min < min {
-		min = other.min
-	}
-	if other.max > max {
-		max = other.max
-	}
-	*r = Running{n: n, mean: mean, m2: m2, min: min, max: max}
-}
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. xs is not modified. It returns 0 for
@@ -261,60 +138,8 @@ func PercentileHistogram(counts []int64, p float64) float64 {
 	return valueAt(lo)*(1-frac) + valueAt(hi)*frac
 }
 
-// Histogram counts observations into fixed-width bins over [Lo, Hi).
-// Observations outside the range land in the saturating edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram builds a histogram with bins equal-width bins over [lo, hi).
-// It panics if bins < 1 or hi <= lo, which indicates a programming error.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || hi <= lo {
-		panic("mathx: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bin := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction returns the fraction of observations in bin i, or 0 when empty.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// ClampInt limits x to [lo, hi].
-func ClampInt(x, lo, hi int) int {
 	if x < lo {
 		return lo
 	}

@@ -37,14 +37,6 @@ var readLevelTables = [QLC + 1][][]int{
 	QLC: {{0, 4, 8, 12}, {1, 5, 9, 13}, {2, 6, 10, 14}, {3, 7, 11}},
 }
 
-// pageKindNames holds the conventional page names per cell kind.
-var pageKindNames = [QLC + 1][]string{
-	SLC: {"SLC"},
-	MLC: {"LP", "UP"},
-	TLC: {"LSB", "CSB", "MSB"},
-	QLC: {"LP", "UP", "XP", "TP"},
-}
-
 // Valid reports whether the kind is one of the supported cell technologies.
 func (k CellKind) Valid() bool { return k >= SLC && k <= QLC }
 
@@ -120,16 +112,6 @@ func (k CellKind) WorstPage() PageType {
 	return 0
 }
 
-// PageName returns the conventional page-kind name for this cell kind
-// ("CSB" for TLC page 1, "UP" for QLC page 1).
-func (k CellKind) PageName(pt PageType) string {
-	names := pageKindNames[k]
-	if int(pt) < 0 || int(pt) >= len(names) {
-		return fmt.Sprintf("PageType(%d)", int(pt))
-	}
-	return names[pt]
-}
-
 // CellKind returns the cell technology of the geometry. Only meaningful on
 // a validated geometry (Validate restricts CellBits to supported kinds).
 func (g Geometry) CellKind() CellKind { return CellKind(g.CellBits) }
@@ -138,15 +120,4 @@ func (g Geometry) CellKind() CellKind { return CellKind(g.CellBits) }
 // under the reduction (Equation 1 with the kind's sensing count).
 func (t Timing) TRKind(k CellKind, pt PageType, r Reduction) sim.Time {
 	return sim.Time(k.NSense(pt)) * t.SensePeriod(r)
-}
-
-// AvgTRKind returns tR averaged over the kind's page kinds with no
-// reduction — the generalization of Table 1's "tR (avg.)" row.
-func (t Timing) AvgTRKind(k CellKind) sim.Time {
-	total := sim.Time(0)
-	n := k.PageKinds()
-	for pt := PageType(0); int(pt) < n; pt++ {
-		total += t.TRKind(k, pt, Reduction{})
-	}
-	return total / sim.Time(n)
 }

@@ -65,12 +65,6 @@ func TestReadLevelsPartitionPerKind(t *testing.T) {
 func TestReadLevelsSharedImmutable(t *testing.T) {
 	// ReadLevels must return the shared table, not a fresh allocation:
 	// same backing array on every call and zero allocations per call.
-	for _, pt := range []PageType{LSB, CSB, MSB} {
-		a, b := pt.ReadLevels(), pt.ReadLevels()
-		if &a[0] != &b[0] {
-			t.Errorf("%v: ReadLevels allocates a fresh slice per call", pt)
-		}
-	}
 	for _, k := range allKinds {
 		for pt := PageType(0); int(pt) < k.PageKinds(); pt++ {
 			a, b := k.ReadLevels(pt), k.ReadLevels(pt)
@@ -79,23 +73,16 @@ func TestReadLevelsSharedImmutable(t *testing.T) {
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = CSB.ReadLevels() }); n != 0 {
-		t.Errorf("PageType.ReadLevels allocates %.0f per call, want 0", n)
-	}
 	if n := testing.AllocsPerRun(100, func() { _ = QLC.ReadLevels(3) }); n != 0 {
 		t.Errorf("CellKind.ReadLevels allocates %.0f per call, want 0", n)
 	}
 }
 
 func TestTLCCompatWrappers(t *testing.T) {
-	// The historical PageType methods are TLC views of the kind tables.
+	// The historical PageType.NSense is a TLC view of the kind tables.
 	for _, pt := range []PageType{LSB, CSB, MSB} {
 		if pt.NSense() != TLC.NSense(pt) {
 			t.Errorf("%v: NSense wrapper diverges from TLC table", pt)
-		}
-		a, b := pt.ReadLevels(), TLC.ReadLevels(pt)
-		if &a[0] != &b[0] {
-			t.Errorf("%v: ReadLevels wrapper diverges from TLC table", pt)
 		}
 	}
 	// The paper's ⟨2, 3, 2⟩ sensing counts survive the refactor.
@@ -103,7 +90,7 @@ func TestTLCCompatWrappers(t *testing.T) {
 		t.Error("TLC NSense table wrong")
 	}
 	// Out-of-range page types keep the historical default arm (MSB set).
-	a, b := PageType(9).ReadLevels(), MSB.ReadLevels()
+	a, b := TLC.ReadLevels(PageType(9)), TLC.ReadLevels(MSB)
 	if &a[0] != &b[0] {
 		t.Error("out-of-range PageType should fall back to the last page kind")
 	}
@@ -130,16 +117,6 @@ func TestMaxNSenseAndWorstPage(t *testing.T) {
 	}
 }
 
-func TestPageNames(t *testing.T) {
-	if TLC.PageName(CSB) != "CSB" || QLC.PageName(3) != "TP" ||
-		MLC.PageName(0) != "LP" || SLC.PageName(0) != "SLC" {
-		t.Error("PageName wrong")
-	}
-	if QLC.PageName(9) != "PageType(9)" {
-		t.Error("out-of-range PageName wrong")
-	}
-}
-
 func TestTRKindMatchesTLC(t *testing.T) {
 	tm := DefaultTiming()
 	for _, pt := range []PageType{LSB, CSB, MSB} {
@@ -148,9 +125,6 @@ func TestTRKindMatchesTLC(t *testing.T) {
 				t.Errorf("TRKind(TLC, %v, %+v) diverges from TR", pt, r)
 			}
 		}
-	}
-	if tm.AvgTRKind(TLC) != tm.AvgTR() {
-		t.Error("AvgTRKind(TLC) diverges from AvgTR")
 	}
 }
 
@@ -162,9 +136,6 @@ func TestTRKindQLC(t *testing.T) {
 		if got := tm.TRKind(QLC, PageType(pt), Reduction{}); got != want*sim.Microsecond {
 			t.Errorf("QLC page %d tR = %v, want %dus", pt, got, want)
 		}
-	}
-	if got := tm.AvgTRKind(QLC); got != 585*sim.Microsecond/4 {
-		t.Errorf("QLC AvgTR = %v, want 146.25us", got)
 	}
 }
 
@@ -179,9 +150,6 @@ func TestGeometryValidateNonTLC(t *testing.T) {
 		}
 		if g.CellKind() != CellKind(bits) {
 			t.Errorf("CellKind() = %v, want %v", g.CellKind(), CellKind(bits))
-		}
-		if g.WordlinesPerBlock() != 576/bits {
-			t.Errorf("CellBits=%d: wordlines = %d, want %d", bits, g.WordlinesPerBlock(), 576/bits)
 		}
 	}
 	// Unsupported bit counts are rejected even when divisible.
@@ -214,14 +182,11 @@ func TestPageStripingNonTLC(t *testing.T) {
 			if got := g.PageType(p); got != PageType(p%bits) {
 				t.Errorf("CellBits=%d: PageType(%d) = %v, want %v", bits, p, got, PageType(p%bits))
 			}
-			if got := g.Wordline(p); got != p/bits {
-				t.Errorf("CellBits=%d: Wordline(%d) = %d, want %d", bits, p, got, p/bits)
-			}
 		}
-		// The last page of the block lands on the last wordline's last kind.
+		// The last page of the block is the last wordline's last kind.
 		last := g.PagesPerBlock - 1
-		if g.Wordline(last) != g.WordlinesPerBlock()-1 || g.PageType(last) != PageType(bits-1) {
-			t.Errorf("CellBits=%d: last page maps to wl %d kind %v", bits, g.Wordline(last), g.PageType(last))
+		if g.PageType(last) != PageType(bits-1) {
+			t.Errorf("CellBits=%d: last page maps to kind %v", bits, g.PageType(last))
 		}
 	}
 }

@@ -1,10 +1,9 @@
-// Package nand models the organization, timing, and command interface of a
-// 3D TLC NAND flash chip as described in §2 of the paper: the
-// chip/die/plane/block/page hierarchy, wordline and page-type (LSB/CSB/MSB)
-// mapping, the three-phase read mechanism timing (precharge / evaluation /
-// discharge, Equation 1), and the ONFI-style commands the two proposed
-// techniques rely on — PAGE READ, CACHE READ, RESET, and SET FEATURE for
-// dynamic read-timing adjustment.
+// Package nand models the organization and timing of a 3D TLC NAND flash
+// chip as described in §2 of the paper: the chip/die/plane/block/page
+// hierarchy, page-type (LSB/CSB/MSB) striping across wordlines, the
+// three-phase read mechanism timing (precharge / evaluation / discharge,
+// Equation 1), and the SET FEATURE register the two proposed techniques use
+// for dynamic read-timing adjustment.
 //
 // The package is purely structural: the electrical error behaviour lives in
 // internal/vth and the dynamic die/channel occupancy lives in internal/ssd.
@@ -47,13 +46,6 @@ func (pt PageType) String() string {
 // this type: ⟨2, 3, 2⟩ for ⟨LSB, CSB, MSB⟩ in TLC NAND. Non-TLC devices go
 // through CellKind.NSense instead.
 func (pt PageType) NSense() int { return TLC.NSense(pt) }
-
-// ReadLevels returns the TLC read-voltage indices (0-based, V0..V6 between
-// the 8 V_TH states) sensed when reading a page of this type under the
-// standard Gray coding: LSB → {V0, V4}, CSB → {V1, V3, V5}, MSB → {V2, V6}.
-// The returned slice is shared and immutable; callers must not mutate it.
-// Non-TLC devices go through CellKind.ReadLevels instead.
-func (pt PageType) ReadLevels() []int { return TLC.ReadLevels(pt) }
 
 // Geometry describes the physical organization of one NAND flash chip
 // (Figure 1): dies that operate independently, planes sharing a row decoder,
@@ -99,22 +91,11 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// WordlinesPerBlock returns the number of wordlines in a block.
-func (g Geometry) WordlinesPerBlock() int { return g.PagesPerBlock / g.CellBits }
-
 // BlocksPerDie returns the number of blocks in one die.
 func (g Geometry) BlocksPerDie() int { return g.PlanesPerDie * g.BlocksPerPlane }
 
 // PagesPerDie returns the number of pages in one die.
 func (g Geometry) PagesPerDie() int { return g.BlocksPerDie() * g.PagesPerBlock }
-
-// TotalPages returns the number of pages in the chip.
-func (g Geometry) TotalPages() int { return g.Dies * g.PagesPerDie() }
-
-// CapacityBytes returns the user-data capacity of the chip in bytes.
-func (g Geometry) CapacityBytes() int64 {
-	return int64(g.TotalPages()) * int64(g.PageSize)
-}
 
 // PageType maps a page index within its block to its page kind. Pages are
 // striped across wordlines in page-kind order — LSB, CSB, MSB for TLC —
@@ -122,9 +103,6 @@ func (g Geometry) CapacityBytes() int64 {
 func (g Geometry) PageType(pageInBlock int) PageType {
 	return PageType(pageInBlock % g.CellBits)
 }
-
-// Wordline returns the wordline index within the block holding the page.
-func (g Geometry) Wordline(pageInBlock int) int { return pageInBlock / g.CellBits }
 
 // Address identifies one physical page on a chip.
 type Address struct {
@@ -147,22 +125,6 @@ func (a Address) String() string {
 	return fmt.Sprintf("d%d/p%d/b%d/pg%d", a.Die, a.Plane, a.Block, a.Page)
 }
 
-// Linear returns a dense index for the address, unique within the chip.
-func (a Address) Linear(g Geometry) int {
-	return ((a.Die*g.PlanesPerDie+a.Plane)*g.BlocksPerPlane+a.Block)*g.PagesPerBlock + a.Page
-}
-
-// AddressFromLinear inverts Address.Linear.
-func AddressFromLinear(g Geometry, idx int) Address {
-	page := idx % g.PagesPerBlock
-	idx /= g.PagesPerBlock
-	block := idx % g.BlocksPerPlane
-	idx /= g.BlocksPerPlane
-	plane := idx % g.PlanesPerDie
-	die := idx / g.PlanesPerDie
-	return Address{Die: die, Plane: plane, Block: block, Page: page}
-}
-
 // BlockID identifies one physical block on a chip.
 type BlockID struct {
 	Die   int
@@ -176,44 +138,6 @@ func (a Address) BlockOf() BlockID { return BlockID{Die: a.Die, Plane: a.Plane, 
 // Linear returns a dense index for the block, unique within the chip.
 func (b BlockID) Linear(g Geometry) int {
 	return (b.Die*g.PlanesPerDie+b.Plane)*g.BlocksPerPlane + b.Block
-}
-
-// Command is an ONFI-style chip command relevant to read-retry optimization.
-type Command int
-
-// Chip commands. CACHE READ is the pipelining command PR² builds on
-// (§3.2.1); SET FEATURE carries the read-timing adjustment AR² issues
-// (§6.2); RESET terminates PR²'s speculatively started retry step.
-const (
-	CmdPageRead Command = iota
-	CmdCacheRead
-	CmdProgram
-	CmdErase
-	CmdReset
-	CmdSetFeature
-	CmdGetFeature
-)
-
-// String returns the command mnemonic.
-func (c Command) String() string {
-	switch c {
-	case CmdPageRead:
-		return "PAGE READ"
-	case CmdCacheRead:
-		return "CACHE READ"
-	case CmdProgram:
-		return "PROGRAM"
-	case CmdErase:
-		return "ERASE"
-	case CmdReset:
-		return "RESET"
-	case CmdSetFeature:
-		return "SET FEATURE"
-	case CmdGetFeature:
-		return "GET FEATURE"
-	default:
-		return fmt.Sprintf("Command(%d)", int(c))
-	}
 }
 
 // Timing holds the chip timing parameters of Table 1. The three read-phase

@@ -21,7 +21,7 @@ func TestPageTypeReadLevelsPartitionAllSeven(t *testing.T) {
 	// three page types (Gray coding property).
 	seen := map[int]PageType{}
 	for _, pt := range []PageType{LSB, CSB, MSB} {
-		levels := pt.ReadLevels()
+		levels := TLC.ReadLevels(pt)
 		if len(levels) != pt.NSense() {
 			t.Errorf("%v: %d read levels but NSense=%d", pt, len(levels), pt.NSense())
 		}
@@ -59,16 +59,10 @@ func TestDefaultGeometryMatchesPaper(t *testing.T) {
 	if g.PageSize != 16*1024 {
 		t.Errorf("page size %d, want 16 KiB", g.PageSize)
 	}
-	if g.WordlinesPerBlock() != 192 {
-		t.Errorf("wordlines per block = %d, want 576/3 = 192", g.WordlinesPerBlock())
-	}
-	// One die: 2 planes × 1888 blocks × 576 pages × 16 KiB = 33.2 GiB.
+	// One die: 2 planes × 1888 blocks × 576 pages.
 	wantPages := 2 * 1888 * 576
 	if g.PagesPerDie() != wantPages {
 		t.Errorf("PagesPerDie = %d, want %d", g.PagesPerDie(), wantPages)
-	}
-	if g.CapacityBytes() != int64(wantPages)*16*1024 {
-		t.Errorf("capacity = %d", g.CapacityBytes())
 	}
 }
 
@@ -92,40 +86,6 @@ func TestPageTypeMapping(t *testing.T) {
 		if got := g.PageType(p); got != want {
 			t.Errorf("PageType(%d) = %v, want %v", p, got, want)
 		}
-		if got := g.Wordline(p); got != p/3 {
-			t.Errorf("Wordline(%d) = %d, want %d", p, got, p/3)
-		}
-	}
-}
-
-func TestAddressLinearRoundTrip(t *testing.T) {
-	g := Geometry{Dies: 2, PlanesPerDie: 2, BlocksPerPlane: 5, PagesPerBlock: 6, PageSize: 512, CellBits: 3}
-	seen := map[int]bool{}
-	for d := 0; d < g.Dies; d++ {
-		for pl := 0; pl < g.PlanesPerDie; pl++ {
-			for b := 0; b < g.BlocksPerPlane; b++ {
-				for p := 0; p < g.PagesPerBlock; p++ {
-					a := Address{Die: d, Plane: pl, Block: b, Page: p}
-					if !a.Valid(g) {
-						t.Fatalf("%v should be valid", a)
-					}
-					idx := a.Linear(g)
-					if idx < 0 || idx >= g.TotalPages() {
-						t.Fatalf("linear index %d out of range", idx)
-					}
-					if seen[idx] {
-						t.Fatalf("duplicate linear index %d for %v", idx, a)
-					}
-					seen[idx] = true
-					if back := AddressFromLinear(g, idx); back != a {
-						t.Fatalf("round trip %v -> %d -> %v", a, idx, back)
-					}
-				}
-			}
-		}
-	}
-	if len(seen) != g.TotalPages() {
-		t.Errorf("covered %d indices, want %d", len(seen), g.TotalPages())
 	}
 }
 
@@ -283,26 +243,6 @@ func TestFeatureRegister(t *testing.T) {
 	f.Set(-1, 100, 2)
 	if f.PreLevel != 0 || f.EvalLevel != MaxFeatureLevel || f.DischLevel != 2 {
 		t.Errorf("clamping failed: %+v", f)
-	}
-}
-
-func TestCommandString(t *testing.T) {
-	cases := map[Command]string{
-		CmdPageRead:   "PAGE READ",
-		CmdCacheRead:  "CACHE READ",
-		CmdProgram:    "PROGRAM",
-		CmdErase:      "ERASE",
-		CmdReset:      "RESET",
-		CmdSetFeature: "SET FEATURE",
-		CmdGetFeature: "GET FEATURE",
-	}
-	for cmd, want := range cases {
-		if got := cmd.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(cmd), got, want)
-		}
-	}
-	if Command(42).String() != "Command(42)" {
-		t.Error("unknown command String wrong")
 	}
 }
 

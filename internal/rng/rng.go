@@ -1,7 +1,7 @@
 // Package rng provides the deterministic random-number machinery used across
 // the simulator: a splittable xoshiro256++ generator plus the sampling
-// distributions the chip model and workload generators need (Gaussian,
-// exponential, Poisson, Zipfian, YCSB scrambled-Zipfian, latest).
+// distributions the workload generators need (uniform, exponential,
+// Zipfian, YCSB scrambled-Zipfian, latest).
 //
 // Reproducibility is a hard requirement for the experiment harness: every
 // figure in EXPERIMENTS.md must regenerate bit-identically from a seed, so
@@ -67,22 +67,12 @@ func (st *State) Float64() float64 {
 // construct with New or Split.
 type Source struct {
 	s State
-	// cached second Gaussian variate from the polar method
-	gauss    float64
-	hasGauss bool
 }
 
 // New returns a Source seeded from seed via SplitMix64, which guarantees a
 // well-mixed nonzero state for any seed, including 0.
 func New(seed uint64) *Source {
-	var src Source
-	src.reseed(seed)
-	return &src
-}
-
-func (r *Source) reseed(seed uint64) {
-	r.s = SeedState(seed)
-	r.hasGauss = false
+	return &Source{s: SeedState(seed)}
 }
 
 // Split derives an independent child generator keyed by label. Two children
@@ -139,27 +129,6 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
-// NormFloat64 returns a standard normal variate via the Marsaglia polar
-// method (two uniforms per pair, second cached).
-func (r *Source) NormFloat64() float64 {
-	if r.hasGauss {
-		r.hasGauss = false
-		return r.gauss
-	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		r.gauss = v * f
-		r.hasGauss = true
-		return u * f
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1 (mean 1).
 func (r *Source) ExpFloat64() float64 {
 	for {
@@ -168,67 +137,6 @@ func (r *Source) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// Poisson returns a Poisson variate with the given mean. For large means it
-// uses the Gaussian approximation (the workload generator only needs moment
-// fidelity there).
-func (r *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := mean + math.Sqrt(mean)*r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Bernoulli returns true with probability p.
-func (r *Source) Bernoulli(p float64) bool {
-	return r.Float64() < p
-}
-
-// Binomial returns a Binomial(n, p) variate. For small n it runs n Bernoulli
-// trials; for large n·p it uses the Gaussian approximation, which is all the
-// error-count sampling needs.
-func (r *Source) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	mean := float64(n) * p
-	if n > 128 && mean > 16 && float64(n)*(1-p) > 16 {
-		sd := math.Sqrt(mean * (1 - p))
-		v := mean + sd*r.NormFloat64()
-		switch {
-		case v < 0:
-			return 0
-		case v > float64(n):
-			return n
-		}
-		return int(v + 0.5)
-	}
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
-		}
-	}
-	return k
 }
 
 // Zipf samples from a Zipfian distribution over {0, …, n-1} with exponent

@@ -37,10 +37,9 @@ type Config struct {
 	Seed      uint64
 
 	// Scheme picks the read-retry controller; UsePSO layers the MICRO'19
-	// step-reduction baseline under it (§7.3); CoreOpts enable ablations.
-	Scheme   core.Scheme
-	UsePSO   bool
-	CoreOpts core.Options
+	// step-reduction baseline under it (§7.3).
+	Scheme core.Scheme
+	UsePSO bool
 
 	// PEC and RetentionMonths precondition every block — the operating
 	// condition axis of Figures 14 and 15. TempC is the ambient
@@ -60,11 +59,9 @@ type Config struct {
 	PreconditionPages int64
 
 	// GCThresholdBlocks triggers collection when a plane's free pool drops
-	// to it. EnableSuspension and ReadPriority are the baseline's advanced
-	// scheduling features; disabling them is the scheduler ablation.
+	// to it. Read priority and program/erase suspension, the baseline's
+	// advanced scheduling features (§7.2), are always on.
 	GCThresholdBlocks int
-	DisableSuspension bool
-	DisableReadPrio   bool
 
 	// RPT configures AR²'s profiling (margin, buckets).
 	RPT rpt.Config

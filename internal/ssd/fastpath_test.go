@@ -41,8 +41,6 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 		{recs, func(c *Config) { c.Scheme = core.PnAR2; c.UsePSO = true }},
 		{recs, func(c *Config) { c.Scheme = core.AR2; c.ReducedRegularReads = true }},
 		{recs, func(c *Config) { c.UseDriftPredictor = true }},
-		{recs, func(c *Config) { c.Scheme = core.PR2; c.CoreOpts.NoSpeculativeReset = true }},
-		{recs, func(c *Config) { c.Scheme = core.AR2; c.CoreOpts.PerStepSetFeature = true }},
 		{writeHeavy, func(c *Config) {}},
 		{recs, func(c *Config) {
 			c.Scheme = core.PnAR2

@@ -55,12 +55,12 @@ func TestQD1MatchesAnalyticPlan(t *testing.T) {
 					if oc.timings.ECC != cfg.Timing.TECC {
 						t.Fatalf("read timings carry tECC %v, config says %v", oc.timings.ECC, cfg.Timing.TECC)
 					}
-					plan := core.BuildPlan(scheme, oc.nrr, oc.timings, cfg.CoreOpts)
+					plan := core.BuildPlan(scheme, oc.nrr, oc.timings, core.Options{})
 					want[i] = plan.Latency()
 					if oc.fallback {
 						fallbacks++
 						want[i] = plan.DieHold() +
-							core.BuildPlan(core.Baseline, oc.fbNRR, oc.timings, cfg.CoreOpts).Latency()
+							core.BuildPlan(core.Baseline, oc.fbNRR, oc.timings, core.Options{}).Latency()
 					}
 				}
 				dev, err := New(cfg)

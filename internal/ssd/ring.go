@@ -19,9 +19,6 @@ func (r *ring[T]) push(v T) {
 	r.n++
 }
 
-// peek returns the oldest element; the ring must not be empty.
-func (r *ring[T]) peek() T { return r.buf[r.head] }
-
 // pop removes and returns the oldest element; the ring must not be empty.
 func (r *ring[T]) pop() T {
 	v := r.buf[r.head]

@@ -121,7 +121,7 @@ func TestEraseSuspendedTwice(t *testing.T) {
 	if oc.fallback {
 		t.Fatal("fresh page needed a fallback re-read")
 	}
-	hold := core.BuildPlan(cfg.Scheme, oc.nrr, oc.timings, cfg.CoreOpts).DieHold()
+	hold := core.BuildPlan(cfg.Scheme, oc.nrr, oc.timings, core.Options{}).DieHold()
 
 	block := emptyBlock(dev)
 	dev.eng.Schedule(0, func(now sim.Time) { enqueueErase(t, dev, d, block, now) })
@@ -241,41 +241,6 @@ func TestReadsOvertakeQueuedWrites(t *testing.T) {
 	// in well under 1 ms (it overtakes and suspends).
 	if st.MeanRead() > 1000 {
 		t.Errorf("read response %v µs; priority scheduling should keep it under ~1 ms",
-			st.MeanRead())
-	}
-}
-
-func TestNoReadPriorityFIFO(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.PEC, cfg.RetentionMonths = 0, 0
-	cfg.DisableReadPrio = true
-	cfg.DisableSuspension = true
-	dev, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stride := int64(cfg.Dies() * cfg.Geometry.PlanesPerDie)
-	var recs []trace.Record
-	for i := 0; i < 10; i++ {
-		recs = append(recs, trace.Record{
-			Arrival: 0,
-			Offset:  int64(i) * stride * workload.PageSize,
-			Size:    workload.PageSize,
-			Write:   true,
-		})
-	}
-	recs = append(recs, trace.Record{
-		Arrival: 10 * sim.Microsecond,
-		Offset:  100 * stride * workload.PageSize,
-		Size:    workload.PageSize,
-	})
-	st, err := dev.Run(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// FIFO: the read waits behind ~7 ms of writes.
-	if st.MeanRead() < 5000 {
-		t.Errorf("read response %v µs; FIFO should leave it behind the writes",
 			st.MeanRead())
 	}
 }

@@ -25,7 +25,6 @@ type SSD struct {
 
 	chips    []*chip.Chip // one per die
 	dies     []*die
-	nextSeq  uint64
 	channels []*resourceQueue // DMA bus per channel
 	eccs     []*resourceQueue // decoder per channel
 	flash    *ftl.FTL
@@ -243,9 +242,6 @@ type txn struct {
 	lpn  int64
 	ppn  ftl.PPN
 	req  *request // nil for GC traffic
-	// seq is the global arrival order, used for FIFO scheduling when read
-	// priority is disabled.
-	seq uint64
 	// enqueuedAt stamps queue entry for the queueing-delay statistics;
 	// serviceStart stamps when a read's service began.
 	enqueuedAt   sim.Time
@@ -360,15 +356,13 @@ func (s *SSD) submit(req *request, now sim.Time) {
 
 // enqueue adds the transaction to its die queue and pokes the scheduler.
 func (s *SSD) enqueue(d *die, t *txn, now sim.Time) {
-	t.seq = s.nextSeq
-	s.nextSeq++
 	t.enqueuedAt = now
 	switch t.kind {
 	case txnRead:
 		d.readQ.push(t)
 		// Out-of-order read priority: an arriving read may suspend an
 		// in-flight program/erase (§7.2's baseline features).
-		if !s.cfg.DisableSuspension && d.busy && d.suspendable != nil {
+		if d.busy && d.suspendable != nil {
 			s.suspendCurrent(d, now)
 		}
 	case txnWrite:
@@ -400,7 +394,7 @@ func (s *SSD) dispatch(d *die, now sim.Time) {
 	if d.busy {
 		return
 	}
-	if d.readQ.len() > 0 && !s.cfg.DisableReadPrio {
+	if d.readQ.len() > 0 {
 		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
@@ -414,19 +408,8 @@ func (s *SSD) dispatch(d *die, now sim.Time) {
 		s.startGC(d, d.gcQ.pop(), now)
 		return
 	}
-	// FIFO order across reads and writes when read priority is disabled:
-	// serve whichever queued host transaction arrived first.
-	if s.cfg.DisableReadPrio && d.readQ.len() > 0 &&
-		(d.writeQ.len() == 0 || d.readQ.peek().seq < d.writeQ.peek().seq) {
-		s.startRead(d, d.readQ.pop(), now)
-		return
-	}
 	if d.writeQ.len() > 0 {
 		s.startWrite(d, d.writeQ.pop(), now)
-		return
-	}
-	if s.cfg.DisableReadPrio && d.readQ.len() > 0 {
-		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
 	if d.gcQ.len() > 0 {
@@ -567,13 +550,13 @@ func (s *SSD) recordReadMetrics(c *chip.Chip, addr nand.Address, oc readOutcome,
 	if s.metrics == nil {
 		return
 	}
-	plan := core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, s.cfg.CoreOpts)
+	plan := core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{})
 	sense := plan.KindTotal(core.OpSense)
 	xfer := plan.KindTotal(core.OpDMA)
 	eccT := plan.KindTotal(core.OpECC)
 	steps := oc.nrr
 	if oc.fallback {
-		fb := core.CachedPlan(core.Baseline, oc.fbNRR, oc.timings, s.cfg.CoreOpts)
+		fb := core.CachedPlan(core.Baseline, oc.fbNRR, oc.timings, core.Options{})
 		sense += fb.KindTotal(core.OpSense)
 		xfer += fb.KindTotal(core.OpDMA)
 		eccT += fb.KindTotal(core.OpECC)
@@ -629,7 +612,7 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 	if oc.fallback {
 		stage, t.fallback = stageFallback, oc
 	}
-	s.runPlan(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, s.cfg.CoreOpts), now, t, stage)
+	s.runPlan(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{}), now, t, stage)
 }
 
 // startReadSlow is startRead's reference continuation graph, behind
@@ -637,7 +620,7 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 // by the reference executor.
 func (s *SSD) startReadSlow(d *die, t *txn, oc readOutcome, start sim.Time) {
 	plan := func(scheme core.Scheme, nrr int) core.Plan {
-		return core.BuildPlan(scheme, nrr, oc.timings, s.cfg.CoreOpts)
+		return core.BuildPlan(scheme, nrr, oc.timings, core.Options{})
 	}
 	respond := func(done sim.Time) { s.readResponse(t, done) }
 	finish := func(sim.Time) { s.releaseDie(d, s.eng.Now()) }
@@ -770,7 +753,7 @@ func (x *planExec) release(at sim.Time) {
 		s.releaseDie(x.d, at)
 	case stageFallback:
 		fb := &x.t.fallback
-		s.runPlan(x.d, core.CachedPlan(core.Baseline, fb.fbNRR, fb.timings, s.cfg.CoreOpts), at, x.t, stageRead)
+		s.runPlan(x.d, core.CachedPlan(core.Baseline, fb.fbNRR, fb.timings, core.Options{}), at, x.t, stageRead)
 	case stageGCMove:
 		s.gcWriteBack(x.d, x.t, at)
 	}
@@ -875,7 +858,7 @@ func (p *diePhase) run(at sim.Time) {
 	p.d.suspendable = p
 	// Reads that arrived while this transaction was in its transfer phase
 	// suspend it the moment the die phase begins.
-	if !s.cfg.DisableSuspension && p.d.readQ.len() > 0 {
+	if p.d.readQ.len() > 0 {
 		s.suspendCurrent(p.d, s.eng.Now())
 	}
 }
@@ -987,11 +970,11 @@ func (s *SSD) runGCMove(d *die, t *txn, now sim.Time) {
 	s.recordReadMetrics(c, addr, oc, now-t.enqueuedAt)
 	s.stats.GCPageReads++
 	if s.cfg.DisableReadFastPath {
-		s.runPlanSlow(d, core.BuildPlan(s.cfg.Scheme, oc.nrr, oc.timings, s.cfg.CoreOpts), now, nil,
+		s.runPlanSlow(d, core.BuildPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{}), now, nil,
 			func(rel sim.Time) { s.gcWriteBack(d, t, rel) })
 		return
 	}
-	s.runPlan(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, s.cfg.CoreOpts), now, t, stageGCMove)
+	s.runPlan(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{}), now, t, stageGCMove)
 }
 
 // gcWriteBack writes a relocated page back out once its read released the

@@ -255,34 +255,6 @@ func TestSuspensionFiresUnderMixedLoad(t *testing.T) {
 	}
 }
 
-func TestSuspensionAblation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.PEC, cfg.RetentionMonths = 1000, 3
-	with := runWorkload(t, cfg, "hm_0", 3000, 2500)
-	cfg.DisableSuspension = true
-	without := runWorkload(t, cfg, "hm_0", 3000, 2500)
-	if without.Suspensions != 0 {
-		t.Error("suspension disabled but counted")
-	}
-	if with.MeanRead() >= without.MeanRead() {
-		t.Errorf("suspension should cut read latency: %.0f vs %.0f µs",
-			with.MeanRead(), without.MeanRead())
-	}
-}
-
-func TestReadPriorityAblation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.PEC, cfg.RetentionMonths = 1000, 3
-	with := runWorkload(t, cfg, "hm_0", 3000, 2500)
-	cfg.DisableReadPrio = true
-	cfg.DisableSuspension = true
-	without := runWorkload(t, cfg, "hm_0", 3000, 2500)
-	if with.MeanRead() >= without.MeanRead() {
-		t.Errorf("read priority should cut read latency: %.0f vs %.0f µs",
-			with.MeanRead(), without.MeanRead())
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	cfg := tinyConfig()
 	a := runWorkload(t, cfg, "YCSB-A", 1000, 1000)

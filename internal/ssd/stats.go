@@ -154,14 +154,6 @@ func (st *Stats) recordRetrySteps(n int) {
 	st.RetryHistogram[n]++
 }
 
-// RetryStepPercentile returns the p-th percentile of the N_RR distribution,
-// interpolated over the recorded multiset exactly as mathx.PercentileSorted
-// would over the expanded samples — so p = 100 is the largest step count
-// actually observed, regardless of how far the histogram extends beyond it.
-func (st *Stats) RetryStepPercentile(p float64) float64 {
-	return mathx.PercentileHistogram(st.RetryHistogram, p)
-}
-
 // String summarizes the run.
 func (st *Stats) String() string {
 	return fmt.Sprintf(

@@ -1,39 +1,12 @@
 package ssd
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"readretry/internal/sim"
 	"readretry/internal/ssd/retrymetrics"
 )
-
-func TestRetryStepPercentileTable(t *testing.T) {
-	cases := []struct {
-		name string
-		hist []int64
-		p    float64
-		want float64
-	}{
-		{"empty stats", nil, 99, 0},
-		{"all-zero histogram", []int64{0, 0, 0}, 100, 0},
-		{"one entry p50", []int64{0, 0, 0, 1}, 50, 3},
-		// p=100 is the largest observed step count, not the histogram's
-		// length: a simulator-owned Stats is pre-sized to the full ladder,
-		// so the tail buckets are usually empty.
-		{"pre-sized tail p100", []int64{5, 3, 1, 0, 0, 0, 0, 0}, 100, 2},
-		{"skewed p50", []int64{99, 0, 0, 0, 1}, 50, 0},
-		// rank 0.99·99 = 98.01 → interpolate the last 0 toward the 4.
-		{"skewed p99", []int64{99, 0, 0, 0, 1}, 99, 0.04},
-	}
-	for _, c := range cases {
-		st := &Stats{RetryHistogram: c.hist}
-		if got := st.RetryStepPercentile(c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%s: RetryStepPercentile(%v) = %v, want %v", c.name, c.p, got, c.want)
-		}
-	}
-}
 
 func TestRecordRetryStepsPreSizedNoAlloc(t *testing.T) {
 	st := &Stats{}

@@ -145,15 +145,3 @@ func TestParamsAccessors(t *testing.T) {
 		t.Error("capability accessors disagree with the configuration")
 	}
 }
-
-func TestArrheniusMonotone(t *testing.T) {
-	// Hotter bakes compress more retention into the same hours.
-	prev := 0.0
-	for _, temp := range []float64{40, 55, 70, 85, 100} {
-		months := ArrheniusEffectiveMonths(10, temp)
-		if months <= prev {
-			t.Fatalf("Arrhenius not monotone at %g°C", temp)
-		}
-		prev = months
-	}
-}

@@ -539,20 +539,6 @@ func TestReadRetryStepCountUnaffectedBySafeReduction(t *testing.T) {
 	}
 }
 
-// --- Arrhenius -----------------------------------------------------------
-
-func TestArrheniusPaperAnchor(t *testing.T) {
-	// §4: "13 hours at 85 °C ≈ 1 year at 30 °C."
-	months := ArrheniusEffectiveMonths(13, 85)
-	if months < 10 || months > 14 {
-		t.Errorf("13h @ 85°C = %.1f months at 30°C, paper reports ≈12", months)
-	}
-	// Baking at the reference temperature is the identity.
-	if m := ArrheniusEffectiveMonths(730, 30); m < 0.95 || m > 1.05 {
-		t.Errorf("730h @ 30°C = %.2f months, want ≈1", m)
-	}
-}
-
 func TestConditionString(t *testing.T) {
 	c := Condition{PEC: 2000, RetentionMonths: 12, TempC: 30}
 	if got := c.String(); got != "(2K P/E, 12mo, 30°C)" {

@@ -35,7 +35,6 @@ package vth
 
 import (
 	"fmt"
-	"math"
 
 	"readretry/internal/nand"
 )
@@ -287,22 +286,4 @@ func (p Params) Validate() error {
 		return fmt.Errorf("vth: variation spreads must be in [0,1)")
 	}
 	return nil
-}
-
-// ArrheniusEffectiveMonths converts an accelerated bake (bakeHours at
-// bakeTempC) into the effective retention age in months at the JEDEC
-// reference temperature of 30 °C, using Arrhenius's law with the activation
-// energy conventional for charge-trap retention (1.1 eV). The paper's
-// example — 13 hours at 85 °C ≈ 1 year at 30 °C — holds to within a few
-// percent.
-func ArrheniusEffectiveMonths(bakeHours, bakeTempC float64) float64 {
-	const (
-		ea        = 1.1      // activation energy, eV
-		boltzmann = 8.617e-5 // eV/K
-		refTempK  = 30 + 273.15
-	)
-	bakeTempK := bakeTempC + 273.15
-	af := math.Exp(ea / boltzmann * (1/refTempK - 1/bakeTempK))
-	effectiveHours := bakeHours * af
-	return effectiveHours / (24 * 365.0 / 12)
 }

@@ -21,10 +21,10 @@ import (
 // distribution overlap, penalty scale, and drift polynomials) is hoisted out
 // of the per-read path.
 //
-// Determinism contract: for every (page, page type) a profile's Read,
-// StepErrors, PageDrift, FloorErrors, and TimingPenalty return values
-// bit-identical to the equivalent Model call at the profile's condition and
-// reduction. Each shared floating-point subexpression is factored with its
+// Determinism contract: for every (page, page type) a profile's Read and
+// StepErrors, and the pageDrift, floorErrors and timingPenalty terms they
+// share, return values bit-identical to the equivalent Model call at the
+// profile's condition and reduction. Each shared floating-point subexpression is factored with its
 // original left-to-right association so no rounding step changes, and the
 // per-page variates come from the same pageRand derivation. The vth test
 // suite enforces this exhaustively over a condition × reduction × page grid.
@@ -74,11 +74,7 @@ func (p *ConditionProfile) Condition() Condition { return p.cond }
 // Reduction returns the timing reduction the profile was built for.
 func (p *ConditionProfile) Reduction() nand.Reduction { return p.red }
 
-// MeanDrift returns the cached population-mean V_OPT displacement in ladder
-// steps (Model.Drift at the profile's condition).
-func (p *ConditionProfile) MeanDrift() float64 { return p.meanDrift }
-
-// pageDrift is PageDrift given the page's already-drawn variates.
+// pageDrift is Model.PageDrift given the page's already-drawn variates.
 func (p *ConditionProfile) pageDrift(blockU, pageU, jitterU float64) float64 {
 	if p.meanDrift == 0 { //lint:floateq mirrors Model.PageDrift's exact-0 sentinel; both paths must stay bit-identical
 		return 0
@@ -93,38 +89,17 @@ func (p *ConditionProfile) pageDrift(blockU, pageU, jitterU float64) float64 {
 	return d
 }
 
-// PageDrift returns the page's individual V_OPT displacement in ladder steps
-// (Model.PageDrift at the profile's condition).
-func (p *ConditionProfile) PageDrift(pg PageID) float64 {
-	blockU, pageU, jitterU, _ := p.m.pageRand(pg)
-	return p.pageDrift(blockU, pageU, jitterU)
-}
-
-// floorErrors is FloorErrors given the page's severity variate.
+// floorErrors is Model.FloorErrors given the page's severity variate.
 func (p *ConditionProfile) floorErrors(pt nand.PageType, sevU float64) int {
 	sev := p.m.p.SeverityFloor + (1-p.m.p.SeverityFloor)*sevU
 	return int(math.Round(p.floorRaw[pt]*sev)) + p.tempAdd
 }
 
-// FloorErrors returns the page's final-step error count per 1-KiB codeword
-// (Model.FloorErrors at the profile's condition).
-func (p *ConditionProfile) FloorErrors(pg PageID, pt nand.PageType) int {
-	_, _, _, sevU := p.m.pageRand(pg)
-	return p.floorErrors(pt, sevU)
-}
-
-// timingPenalty is TimingPenalty given the page's severity variate.
+// timingPenalty is Model.TimingPenalty given the page's severity variate.
 func (p *ConditionProfile) timingPenalty(sevU float64) int {
 	sev := p.m.p.SeverityFloor + (1-p.m.p.SeverityFloor)*sevU
 	scale := 0.7 + 0.3*sev
 	return int(math.Round(p.penaltyRaw * scale))
-}
-
-// TimingPenalty returns the page's timing-reduction penalty
-// (Model.TimingPenalty at the profile's condition and reduction).
-func (p *ConditionProfile) TimingPenalty(pg PageID) int {
-	_, _, _, sevU := p.m.pageRand(pg)
-	return p.timingPenalty(sevU)
 }
 
 // StepErrors returns the error count at retry step k

@@ -85,6 +85,7 @@ func TestProfileMatchesModel(t *testing.T) {
 		for _, r := range reds {
 			p := m.Profile(c, r)
 			for _, pg := range pages {
+				blockU, pageU, jitterU, sevU := m.pageRand(pg)
 				for pt := nand.LSB; pt <= nand.MSB; pt++ {
 					if got, want := p.Read(pg, pt), m.Read(pg, c, pt, r); got != want {
 						t.Fatalf("%v %+v %v %v: profile Read %+v, model %+v", c, r, pg, pt, got, want)
@@ -95,19 +96,19 @@ func TestProfileMatchesModel(t *testing.T) {
 								c, r, pg, pt, step, got, want)
 						}
 					}
-					if got, want := p.FloorErrors(pg, pt), m.FloorErrors(pg, c, pt); got != want {
-						t.Fatalf("%v %+v %v %v: profile FloorErrors %d, model %d", c, r, pg, pt, got, want)
+					if got, want := p.floorErrors(pt, sevU), m.FloorErrors(pg, c, pt); got != want {
+						t.Fatalf("%v %+v %v %v: profile floorErrors %d, model %d", c, r, pg, pt, got, want)
 					}
 				}
-				if got, want := p.PageDrift(pg), m.PageDrift(pg, c); got != want {
-					t.Fatalf("%v %+v %v: profile PageDrift %v, model %v", c, r, pg, got, want)
+				if got, want := p.pageDrift(blockU, pageU, jitterU), m.PageDrift(pg, c); got != want {
+					t.Fatalf("%v %+v %v: profile pageDrift %v, model %v", c, r, pg, got, want)
 				}
-				if got, want := p.TimingPenalty(pg), m.TimingPenalty(pg, c, r); got != want {
-					t.Fatalf("%v %+v %v: profile TimingPenalty %d, model %d", c, r, pg, got, want)
+				if got, want := p.timingPenalty(sevU), m.TimingPenalty(pg, c, r); got != want {
+					t.Fatalf("%v %+v %v: profile timingPenalty %d, model %d", c, r, pg, got, want)
 				}
 			}
-			if got, want := p.MeanDrift(), m.Drift(c); got != want {
-				t.Fatalf("%v: profile MeanDrift %v, model Drift %v", c, got, want)
+			if got, want := p.meanDrift, m.Drift(c); got != want {
+				t.Fatalf("%v: profile meanDrift %v, model Drift %v", c, got, want)
 			}
 		}
 	}

@@ -21,7 +21,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"readretry/internal/rng"
 	"readretry/internal/sim"
@@ -373,10 +372,4 @@ func MeasureReadRatio(recs []trace.Record) float64 {
 		}
 	}
 	return float64(reads) / float64(len(recs))
-}
-
-// SortByArrival sorts records by arrival time (generators emit in order;
-// merged multi-device traces may not be).
-func SortByArrival(recs []trace.Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Arrival < recs[j].Arrival })
 }

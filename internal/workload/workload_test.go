@@ -300,11 +300,3 @@ func TestMeasureHelpersEmptyInput(t *testing.T) {
 		t.Error("empty input should measure 0")
 	}
 }
-
-func TestSortByArrival(t *testing.T) {
-	recs := []trace.Record{{Arrival: 30}, {Arrival: 10}, {Arrival: 20}}
-	SortByArrival(recs)
-	if recs[0].Arrival != 10 || recs[2].Arrival != 30 {
-		t.Errorf("sort failed: %+v", recs)
-	}
-}

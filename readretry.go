@@ -15,7 +15,7 @@
 // This package is the public facade over the full reproduction stack:
 //
 //   - a calibrated 3D TLC NAND error model standing in for the paper's 160
-//     characterized chips (NewChipFleet, NewLab);
+//     characterized chips (NewChipModel, NewLab);
 //   - the characterization experiments behind Figures 4b, 5, 7–11 (Lab);
 //   - RPT profiling (ProfileRPT);
 //   - the read-retry controllers themselves (Scheme, BuildPlan);
@@ -147,16 +147,6 @@ const (
 	DeviceQLC16 = ssd.DeviceQLC16
 )
 
-// Devices lists the supported device presets.
-func Devices() []Device { return ssd.Devices() }
-
-// ParseDevice resolves a device preset name (case-insensitive).
-func ParseDevice(s string) (Device, error) { return ssd.ParseDevice(s) }
-
-// QLC16ChipParams returns the error-model calibration DeviceQLC16
-// installs: the TLC anchors rescaled to 16 levels' thinner margins.
-func QLC16ChipParams() ChipParams { return vth.QLC16Params() }
-
 // NewChipModel builds an error model over params with the given
 // process-variation seed.
 func NewChipModel(params ChipParams, seed uint64) *ChipModel {
@@ -166,15 +156,6 @@ func NewChipModel(params ChipParams, seed uint64) *ChipModel {
 // DefaultChipParams returns the model calibrated to the paper's 160-chip
 // characterization (DESIGN.md §4 lists the anchors).
 func DefaultChipParams() ChipParams { return vth.DefaultParams() }
-
-// DefaultGeometry returns the §7.1 chip organization.
-func DefaultGeometry() Geometry { return nand.DefaultGeometry() }
-
-// DefaultTiming returns Table 1.
-func DefaultTiming() Timing { return nand.DefaultTiming() }
-
-// NewChipFleet builds the paper-scale population: 160 chips.
-func NewChipFleet(seed uint64) *ChipFleet { return chip.DefaultFleet(seed) }
 
 // Characterization laboratory (Figures 4b, 5, 7–11).
 type Lab = charz.Lab
@@ -222,9 +203,6 @@ type (
 	// RetryPageStat is one hottest-page entry of a RetrySummary.
 	RetryPageStat = retrymetrics.PageStat
 )
-
-// DefaultSSDConfig returns the paper's full-size 512-GiB device (§7.1).
-func DefaultSSDConfig() SSDConfig { return ssd.DefaultConfig() }
 
 // ExperimentSSDConfig returns the proportionally scaled device the
 // reproduction sweeps use.
@@ -312,22 +290,6 @@ func NewSweepMetricsCSVSinkFor(cfg SweepConfig, w io.Writer) (*SweepCSVSink, err
 	return experiments.NewMetricsCSVSinkFor(cfg, w)
 }
 
-// CrossTemps expands a condition grid across an operating-temperature
-// axis: every condition repeats once per temperature with its TempC set —
-// the 3-D PEC × retention × temperature grid SweepConfig.Temps builds
-// implicitly.
-func CrossTemps(conds []SweepCondition, temps []float64) []SweepCondition {
-	return experiments.CrossTemps(conds, temps)
-}
-
-// CrossDevices expands a condition grid across a device axis: every
-// condition repeats once per preset with its Device set — the grid
-// SweepConfig.Devices builds implicitly, putting TLC and QLC cells side
-// by side in one sweep.
-func CrossDevices(conds []SweepCondition, devices []Device) []SweepCondition {
-	return experiments.CrossDevices(conds, devices)
-}
-
 // NewSweepCache returns an in-memory per-cell cache, living as long as
 // the process.
 func NewSweepCache() SweepCache { return cellcache.Memory() }
@@ -349,12 +311,6 @@ func Figure14Variants() []SweepVariant { return experiments.Figure14Variants() }
 
 // Figure15Variants returns the PSO comparison columns.
 func Figure15Variants() []SweepVariant { return experiments.Figure15Variants() }
-
-// HistoryVariant returns the history-seeded PnAR2 column ("PnAR2+H"):
-// PnAR2 with each block's retry-ladder start seeded from that block's
-// most recent successful retry outcome. Append it to Figure14Variants to
-// grow the grid; the default grids deliberately exclude it.
-func HistoryVariant() SweepVariant { return experiments.HistoryVariant() }
 
 // Sweep sharding: the work units a coordinator leases out.
 type (
