@@ -127,7 +127,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(p.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := CheckFiles(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
+		pkg, err := checkFiles(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -137,19 +137,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// CheckFiles parses the named source files (absolute, or relative to
-// dir) and type-checks them as one package under the given import path,
-// resolving imports through imp. It is the core Load and LoadDir share,
-// exported for cmd/reprolint's vet unit-checker mode, which receives
-// file lists and export-data locations from the go command instead of
-// discovering them.
-func CheckFiles(fset *token.FileSet, imp types.Importer, path, dir string, names []string) (*Package, error) {
+// checkFiles parses the named source files in dir and type-checks them
+// as one package under the given import path, resolving imports through
+// imp. It is the core Load and LoadDir share.
+func checkFiles(fset *token.FileSet, imp types.Importer, path, dir string, names []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range names {
-		full := name
-		if !filepath.IsAbs(full) {
-			full = filepath.Join(dir, name)
-		}
+		full := filepath.Join(dir, name)
 		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %w", full, err)
@@ -182,32 +176,29 @@ func LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
+	// An imports-only pre-parse names the packages go list must export
+	// before checkFiles can resolve them.
 	var names []string
+	imports := make(map[string]bool)
 	for _, e := range entries {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
 			continue
 		}
 		full := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
+		f, err := parser.ParseFile(token.NewFileSet(), full, nil, parser.ImportsOnly)
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %w", full, err)
 		}
-		files = append(files, f)
-		names = append(names, full)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	imports := make(map[string]bool)
-	for _, f := range files {
+		names = append(names, e.Name())
 		for _, spec := range f.Imports {
 			p, err := strconv.Unquote(spec.Path.Value)
 			if err == nil && p != "unsafe" {
 				imports[p] = true
 			}
 		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
 	exports := make(map[string]string)
 	if len(imports) > 0 {
@@ -226,18 +217,6 @@ func LoadDir(dir, path string) (*Package, error) {
 			}
 		}
 	}
-	info := newInfo()
-	conf := types.Config{Importer: exportImporter(fset, exports)}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", path, err)
-	}
-	return &Package{
-		ImportPath: path,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
+	fset := token.NewFileSet()
+	return checkFiles(fset, exportImporter(fset, exports), path, dir, names)
 }

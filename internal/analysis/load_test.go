@@ -34,10 +34,9 @@ func TestLoadRealPackage(t *testing.T) {
 	}
 }
 
-// TestLoadPatternDefault checks that Load with no patterns means ./...
-// — the multichecker's default — and that every package runs every
-// analyzer without an analyzer error (findings are fine; this guards
-// the plumbing, not cleanliness).
+// TestRunSuiteOverOwnPackage loads this package and runs every analyzer
+// over it without an analyzer error (findings are fine; this guards the
+// plumbing, not cleanliness).
 func TestRunSuiteOverOwnPackage(t *testing.T) {
 	pkgs, err := Load(filepath.Join("..", ".."), "./internal/analysis")
 	if err != nil {

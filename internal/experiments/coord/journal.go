@@ -134,47 +134,64 @@ func (j *Journal) Close() error {
 
 // readJournal parses every entry at path. A missing file is an empty
 // journal. A torn or checksum-failing *final* line is tolerated (tornTail
-// true): it is the unacknowledged append the crash interrupted. The same
-// damage anywhere earlier is corruption of acknowledged state and returns
-// an error naming the line.
-func readJournal(path string) (entries []journalEntry, tornTail bool, err error) {
+// true): it is the unacknowledged append the crash interrupted, and so is
+// a final line without its newline. The same damage anywhere earlier is
+// corruption of acknowledged state and returns an error naming the line.
+// valid is the byte length of the intact, newline-terminated prefix.
+func readJournal(path string) (entries []journalEntry, valid int64, tornTail bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, false, nil
+			return nil, 0, false, nil
 		}
-		return nil, false, fmt.Errorf("coord: reading journal: %w", err)
+		return nil, 0, false, fmt.Errorf("coord: reading journal: %w", err)
 	}
 	defer f.Close()
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), maxJournalLine)
+	sc.Split(scanTerminatedLines)
 	lineNo := 0
 	var pendingErr error // damage seen on the previous line; fatal only if more lines follow
 	for sc.Scan() {
 		lineNo++
 		if pendingErr != nil {
-			return nil, false, fmt.Errorf("coord: journal %s corrupt mid-file: %w", path, pendingErr)
+			return nil, 0, false, fmt.Errorf("coord: journal %s corrupt mid-file: %w", path, pendingErr)
 		}
-		e, err := parseJournalLine(sc.Bytes())
+		line, ok := bytes.CutSuffix(sc.Bytes(), []byte{'\n'})
+		if !ok {
+			pendingErr = fmt.Errorf("line %d: unterminated entry", lineNo)
+			continue
+		}
+		e, err := parseJournalLine(line)
 		if err != nil {
 			pendingErr = fmt.Errorf("line %d: %w", lineNo, err)
 			continue
 		}
 		entries = append(entries, e)
+		valid += int64(len(line)) + 1
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) && pendingErr == nil {
 			// An oversized tail can only be a torn append of the final
 			// entry; treat it like any other torn tail.
-			return entries, true, nil
+			return entries, valid, true, nil
 		}
-		return nil, false, fmt.Errorf("coord: reading journal: %w", err)
+		return nil, 0, false, fmt.Errorf("coord: reading journal: %w", err)
 	}
-	if pendingErr != nil {
-		return entries, true, nil
+	return entries, valid, pendingErr != nil, nil
+}
+
+// scanTerminatedLines is bufio.ScanLines keeping each line's '\n', so
+// readJournal can tell a complete final line from a torn one.
+func scanTerminatedLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
 	}
-	return entries, false, nil
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // maxJournalLine bounds one journal entry (a completion record for a very
@@ -252,7 +269,7 @@ func Recover(stateDir string, opts Options) (*Coordinator, RecoveryStats, error)
 		return nil, stats, fmt.Errorf("coord: state dir: %w", err)
 	}
 	path := filepath.Join(stateDir, JournalFilename)
-	entries, torn, err := readJournal(path)
+	entries, valid, torn, err := readJournal(path)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -283,6 +300,18 @@ func Recover(stateDir string, opts Options) (*Coordinator, RecoveryStats, error)
 	jl, err := OpenJournal(path)
 	if err != nil {
 		return nil, stats, err
+	}
+	if torn {
+		// Cut the torn bytes off before the next append lands after them:
+		// left in place, they would swallow that acknowledged entry.
+		err := jl.f.Truncate(valid)
+		if err == nil {
+			err = jl.f.Sync()
+		}
+		if err != nil {
+			jl.Close()
+			return nil, stats, fmt.Errorf("coord: truncating torn journal tail: %w", err)
+		}
 	}
 	c.mu.Lock()
 	c.journal = jl

@@ -226,14 +226,17 @@ func TestRecoverWithoutCache(t *testing.T) {
 
 // TestJournalTornTailTolerated: a crash mid-append leaves a torn final
 // line; recovery discards it (it was never acknowledged) and replays
-// everything before it.
+// everything before it. An entry acknowledged after that recovery must
+// survive the next one, so the torn bytes cannot stay in front of it.
 func TestJournalTornTailTolerated(t *testing.T) {
 	state := t.TempDir()
 	c, _, err := Recover(state, Options{Clock: newFakeClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(SpecOf(testConfig(7), testVariants()), 2); err != nil {
+	cfg := testConfig(7)
+	variants := testVariants()
+	if _, err := c.Submit(SpecOf(cfg, variants), 2); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(state, JournalFilename)
@@ -255,6 +258,18 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	}
 	if got := len(c2.Jobs()); got != 1 {
 		t.Fatalf("recovered %d jobs, want 1", got)
+	}
+
+	cells, ok := completeShard(t, c2, cfg, variants, cellcache.Memory())
+	if !ok {
+		t.Fatal("no shard to complete after recovery")
+	}
+	_, stats, err = Recover(state, Options{Clock: newFakeClock()})
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	if stats.TornTail || stats.Records != 1 || stats.MergedCells != cells {
+		t.Fatalf("second recovery: %v, torn tail %v; want 1 record, %d cells, no torn tail", stats, stats.TornTail, cells)
 	}
 }
 

@@ -172,6 +172,11 @@ func TestReductionScalesTR(t *testing.T) {
 	if frac < 0.24 || frac > 0.27 {
 		t.Errorf("tDISCH share of tR = %.3f, want ≈ 0.25", frac)
 	}
+	// One register step of tDISCH (≈7 %) buys ≈1.75 % of tR (§5.2.2).
+	frac = tm.TRFraction(Reduction{Disch: LevelFraction(1)})
+	if frac < 0.016 || frac > 0.019 {
+		t.Errorf("tR reduction from 7%% tDISCH = %.4f, want ≈ 0.0175", frac)
+	}
 }
 
 func TestTRFractionMonotoneProperty(t *testing.T) {

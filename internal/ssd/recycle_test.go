@@ -81,7 +81,7 @@ func TestTxnsRecycleExactlyOnce(t *testing.T) {
 // precondition image, a fresh device's Run on the BenchmarkSweepCell trace
 // allocates only per-run state (the arrival stream, the queues and free
 // lists at their peak depth, the table chunks it writes), so one bound
-// holds at 2,500 and at 10,000 requests.
+// holds at 2,500 and at 10,000 requests, with retry metrics off and on.
 func TestWarmRunAllocations(t *testing.T) {
 	cfg := ExperimentConfig()
 	cfg.PEC, cfg.RetentionMonths = 2000, 12
@@ -93,25 +93,28 @@ func TestWarmRunAllocations(t *testing.T) {
 	spec.FootprintPages = cfg.TotalPages() * 6 / 10
 	spec.AvgIOPS = 1200 / spec.AvgPagesPerRequest()
 	const limit = 1000
-	for _, n := range []int{2500, 10000} {
-		recs := workload.NewGenerator(spec, 7).Generate(n)
-		run := func() uint64 {
-			dev, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, metrics := range []bool{false, true} {
+		cfg.RetryMetrics = metrics
+		for _, n := range []int{2500, 10000} {
+			recs := workload.NewGenerator(spec, 7).Generate(n)
+			run := func() uint64 {
+				dev, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err = dev.Run(recs)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return after.Mallocs - before.Mallocs
 			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err = dev.Run(recs)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
+			run() // warm-up
+			if got := run(); got > limit {
+				t.Errorf("warm Run of %d requests (RetryMetrics %v) made %d allocations, want ≤ %d", n, metrics, got, limit)
 			}
-			return after.Mallocs - before.Mallocs
-		}
-		run() // warm-up
-		if got := run(); got > limit {
-			t.Errorf("warm Run of %d requests made %d allocations, want ≤ %d", n, got, limit)
 		}
 	}
 }

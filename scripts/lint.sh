@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Lint gate: build and run reprolint — the determinism / durability /
-# locking invariant suite (DESIGN.md §13) — over every package, both
-# standalone and through go vet's -vettool driver, then run govulncheck
-# when the toolchain has it. Exits non-zero on any finding, so CI (and a
-# pre-push hook) can use it as a single yes/no.
+# locking invariant suite (DESIGN.md §13) — over every package, then run
+# govulncheck when the toolchain has it. Exits non-zero on any finding,
+# so CI (and a pre-push hook) can use it as a single yes/no.
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
@@ -15,11 +14,8 @@ trap 'rm -rf "$(dirname "$BIN")"' EXIT
 echo "== lint: building reprolint"
 go build -o "$BIN" ./cmd/reprolint
 
-echo "== lint: reprolint (standalone) over ./..."
+echo "== lint: reprolint over ./..."
 "$BIN" ./...
-
-echo "== lint: reprolint as go vet -vettool"
-go vet -vettool="$BIN" ./...
 
 # govulncheck is optional tooling: run it where available (CI installs
 # it; offline dev containers may not have it), never fail for lack of it.
