@@ -1,6 +1,6 @@
 // Package sim provides the discrete-event simulation engine that drives the
-// SSD model: a simulated clock, an event heap with deterministic ordering,
-// and helpers for time arithmetic.
+// SSD model: a simulated clock, a sorted event queue with deterministic
+// ordering, and helpers for time arithmetic.
 //
 // All simulated time is kept as integer nanoseconds (Time). The paper's
 // timing parameters are microseconds-scale, so nanosecond resolution leaves
@@ -72,17 +72,8 @@ type scheduled struct {
 	tag int
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). The
-// comparator is a strict total order (seq is unique), so events pop in
-// exactly (at, seq) order no matter how the heap arranges itself internally
-// — determinism does not depend on the arity or sift details. Hand-rolling
-// (instead of container/heap) removes the per-comparison interface calls,
-// and the wider fan-out roughly halves the sift depth; together the heap
-// was the single hottest component of a simulation run.
-type eventHeap []*scheduled
-
-const heapArity = 4
-
+// eventLess is the engine's firing order: by time, then by scheduling
+// order. seq is unique, so the order is strict and total.
 func eventLess(a, b *scheduled) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -90,74 +81,19 @@ func eventLess(a, b *scheduled) bool {
 	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(s *scheduled) {
-	*h = append(*h, s)
-	h.siftUp(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() *scheduled {
-	old := *h
-	s := old[0]
-	n := len(old) - 1
-	last := old[n]
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		old[0] = last
-		h.siftDown(0)
-	}
-	return s
-}
-
-func (h eventHeap) siftUp(i int) {
-	s := h[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		p := h[parent]
-		if !eventLess(s, p) {
-			break
-		}
-		h[i] = p
-		i = parent
-	}
-	h[i] = s
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	s := h[i]
-	for {
-		first := i*heapArity + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if eventLess(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !eventLess(h[min], s) {
-			break
-		}
-		h[i] = h[min]
-		i = min
-	}
-	h[i] = s
-}
-
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
 // the same instant fire in scheduling order, making runs fully deterministic.
 // The zero value is ready to use.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	fired  uint64
+	now Time
+	seq uint64
+	// queue[head:] holds the pending events sorted by eventLess, so the
+	// next to fire is queue[head]. Popped slots keep their stale pointers:
+	// the records live on in free.
+	queue []*scheduled
+	head  int
+	fired uint64
+	ties  uint64
 	// free recycles event records: an SSD run schedules one event per plan
 	// operation across millions of reads, and the free list keeps that from
 	// being one heap allocation each.
@@ -165,7 +101,7 @@ type Engine struct {
 
 	// arrivals is the time-sorted stream installed by Feed, arrive its
 	// callback, and next the index of its first unfired entry. Step merges
-	// the stream with the heap, so the heap holds only in-flight events.
+	// the stream with the queue, so the queue holds only in-flight events.
 	arrivals []Time
 	arrive   Callback
 	next     int
@@ -174,16 +110,23 @@ type Engine struct {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired returns the number of events executed so far, for diagnostics.
+// Fired returns the number of events fired so far, arrivals included, for
+// diagnostics. It counts firings, not work: a firing its callback ignores
+// as retired counts too.
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Ties returns how many of the fired events fired at the same instant as
+// the event fired just before them: each pair of consecutive same-instant
+// firings counts once.
+func (e *Engine) Ties() uint64 { return e.ties }
 
 // Pending returns the number of events waiting to fire, counting the
 // arrival stream's unfired entries.
-func (e *Engine) Pending() int { return len(e.events) + len(e.arrivals) - e.next }
+func (e *Engine) Pending() int { return len(e.queue) - e.head + len(e.arrivals) - e.next }
 
 // Feed installs a time-sorted arrival stream: cb.Fire(at[i], i) runs at
 // at[i] for every i, in index order. At equal times the stream fires before
-// any heap event, which is the order the stream would have had if each
+// any scheduled event, which is the order the stream would have had if each
 // entry had been scheduled, in index order, before every other event. Feed
 // panics if at is unsorted, starts before the current clock, or an earlier
 // stream has not drained.
@@ -221,37 +164,66 @@ func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) {
 	}
 	s.at, s.seq, s.cb, s.tag = at, e.seq, cb, tag
 	e.seq++
-	e.events.push(s)
+	e.insert(s)
+}
+
+// insert adds s to the queue, scanning from the latest end past the events
+// that sort after it. The scan is short because a device keeps few events
+// in flight (ssd's TestPendingEventsStayBounded), and a monotone schedule
+// appends.
+func (e *Engine) insert(s *scheduled) {
+	q := e.queue
+	if len(q) == cap(q) && e.head >= len(q)/2 {
+		// At least half the array is popped slots: move the pending
+		// records to the front rather than grow it. Each move frees as
+		// many slots as it copies records, so it costs O(1) per insert.
+		q = q[:copy(q, q[e.head:])]
+		e.head = 0
+	}
+	q = append(q, s)
+	i := len(q) - 1
+	for ; i > e.head && eventLess(s, q[i-1]); i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = s
+	e.queue = q
 }
 
 // Step fires the next event, advancing the clock to its timestamp. It
 // reports false when no events remain.
 func (e *Engine) Step() bool {
-	if e.streamFirst() {
-		i := e.next
+	var (
+		at  Time
+		cb  Callback
+		tag int
+	)
+	switch {
+	case e.streamFirst():
+		tag = e.next
+		at, cb = e.arrivals[tag], e.arrive
 		e.next++
-		e.now = e.arrivals[i]
-		e.fired++
-		e.arrive.Fire(e.now, i)
-		return true
-	}
-	if len(e.events) == 0 {
+	case e.head < len(e.queue):
+		s := e.queue[e.head]
+		e.head++
+		at, cb, tag = s.at, s.cb, s.tag
+		s.cb = nil
+		e.free = append(e.free, s)
+	default:
 		return false
 	}
-	s := e.events.pop()
-	e.now = s.at
+	if at == e.now && e.fired > 0 {
+		e.ties++
+	}
+	e.now = at
 	e.fired++
-	cb, tag := s.cb, s.tag
-	s.cb = nil
-	e.free = append(e.free, s)
-	cb.Fire(e.now, tag)
+	cb.Fire(at, tag)
 	return true
 }
 
 // streamFirst reports whether the next event to fire is the arrival
 // stream's: ties go to the stream.
 func (e *Engine) streamFirst() bool {
-	return e.next < len(e.arrivals) && (len(e.events) == 0 || e.arrivals[e.next] <= e.events[0].at)
+	return e.next < len(e.arrivals) && (e.head == len(e.queue) || e.arrivals[e.next] <= e.queue[e.head].at)
 }
 
 // Run fires events until the queue is empty.

@@ -154,6 +154,9 @@ func TestEraseSuspendedTwice(t *testing.T) {
 	if dev.stats.Suspensions != 2 {
 		t.Errorf("Suspensions = %d, want 2", dev.stats.Suspensions)
 	}
+	if dev.stats.RetiredCompletions != 2 {
+		t.Errorf("RetiredCompletions = %d, want 2: each suspension retires one pending completion", dev.stats.RetiredCompletions)
+	}
 	if want := cfg.Timing.TBers + 2*hold; doneAt[0] != want {
 		t.Errorf("erase done at %v, want tBERS %v + 2 × read hold %v = %v",
 			doneAt[0], cfg.Timing.TBers, hold, want)

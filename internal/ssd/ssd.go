@@ -200,6 +200,7 @@ func (s *SSD) finish() (*Stats, error) {
 		return nil, fmt.Errorf("ssd: %d transactions stranded after run", n)
 	}
 	s.stats.SimEnd = s.eng.Now()
+	s.stats.EventsFired, s.stats.EventTies = int64(s.eng.Fired()), int64(s.eng.Ties())
 	s.stats.Dies = s.cfg.Dies()
 	s.stats.Channels = s.cfg.Channels
 	for _, ch := range s.channels {
@@ -867,6 +868,7 @@ func (p *diePhase) run(at sim.Time) {
 // suspension retired this completion. The die's cur txn is done.
 func (p *diePhase) Fire(t sim.Time, epoch int) {
 	if epoch != p.epoch {
+		p.d.s.stats.RetiredCompletions++
 		return
 	}
 	d, s := p.d, p.d.s

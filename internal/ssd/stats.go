@@ -71,6 +71,16 @@ type Stats struct {
 
 	SimEnd sim.Time
 
+	// EventsFired and EventTies are the run's engine counts (sim.Engine's
+	// Fired and Ties); RetiredCompletions counts the program/erase
+	// completions a suspension retired, which fire as no-ops. The events
+	// that did work number EventsFired − RetiredCompletions. Once a run
+	// drains, every retired completion has fired, so RetiredCompletions
+	// equals Suspensions. No report or CSV prints these counts.
+	EventsFired        int64
+	EventTies          int64
+	RetiredCompletions int64
+
 	readSamples []float64
 	sorted      bool
 }
