@@ -6,6 +6,7 @@
 //
 //	repro                  # everything, at the default scale
 //	repro -only fig14      # one experiment
+//	repro -only fig8 -samples 2000  # one characterization figure, fewer sample reads
 //	repro -quick           # reduced Figure 14/15 sweeps
 //	repro -parallel 8      # bound the sweep engine's worker pool
 //	repro -csv out         # stream sweep cells to out/fig14.csv, out/fig15.csv
@@ -31,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -169,6 +171,13 @@ func parseTemps(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-temps: %q is not a temperature", field)
 		}
+		if math.IsNaN(t) || t < experiments.MinTempC || t > experiments.MaxTempC || t == 0 {
+			return nil, fmt.Errorf("-temps: %q must be a nonzero temperature within [%g, %g]°C",
+				field, experiments.MinTempC, experiments.MaxTempC)
+		}
+		if slices.Contains(out, t) {
+			return nil, fmt.Errorf("-temps: %g°C is listed twice", t)
+		}
 		out = append(out, t)
 	}
 	return out, nil
@@ -184,6 +193,9 @@ func parseDevices(s string) ([]ssd.Device, error) {
 		d, err := ssd.ParseDevice(field)
 		if err != nil {
 			return nil, fmt.Errorf("-device: %w", err)
+		}
+		if slices.Contains(out, d) {
+			return nil, fmt.Errorf("-device: %s is listed twice", d)
 		}
 		out = append(out, d)
 	}
@@ -278,6 +290,31 @@ func header(s string) {
 	fmt.Printf("\n==== %s %s\n", s, strings.Repeat("=", 70-len(s)))
 }
 
+// condition is one (P/E cycles, retention months) point of the
+// characterization figures.
+type condition struct {
+	pec    int
+	months float64
+}
+
+// String labels the condition as the figures do: "(2K, 12mo)", "(0, 0mo)".
+func (c condition) String() string {
+	if c.pec == 0 {
+		return fmt.Sprintf("(0, %gmo)", c.months)
+	}
+	return fmt.Sprintf("(%gK, %gmo)", float64(c.pec)/1000, c.months)
+}
+
+// sweepPoint returns the point of a timing sweep measured with red.
+func sweepPoint(pts []charz.SweepPoint, red nand.Reduction) charz.SweepPoint {
+	for _, p := range pts {
+		if p.Red == red {
+			return p
+		}
+	}
+	panic(fmt.Sprintf("repro: no sweep point for %+v", red))
+}
+
 func main() {
 	flag.Parse()
 	modes := 0
@@ -304,6 +341,16 @@ func main() {
 	}
 	if *leaseTTL <= 0 {
 		fmt.Fprintf(os.Stderr, "repro: -lease-ttl must be positive, got %v\n", *leaseTTL)
+		os.Exit(2)
+	}
+	tempAxis, err := parseTemps(*temps)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		os.Exit(2)
+	}
+	devs, err := parseDevices(*device)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
 	}
 	if *workerAddr != "" {
@@ -452,13 +499,6 @@ func main() {
 
 	if want("fig8") {
 		header("Figure 8: individual read-timing reduction")
-		var reds []nand.Reduction
-		for l := 1; l <= 9; l++ {
-			reds = append(reds, nand.Reduction{Pre: nand.LevelFraction(l)})
-		}
-		pre := lab.TimingSweep(2000, 12, 85, reds)
-		experiments.RenderSweep(os.Stdout, "  tPRE sweep at (2K, 12mo), 85°C", pre)
-		evalPts := lab.TimingSweep(0, 0, 85, []nand.Reduction{{Eval: 0.20}})
 		maxSafe := func(pts []charz.SweepPoint, frac func(charz.SweepPoint) float64) float64 {
 			best := 0.0
 			for _, p := range pts {
@@ -468,41 +508,62 @@ func main() {
 			}
 			return best
 		}
-		add("Fig 8a", "max safe tPRE reduction at (2K, 12mo)", "47%",
-			fmt.Sprintf("%.0f%%", maxSafe(pre, func(p charz.SweepPoint) float64 { return p.Red.Pre })*100))
-		add("Fig 8b", "ΔM_ERR of 20% tEVAL cut on a fresh page", "≈30",
-			fmt.Sprintf("%d", evalPts[0].DeltaErr))
+		var pres []nand.Reduction
+		for l := 1; l <= 9; l++ {
+			pres = append(pres, nand.Reduction{Pre: nand.LevelFraction(l)})
+		}
+		for _, c := range []condition{{0, 0}, {1000, 0}, {2000, 0}, {0, 12}, {1000, 12}, {2000, 12}} {
+			pts := lab.TimingSweep(c.pec, c.months, 85, pres)
+			experiments.RenderSweep(os.Stdout, "  (a) tPRE sweep at "+c.String()+", 85°C", pts)
+			if c == (condition{2000, 12}) {
+				add("Fig 8a", "max safe tPRE reduction at (2K, 12mo)", "47%",
+					fmt.Sprintf("%.0f%%", maxSafe(pts, func(p charz.SweepPoint) float64 { return p.Red.Pre })*100))
+			}
+		}
+		evals := []nand.Reduction{{Eval: 0.05}, {Eval: 0.10}, {Eval: 0.15}, {Eval: 0.20}}
+		for _, c := range []condition{{0, 0}, {2000, 12}} {
+			pts := lab.TimingSweep(c.pec, c.months, 85, evals)
+			experiments.RenderSweep(os.Stdout, "  (b) tEVAL sweep at "+c.String()+", 85°C", pts)
+			if c == (condition{0, 0}) {
+				add("Fig 8b", "ΔM_ERR of 20% tEVAL cut on a fresh page", "≈30",
+					fmt.Sprintf("%d", pts[len(pts)-1].DeltaErr))
+			}
+		}
 		var disch []nand.Reduction
 		for l := 1; l <= 6; l++ {
 			disch = append(disch, nand.Reduction{Disch: nand.LevelFraction(l)})
 		}
 		dpts := lab.TimingSweep(2000, 12, 85, disch)
-		experiments.RenderSweep(os.Stdout, "  tDISCH sweep at (2K, 12mo), 85°C", dpts)
+		experiments.RenderSweep(os.Stdout, "  (c) tDISCH sweep at (2K, 12mo), 85°C", dpts)
 		add("Fig 8c", "max safe tDISCH reduction at (2K, 12mo)", "27%",
 			fmt.Sprintf("%.0f%%", maxSafe(dpts, func(p charz.SweepPoint) float64 { return p.Red.Disch })*100))
 	}
 
 	if want("fig9") {
 		header("Figure 9: combined tPRE + tDISCH reduction")
-		pre := lab.TimingSweep(1000, 0, 85, []nand.Reduction{{Pre: nand.LevelFraction(8)}})[0]
-		dis := lab.TimingSweep(1000, 0, 85, []nand.Reduction{{Disch: nand.LevelFraction(3)}})[0]
-		both := lab.TimingSweep(1000, 0, 85, []nand.Reduction{{
-			Pre: nand.LevelFraction(8), Disch: nand.LevelFraction(3)}})[0]
-		experiments.RenderSweep(os.Stdout, "  at (1K, 0mo), 85°C",
-			[]charz.SweepPoint{pre, dis, both})
-		add("Fig 9", "ΔM_ERR of 54% tPRE alone at (1K, 0)", "≈35",
-			fmt.Sprintf("%d", pre.DeltaErr))
-		add("Fig 9", "ΔM_ERR of 20% tDISCH alone at (1K, 0)", "≈8",
-			fmt.Sprintf("%d", dis.DeltaErr))
-		add("Fig 9", "combined ⟨54%, 20%⟩ exceeds capability", "yes",
-			fmt.Sprintf("yes (M_ERR=%d)", both.MErr))
-		worst7 := 0
-		for _, pec := range []int{0, 1000, 2000} {
-			for _, mo := range []float64{0, 12} {
-				p := lab.TimingSweep(pec, mo, 85, []nand.Reduction{{Disch: nand.LevelFraction(1)}})[0]
-				if p.DeltaErr > worst7 {
-					worst7 = p.DeltaErr
-				}
+		var reds []nand.Reduction
+		for _, dl := range []int{0, 1, 2, 3} { // ΔtDISCH 0–20 %
+			for _, pl := range []int{0, 3, 6, 8} { // ΔtPRE 0–54 %
+				reds = append(reds, nand.Reduction{Pre: nand.LevelFraction(pl), Disch: nand.LevelFraction(dl)})
+			}
+		}
+		// The 7% tDISCH row also covers (0, 0), which no panel holds.
+		cut7 := nand.Reduction{Disch: nand.LevelFraction(1)}
+		worst7 := lab.TimingSweep(0, 0, 85, []nand.Reduction{cut7})[0].DeltaErr
+		for _, c := range []condition{{1000, 0}, {2000, 0}, {0, 12}, {1000, 12}, {2000, 12}} {
+			pts := lab.TimingSweep(c.pec, c.months, 85, reds)
+			experiments.RenderSweep(os.Stdout, "  combined sweep at "+c.String()+", 85°C", pts)
+			worst7 = max(worst7, sweepPoint(pts, cut7).DeltaErr)
+			if c == (condition{1000, 0}) {
+				pre := sweepPoint(pts, nand.Reduction{Pre: nand.LevelFraction(8)})
+				dis := sweepPoint(pts, nand.Reduction{Disch: nand.LevelFraction(3)})
+				both := sweepPoint(pts, nand.Reduction{Pre: nand.LevelFraction(8), Disch: nand.LevelFraction(3)})
+				add("Fig 9", "ΔM_ERR of 54% tPRE alone at (1K, 0)", "≈35",
+					fmt.Sprintf("%d", pre.DeltaErr))
+				add("Fig 9", "ΔM_ERR of 20% tDISCH alone at (1K, 0)", "≈8",
+					fmt.Sprintf("%d", dis.DeltaErr))
+				add("Fig 9", "combined ⟨54%, 20%⟩ exceeds capability", "yes",
+					fmt.Sprintf("yes (M_ERR=%d)", both.MErr))
 			}
 		}
 		add("Fig 9", "7% tDISCH cut worst-case ΔM_ERR", "≤4",
@@ -511,10 +572,18 @@ func main() {
 
 	if want("fig10") {
 		header("Figure 10: temperature effect on tPRE reduction")
-		pts := lab.TemperatureSweep(2000, 12, []float64{55, 30}, []int{6})
-		experiments.RenderSweep(os.Stdout, "  40% tPRE at (2K, 12mo) — dM_ERR is increase over 85°C", pts)
-		add("Fig 10", "extra errors at 30°C vs 85°C (2K, 12mo, 40% tPRE)", "≤7",
-			fmt.Sprintf("%d", pts[1].DeltaErr))
+		for _, c := range []condition{{2000, 0}, {2000, 12}} {
+			pts := lab.TemperatureSweep(c.pec, c.months, []float64{55, 30}, []int{3, 6, 8})
+			experiments.RenderSweep(os.Stdout, "  tPRE at "+c.String()+", 55°C and 30°C — dM_ERR is the increase over 85°C", pts)
+			if c == (condition{2000, 12}) {
+				for _, p := range pts {
+					if p.TempC == 30 && p.Red.Pre == nand.LevelFraction(6) {
+						add("Fig 10", "extra errors at 30°C vs 85°C (2K, 12mo, 40% tPRE)", "≤7",
+							fmt.Sprintf("%d", p.DeltaErr))
+					}
+				}
+			}
+		}
 	}
 
 	if want("fig11") {
@@ -565,17 +634,7 @@ func main() {
 			cfg = experiments.QuickConfig()
 		}
 		cfg.Parallelism = *parallel
-		axis, err := parseTemps(*temps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Temps = axis
-		devs, err := parseDevices(*device)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			os.Exit(1)
-		}
+		cfg.Temps = tempAxis
 		switch len(devs) {
 		case 0:
 			// Default TLC template.

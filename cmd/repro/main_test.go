@@ -41,6 +41,11 @@ func TestBadFlagValuesAreRejected(t *testing.T) {
 		{"-only", "fig5", "-samples", "-5"},
 		{"-only", "fig14", "-serve", "127.0.0.1:0", "-serve-shards", "0"},
 		{"-only", "table1", "-lease-ttl", "-1s"},
+		{"-only", "table1", "-temps", "abc"},
+		{"-only", "table1", "-temps", "NaN"},
+		{"-only", "table1", "-device", "xyz"},
+		{"-only", "table1", "-temps", "25,25"},
+		{"-only", "table1", "-device", "tlc,tlc"},
 	}
 	for _, args := range cases {
 		cmd := exec.Command(os.Args[0], append(args, "-progress=false")...)
@@ -58,6 +63,42 @@ func TestBadFlagValuesAreRejected(t *testing.T) {
 		}
 		if flagName := args[len(args)-2]; !strings.Contains(stderr.String(), flagName) {
 			t.Errorf("repro %s: stderr does not name %s:\n%s", strings.Join(args, " "), flagName, stderr.String())
+		}
+	}
+}
+
+// TestCharacterizationPanels: fig8, fig9 and fig10 render every panel of
+// the paper's figures, not only the conditions the paper-vs-measured rows
+// quote.
+func TestCharacterizationPanels(t *testing.T) {
+	var titles []string
+	for _, c := range []string{"(0, 0mo)", "(1K, 0mo)", "(2K, 0mo)", "(0, 12mo)", "(1K, 12mo)", "(2K, 12mo)"} {
+		titles = append(titles, "  (a) tPRE sweep at "+c+", 85°C\n")
+	}
+	titles = append(titles,
+		"  (b) tEVAL sweep at (0, 0mo), 85°C\n",
+		"  (b) tEVAL sweep at (2K, 12mo), 85°C\n",
+		"  (c) tDISCH sweep at (2K, 12mo), 85°C\n")
+	for _, c := range []string{"(1K, 0mo)", "(2K, 0mo)", "(0, 12mo)", "(1K, 12mo)", "(2K, 12mo)"} {
+		titles = append(titles, "  combined sweep at "+c+", 85°C\n")
+	}
+	for _, c := range []string{"(2K, 0mo)", "(2K, 12mo)"} {
+		titles = append(titles, "  tPRE at "+c+", 55°C and 30°C")
+	}
+	var out strings.Builder
+	for _, fig := range []string{"fig8", "fig9", "fig10"} {
+		cmd := exec.Command(os.Args[0], "-only", fig, "-samples", "200", "-progress=false")
+		cmd.Env = append(os.Environ(), childEnv+"=repro")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("repro -only %s: %v\n%s", fig, err, stderr.String())
+		}
+		out.Write(stdout.Bytes())
+	}
+	for _, title := range titles {
+		if n := strings.Count(out.String(), title); n != 1 {
+			t.Errorf("panel %q appears %d times, want once", strings.TrimSpace(title), n)
 		}
 	}
 }

@@ -177,8 +177,11 @@ func (l *Lab) Figure5(pecs []int, months []float64) []RetryHistogram {
 // --- Figure 4b: RBER across the last retry steps ---------------------------
 
 // LadderSeries records the measured errors per 1 KiB at each retry step of
-// one page's read-retry operation (step index 0 = initial read).
+// one page's read-retry operation (step index 0 = initial read), sampled at
+// (PEC, Months).
 type LadderSeries struct {
+	PEC         int
+	Months      float64
 	StepsNeeded int
 	// ErrorsPerStep[k] is the error count observed at retry step k.
 	ErrorsPerStep []int
@@ -197,7 +200,7 @@ func (l *Lab) RBERLadder(pec int, months float64, wantSteps int) (LadderSeries, 
 		if res.Failed || res.RetrySteps != wantSteps {
 			return
 		}
-		s := LadderSeries{StepsNeeded: res.RetrySteps}
+		s := LadderSeries{PEC: pec, Months: months, StepsNeeded: res.RetrySteps}
 		for k := 0; k <= res.RetrySteps; k++ {
 			s.ErrorsPerStep = append(s.ErrorsPerStep, c.StepErrors(a, 30, k))
 		}

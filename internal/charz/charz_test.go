@@ -86,6 +86,9 @@ func TestFigure4bLadder(t *testing.T) {
 	if series.StepsNeeded != 18 {
 		t.Fatalf("found page needing %d steps, want 18", series.StepsNeeded)
 	}
+	if series.PEC != 2000 || series.Months != 12 {
+		t.Errorf("series sampled at (%d, %gmo), want (2000, 12mo)", series.PEC, series.Months)
+	}
 	if len(series.ErrorsPerStep) != 19 {
 		t.Fatalf("series has %d entries, want 19", len(series.ErrorsPerStep))
 	}

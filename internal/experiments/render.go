@@ -47,7 +47,8 @@ func RenderTable2(w io.Writer) {
 func RenderFigure4b(w io.Writer, series []charz.LadderSeries) {
 	fmt.Fprintln(w, "Figure 4b: errors per 1 KiB over the last retry steps")
 	for _, s := range series {
-		fmt.Fprintf(w, "  page needing N=%d steps:\n", s.StepsNeeded)
+		fmt.Fprintf(w, "  page needing N=%d steps at (%gK, %gmo):\n",
+			s.StepsNeeded, float64(s.PEC)/1000, s.Months)
 		lo := s.StepsNeeded - 3
 		if lo < 0 {
 			lo = 0
