@@ -87,7 +87,8 @@ type figureSweep struct {
 	render   func(*experiments.Result)
 }
 
-// selectedSweeps builds the figure list the networked modes act on.
+// selectedSweeps builds the list of selected Figure 14/15 sweeps, each
+// rendered with its header once its result is complete.
 func selectedSweeps(cfg experiments.Config, add func(figure, quantity, paper, measured string)) []figureSweep {
 	var figs []figureSweep
 	if want("fig14") {
@@ -108,8 +109,7 @@ func selectedSweeps(cfg experiments.Config, add func(figure, quantity, paper, me
 // runNetworkedSweeps dispatches -serve, -spawn-shards or -submit over the
 // selected figures, rendering each merged result exactly as the
 // single-process path would.
-func runNetworkedSweeps(cfg experiments.Config, add func(figure, quantity, paper, measured string)) error {
-	figs := selectedSweeps(cfg, add)
+func runNetworkedSweeps(cfg experiments.Config, figs []figureSweep) error {
 	switch {
 	case *serveAddr != "":
 		return runServeMode(cfg, figs, *serveAddr, 0)

@@ -662,33 +662,24 @@ func main() {
 			}
 			cfg.Cache = cache
 		}
+		figs := selectedSweeps(cfg, add)
 		if networked() {
 			// Coordinator-protocol modes render inside runNetworkedSweeps
 			// (the serve and spawn coordinator as each of its own jobs
-			// completes, the submit client as results stream back) and
-			// share the figure selection with the paths below.
-			if err := runNetworkedSweeps(cfg, add); err != nil {
+			// completes, the submit client as results stream back).
+			if err := runNetworkedSweeps(cfg, figs); err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 				os.Exit(1)
 			}
-		}
-		if !networked() && want("fig14") {
-			header("Figure 14: SSD response time (normalized to Baseline)")
-			res, err := runSweepFigure("fig14", cfg, fig14Variants())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "repro: fig14: %v\n", err)
-				os.Exit(1)
+		} else {
+			for _, f := range figs {
+				res, err := runSweepFigure(f.name, cfg, f.variants)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "repro: %s: %v\n", f.name, err)
+					os.Exit(1)
+				}
+				f.render(res)
 			}
-			renderFig14(res, cfg, add)
-		}
-		if !networked() && want("fig15") {
-			header("Figure 15: combining with PSO (normalized to Baseline)")
-			res, err := runSweepFigure("fig15", cfg, experiments.Figure15Variants())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "repro: fig15: %v\n", err)
-				os.Exit(1)
-			}
-			renderFig15(res, cfg, add)
 		}
 	}
 

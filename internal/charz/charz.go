@@ -304,11 +304,11 @@ func (l *Lab) maxFinalErrors(pec int, months, tempC float64, reg nand.FeatureReg
 func (l *Lab) TemperatureSweep(pec int, months float64, temps []float64, preLevels []int) []SweepPoint {
 	var out []SweepPoint
 	ref := make(map[int]int)
+	base85 := l.maxFinalErrors(pec, months, 85, nand.FeatureRegister{})
 	for _, level := range preLevels {
 		var reg nand.FeatureRegister
 		reg.Set(level, 0, 0)
-		base := l.maxFinalErrors(pec, months, 85, nand.FeatureRegister{})
-		ref[level] = l.maxFinalErrors(pec, months, 85, reg) - base
+		ref[level] = l.maxFinalErrors(pec, months, 85, reg) - base85
 	}
 	for _, temp := range temps {
 		base := l.maxFinalErrors(pec, months, temp, nand.FeatureRegister{})

@@ -334,17 +334,22 @@ func (c *Coordinator) Close() error {
 // every cell would fail in the workers is refused at the door. When the
 // coordinator has a Cache, cells it already knows are merged immediately
 // and shards fully covered by them are born done; a fully cached sweep
-// completes without a single lease.
+// completes without a single lease. A shard count above the grid's cell
+// count (or 1, for an empty grid) is clamped to it: the shards beyond it
+// would be empty, done at birth, so the merged result is the same, and a
+// client cannot make the coordinator allocate a manifest per requested
+// shard.
 func (c *Coordinator) Submit(spec Spec, shards int) (*Job, error) {
 	cfg := spec.Config()
 	if err := spec.Base.Validate(); err != nil {
 		return nil, fmt.Errorf("coord: submitted device template invalid: %w", err)
 	}
-	plan, err := shard.NewPlan(cfg, spec.Variants, shards)
+	grid, err := experiments.NewGrid(cfg, spec.Variants)
 	if err != nil {
 		return nil, err
 	}
-	grid, err := experiments.NewGrid(cfg, spec.Variants)
+	shards = min(shards, max(grid.Total(), 1))
+	plan, err := shard.NewPlan(cfg, spec.Variants, shards)
 	if err != nil {
 		return nil, err
 	}

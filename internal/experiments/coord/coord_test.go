@@ -67,28 +67,81 @@ func startServer(t *testing.T, c *Coordinator) *Client {
 // identically — the invariant that lets workers verify leases against
 // their own engine.
 func TestSpecRoundTrip(t *testing.T) {
-	cfg := e2eConfig(7)
-	cfg.Temps = []float64{25, 85.5}
-	cfg.Devices = []ssd.Device{ssd.DeviceTLC, ssd.DeviceQLC16}
+	cfg := specFixture()
 	variants := testVariants()
 	want, err := experiments.ConfigHash(cfg, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(SpecOf(cfg, variants))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spec Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		t.Fatal(err)
-	}
+	spec := wireRoundTrip(t, SpecOf(cfg, variants))
 	got, err := experiments.ConfigHash(spec.Config(), spec.Variants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("spec JSON round-trip changed the config hash: %s → %s", want, got)
+	}
+}
+
+// TestSpecCarriesEveryConfigField: a Config field that defines the sweep
+// but is missing from Spec would make a distributed run silently differ
+// from an in-process one. Every exported Config field is either local to
+// the process running the sweep or survives SpecOf, JSON and Config() with
+// a non-zero value — including fields added after this test was written,
+// which TestSpecRoundTrip's hash comparison cannot name.
+func TestSpecCarriesEveryConfigField(t *testing.T) {
+	processLocal := map[string]bool{"Parallelism": true, "Progress": true, "Sink": true, "Cache": true}
+	cfg := specFixture()
+	got := wireRoundTrip(t, SpecOf(cfg, testVariants())).Config()
+	in, out := reflect.ValueOf(cfg), reflect.ValueOf(got)
+	for i := 0; i < in.NumField(); i++ {
+		f := in.Type().Field(i)
+		if !f.IsExported() || processLocal[f.Name] {
+			continue
+		}
+		if in.Field(i).IsZero() {
+			t.Errorf("Config.%s is zero in specFixture: give it a value there", f.Name)
+		} else if out.Field(i).IsZero() {
+			t.Errorf("Config.%s does not survive SpecOf, JSON and Spec.Config", f.Name)
+		}
+	}
+}
+
+// specFixture is a config with every sweep-defining field set.
+func specFixture() experiments.Config {
+	cfg := e2eConfig(7)
+	cfg.Temps = []float64{25, 85.5}
+	cfg.Devices = []ssd.Device{ssd.DeviceTLC, ssd.DeviceQLC16}
+	return cfg
+}
+
+// wireRoundTrip sends spec through JSON, as a submission travels.
+func wireRoundTrip(t *testing.T, spec Spec) Spec {
+	t.Helper()
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Spec
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSubmitClampsShardCount: a shard count above the cell count plans one
+// shard per cell, so a small request cannot make the coordinator allocate
+// a manifest per requested shard.
+func TestSubmitClampsShardCount(t *testing.T) {
+	for _, shards := range []int{7, 1 << 20} {
+		c := New(Options{Clock: newFakeClock()})
+		j, err := c.Submit(SpecOf(testConfig(7), testVariants()), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := c.Status(j.ID); st.ShardCount != 4 {
+			t.Errorf("Submit(%d shards) planned %d shards for a 4-cell grid, want 4", shards, st.ShardCount)
+		}
 	}
 }
 

@@ -130,6 +130,11 @@ func FuzzSubmitEndpoint(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/3])
+	huge, err := json.Marshal(submitRequest{Spec: SpecOf(testConfig(8), testVariants()), Shards: 1 << 40})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(huge) // valid spec: planning must not allocate per requested shard
 	f.Add([]byte(`{"spec":{"config":{"requests":-1,"workloads":[]}},"shards":-7}`))
 	f.Add([]byte(`{"spec":{},"shards":1000000000}`))
 	f.Add(bytes.Repeat([]byte(`[`), 1024)) // deep nesting

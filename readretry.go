@@ -27,6 +27,11 @@
 //     coordinator across processes;
 //   - the twelve Table 2 workload generators (Workloads, NewWorkload).
 //
+// The facade names only what a caller writes and what its functions take
+// or return. Values reached through those, such as the statistics SSD.Run
+// returns or a SweepResult's reduction rows, are used through their fields
+// and methods without a facade name of their own.
+//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // results versus the paper's.
 package readretry
@@ -36,7 +41,6 @@ import (
 	"io"
 
 	"readretry/internal/charz"
-	"readretry/internal/chip"
 	"readretry/internal/core"
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
@@ -45,8 +49,6 @@ import (
 	"readretry/internal/nand"
 	"readretry/internal/rpt"
 	"readretry/internal/ssd"
-	"readretry/internal/ssd/retrymetrics"
-	"readretry/internal/trace"
 	"readretry/internal/vth"
 	"readretry/internal/workload"
 )
@@ -93,46 +95,15 @@ type (
 	// Condition is an operating condition (P/E cycles, retention,
 	// temperature).
 	Condition = vth.Condition
-	// Chip is one behavioral 3D TLC NAND die.
-	Chip = chip.Chip
-	// ChipFleet is a population of chips sharing a process model.
-	ChipFleet = chip.Fleet
-	// Geometry describes chip organization.
-	Geometry = nand.Geometry
-	// Timing holds Table 1's chip timing parameters.
-	Timing = nand.Timing
-	// Reduction expresses read-timing parameter reductions.
-	Reduction = nand.Reduction
 )
 
 // ChipModel evaluates the calibrated error model directly: per-page drift,
 // final-step error floors, and timing-reduction penalties.
 type ChipModel = vth.Model
 
-// PageType identifies a page's bit position within its cell (for TLC:
-// LSB/CSB/MSB).
-type PageType = nand.PageType
-
-// TLC page types. CSB pages sense three read levels and bound the error
-// envelope.
-const (
-	LSBPage = nand.LSB
-	CSBPage = nand.CSB
-	MSBPage = nand.MSB
-)
-
-// CellKind is the number of bits a NAND cell stores — the geometry axis
-// that determines page kinds per wordline, voltage levels, and read-level
-// assignments (Geometry.CellBits names one).
-type CellKind = nand.CellKind
-
-// The supported cell kinds.
-const (
-	SLC = nand.SLC // 1 bit, 2 levels
-	MLC = nand.MLC // 2 bits, 4 levels
-	TLC = nand.TLC // 3 bits, 8 levels — the paper's device
-	QLC = nand.QLC // 4 bits, 16 levels
-)
+// CSBPage is the TLC center page: it senses three read levels and bounds
+// the error envelope.
+const CSBPage = nand.CSB
 
 // Device names a preset cell-level device configuration the sweeps can
 // run on: geometry, error-model calibration, and ECC strength.
@@ -188,20 +159,6 @@ type (
 	SSD = ssd.SSD
 	// SSDConfig assembles a device.
 	SSDConfig = ssd.Config
-	// SSDStats aggregates one run.
-	SSDStats = ssd.Stats
-	// Request is one block-I/O trace record.
-	Request = trace.Record
-	// RetryMetrics is the per-block retry accounting a device collects
-	// when SSDConfig.RetryMetrics is on, reachable as SSDStats.Retry —
-	// allocation-free during the run, purely observational (latencies are
-	// bit-identical with it on or off).
-	RetryMetrics = retrymetrics.Metrics
-	// RetrySummary is a RetryMetrics digest: device-wide counts, retry-
-	// latency attribution, the hottest block, and the top retried pages.
-	RetrySummary = retrymetrics.Summary
-	// RetryPageStat is one hottest-page entry of a RetrySummary.
-	RetryPageStat = retrymetrics.PageStat
 )
 
 // ExperimentSSDConfig returns the proportionally scaled device the
@@ -218,9 +175,6 @@ type (
 	// WorkloadGenerator produces a deterministic request stream.
 	WorkloadGenerator = workload.Generator
 )
-
-// PageSize is the 16-KiB logical page size requests align to.
-const PageSize = workload.PageSize
 
 // Workloads returns the twelve Table 2 workloads.
 func Workloads() []WorkloadSpec { return workload.Table2() }
@@ -244,21 +198,14 @@ type (
 	// evaluation point; TempC 0 inherits the device template's
 	// temperature, Device "" the base template itself.
 	SweepCondition = experiments.Condition
-	// SweepTempReduction is one row of SweepResult.ReductionByTemp: a
-	// scheme's response-time reduction at one operating temperature.
-	SweepTempReduction = experiments.TempReduction
-	// SweepDeviceReduction is one row of SweepResult.ReductionByDevice: a
-	// scheme's response-time reduction on one device preset.
-	SweepDeviceReduction = experiments.DeviceReduction
 	// SweepVariant is one configuration column of a sweep.
 	SweepVariant = experiments.Variant
 	// SweepCell is one measured (workload, condition, configuration) cell.
 	SweepCell = experiments.Cell
-	// SweepCellSink receives cells in canonical order as the engine
-	// releases them (SweepConfig.Sink) — the streaming counterpart of
-	// consuming SweepResult.Cells after the fact.
-	SweepCellSink = experiments.CellSink
-	// SweepCellSinkFunc adapts a function to a SweepCellSink.
+	// SweepCellSinkFunc adapts a function to a cell sink
+	// (SweepConfig.Sink), which receives cells in canonical order as the
+	// engine releases them — the streaming counterpart of consuming
+	// SweepResult.Cells after the fact.
 	SweepCellSinkFunc = experiments.CellSinkFunc
 	// SweepCSVSink streams cells as CSV rows — the sweep CSV or the
 	// retry-metrics CSV — byte-identical to SweepResult.WriteCSV (or
@@ -268,8 +215,6 @@ type (
 	// RunSweep consults (SweepConfig.Cache): re-running a grown grid only
 	// simulates new cells.
 	SweepCache = cellcache.Cache
-	// SweepMeasurement is one cached raw cell measurement.
-	SweepMeasurement = cellcache.Measurement
 )
 
 // NewSweepCSVSinkFor writes the CSV header to w and returns a sink that

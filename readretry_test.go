@@ -3,7 +3,16 @@ package readretry_test
 import (
 	"bytes"
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 
 	"readretry"
@@ -175,5 +184,98 @@ func TestFacadeShardedSweep(t *testing.T) {
 func TestFacadeWorkloadRoster(t *testing.T) {
 	if got := len(readretry.Workloads()); got != 12 {
 		t.Errorf("workloads = %d, want 12", got)
+	}
+}
+
+// TestFacadeNamesHaveCallers keeps the facade from regrowing. Every name
+// readretry.go exports must either be written as a qualified reference by an
+// example, README.md or a root test, or be named by the parameters or
+// results of a facade function that is: a name a kept signature hands back
+// stays even when no caller spells it out.
+func TestFacadeNamesHaveCallers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "readretry.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sources, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources = append(sources, "README.md")
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			sources = append(sources, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := regexp.MustCompile(`\breadretry\.([A-Z]\w*)`)
+	kept := map[string]bool{}
+	for _, path := range sources {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllSubmatch(src, -1) {
+			kept[string(m[1])] = true
+		}
+	}
+
+	var names []string
+	var funcs []*ast.FuncDecl
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				names = append(names, d.Name.Name)
+				funcs = append(funcs, d)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	// Functions survive only by being written, so one pass over the written
+	// functions' signatures finds every name a kept signature needs.
+	var needed []string
+	for _, fn := range funcs {
+		if !kept[fn.Name.Name] {
+			continue
+		}
+		ast.Inspect(fn.Type, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr: // a type of another package
+				return false
+			case *ast.Ident:
+				needed = append(needed, n.Name)
+			}
+			return true
+		})
+	}
+	for _, name := range needed {
+		kept[name] = true
+	}
+
+	var orphans []string
+	for _, name := range names {
+		if ast.IsExported(name) && !kept[name] {
+			orphans = append(orphans, name)
+		}
+	}
+	sort.Strings(orphans)
+	if len(orphans) > 0 {
+		t.Errorf("%d facade names have no caller and no kept signature that needs them: %s",
+			len(orphans), strings.Join(orphans, ", "))
 	}
 }
