@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -171,13 +170,6 @@ func parseTemps(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-temps: %q is not a temperature", field)
 		}
-		if math.IsNaN(t) || t < experiments.MinTempC || t > experiments.MaxTempC || t == 0 {
-			return nil, fmt.Errorf("-temps: %q must be a nonzero temperature within [%g, %g]°C",
-				field, experiments.MinTempC, experiments.MaxTempC)
-		}
-		if slices.Contains(out, t) {
-			return nil, fmt.Errorf("-temps: %g°C is listed twice", t)
-		}
 		out = append(out, t)
 	}
 	return out, nil
@@ -194,12 +186,50 @@ func parseDevices(s string) ([]ssd.Device, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-device: %w", err)
 		}
-		if slices.Contains(out, d) {
-			return nil, fmt.Errorf("-device: %s is listed twice", d)
-		}
 		out = append(out, d)
 	}
 	return out, nil
+}
+
+// sweepConfig builds the Figure 14/15 sweep the flags describe and checks
+// it with experiments.NewGrid under both figures' variants, so a -temps or
+// -device value that makes any cell invalid is refused before any
+// experiment runs. The -cache-dir store is opened later, only when a sweep
+// runs.
+func sweepConfig() (experiments.Config, error) {
+	cfg := experiments.DefaultConfig()
+	if *quick {
+		cfg = experiments.QuickConfig()
+	}
+	cfg.Parallelism = *parallel
+	var err error
+	if cfg.Temps, err = parseTemps(*temps); err != nil {
+		return cfg, err
+	}
+	devs, err := parseDevices(*device)
+	if err != nil {
+		return cfg, err
+	}
+	switch len(devs) {
+	case 0:
+		// Default TLC template.
+	case 1:
+		// A single preset reconfigures the template in place: the grid
+		// stays single-device (no device column) but every cell runs on
+		// the preset — "sweep the paper's grids on a QLC drive".
+		cfg.Base = devs[0].Apply(cfg.Base)
+	default:
+		cfg.Devices = devs
+	}
+	// After any single-device reconfiguration so the flag survives it;
+	// multi-device grids apply presets per cell over this same Base.
+	cfg.Base.RetryMetrics = *retryMetrics
+	for _, variants := range [][]experiments.Variant{fig14Variants(), experiments.Figure15Variants()} {
+		if _, err := experiments.NewGrid(cfg, variants); err != nil {
+			return cfg, fmt.Errorf("-temps %q, -device %q: %w", *temps, *device, err)
+		}
+	}
+	return cfg, nil
 }
 
 // renderAxisReductions prints each configuration's reduction vs the
@@ -343,12 +373,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: -lease-ttl must be positive, got %v\n", *leaseTTL)
 		os.Exit(2)
 	}
-	tempAxis, err := parseTemps(*temps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-		os.Exit(2)
-	}
-	devs, err := parseDevices(*device)
+	sweep, err := sweepConfig()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
@@ -629,26 +654,7 @@ func main() {
 	}
 
 	if want("fig14") || want("fig15") {
-		cfg := experiments.DefaultConfig()
-		if *quick {
-			cfg = experiments.QuickConfig()
-		}
-		cfg.Parallelism = *parallel
-		cfg.Temps = tempAxis
-		switch len(devs) {
-		case 0:
-			// Default TLC template.
-		case 1:
-			// A single preset reconfigures the template in place: the grid
-			// stays single-device (no device column) but every cell runs on
-			// the preset — "sweep the paper's grids on a QLC drive".
-			cfg.Base = devs[0].Apply(cfg.Base)
-		default:
-			cfg.Devices = devs
-		}
-		// After any single-device reconfiguration so the flag survives it;
-		// multi-device grids apply presets per cell over this same Base.
-		cfg.Base.RetryMetrics = *retryMetrics
+		cfg := sweep
 		if *cacheDir != "" {
 			// The disk tier makes re-runs incremental; within one
 			// invocation it also lets fig15 reuse fig14's Baseline and

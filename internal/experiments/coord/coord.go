@@ -33,7 +33,6 @@ import (
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
 	"readretry/internal/experiments/shard"
-	"readretry/internal/ssd"
 )
 
 // Clock abstracts time for the lease state machine. The coordinator never
@@ -57,55 +56,24 @@ func SystemClock() Clock { return systemClock{} }
 // Three missed heartbeats at the Worker's TTL/3 cadence lose the lease.
 const DefaultLeaseTTL = 15 * time.Second
 
-// Spec is the wire-portable definition of one sweep: exactly the
-// experiments.Config fields that determine the cell-index space and every
-// measurement — the same fields experiments.ConfigHash covers — plus the
+// Spec is the wire-portable definition of one sweep: the
+// experiments.Definition, whose JSON tags are the wire form, plus the
 // variant roster. Process-local fields (Parallelism, Progress, Sink,
-// Cache) are deliberately absent: each worker chooses its own. All leaf
-// values are plain numbers and strings, so the JSON round-trip is exact
-// and a reconstructed Config hashes identically on every machine.
+// Cache) are not part of it: each worker chooses its own.
 type Spec struct {
-	Base       ssd.Config              `json:"base"`
-	Workloads  []string                `json:"workloads,omitempty"`
-	Conditions []experiments.Condition `json:"conditions,omitempty"`
-	Temps      []float64               `json:"temps,omitempty"`
-	Devices    []ssd.Device            `json:"devices,omitempty"`
-	Requests   int                     `json:"requests"`
-	IOPS       float64                 `json:"iops"`
-	Seed       uint64                  `json:"seed"`
-	Variants   []experiments.Variant   `json:"variants"`
+	experiments.Definition
+	Variants []experiments.Variant `json:"variants"`
 }
 
 // SpecOf extracts the wire-portable spec of a configuration.
 func SpecOf(cfg experiments.Config, variants []experiments.Variant) Spec {
-	return Spec{
-		Base:       cfg.Base,
-		Workloads:  cfg.Workloads,
-		Conditions: cfg.Conditions,
-		Temps:      cfg.Temps,
-		Devices:    cfg.Devices,
-		Requests:   cfg.Requests,
-		IOPS:       cfg.IOPS,
-		Seed:       cfg.Seed,
-		Variants:   variants,
-	}
+	return Spec{Definition: cfg.Definition, Variants: variants}
 }
 
 // Config reconstructs the experiments.Config the spec describes, with
 // every process-local field zero (the caller sets Parallelism and Cache
 // for its own machine).
-func (s Spec) Config() experiments.Config {
-	return experiments.Config{
-		Base:       s.Base,
-		Workloads:  s.Workloads,
-		Conditions: s.Conditions,
-		Temps:      s.Temps,
-		Devices:    s.Devices,
-		Requests:   s.Requests,
-		IOPS:       s.IOPS,
-		Seed:       s.Seed,
-	}
-}
+func (s Spec) Config() experiments.Config { return experiments.Config{Definition: s.Definition} }
 
 // ErrUnknownLease reports an operation on a lease ID the coordinator never
 // issued.
@@ -329,9 +297,9 @@ func (c *Coordinator) Close() error {
 // returns its job. Submitting a sweep whose ConfigHash is already tracked
 // returns the existing job regardless of the requested shard count —
 // concurrent clients asking for the same grid share one execution. The
-// spec is validated exactly as shard.NewPlan would (grid resolution,
-// condition validation) plus the device template itself, so a sweep whose
-// every cell would fail in the workers is refused at the door. When the
+// spec is checked by experiments.NewGrid, as RunSweep and shard.Run check
+// it, so a sweep with any cell that would fail in the workers, or with
+// more than experiments.MaxCells cells, is refused at the door. When the
 // coordinator has a Cache, cells it already knows are merged immediately
 // and shards fully covered by them are born done; a fully cached sweep
 // completes without a single lease. A shard count above the grid's cell
@@ -341,9 +309,6 @@ func (c *Coordinator) Close() error {
 // shard.
 func (c *Coordinator) Submit(spec Spec, shards int) (*Job, error) {
 	cfg := spec.Config()
-	if err := spec.Base.Validate(); err != nil {
-		return nil, fmt.Errorf("coord: submitted device template invalid: %w", err)
-	}
 	grid, err := experiments.NewGrid(cfg, spec.Variants)
 	if err != nil {
 		return nil, err

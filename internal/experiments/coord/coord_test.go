@@ -85,24 +85,64 @@ func TestSpecRoundTrip(t *testing.T) {
 
 // TestSpecCarriesEveryConfigField: a Config field that defines the sweep
 // but is missing from Spec would make a distributed run silently differ
-// from an in-process one. Every exported Config field is either local to
-// the process running the sweep or survives SpecOf, JSON and Config() with
-// a non-zero value — including fields added after this test was written,
-// which TestSpecRoundTrip's hash comparison cannot name.
+// from an in-process one. Config is the experiments.Definition Spec
+// carries plus exactly the fields local to the process running the sweep,
+// and the Definition survives SpecOf, JSON and Config() whole — including
+// fields added after this test was written, which TestSpecRoundTrip's hash
+// comparison cannot name.
 func TestSpecCarriesEveryConfigField(t *testing.T) {
-	processLocal := map[string]bool{"Parallelism": true, "Progress": true, "Sink": true, "Cache": true}
-	cfg := specFixture()
-	got := wireRoundTrip(t, SpecOf(cfg, testVariants())).Config()
-	in, out := reflect.ValueOf(cfg), reflect.ValueOf(got)
-	for i := 0; i < in.NumField(); i++ {
-		f := in.Type().Field(i)
-		if !f.IsExported() || processLocal[f.Name] {
-			continue
+	var others []string
+	ct := reflect.TypeOf(experiments.Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		if f := ct.Field(i); f.IsExported() && !f.Anonymous {
+			others = append(others, f.Name)
 		}
-		if in.Field(i).IsZero() {
-			t.Errorf("Config.%s is zero in specFixture: give it a value there", f.Name)
-		} else if out.Field(i).IsZero() {
-			t.Errorf("Config.%s does not survive SpecOf, JSON and Spec.Config", f.Name)
+	}
+	if want := []string{"Parallelism", "Progress", "Sink", "Cache"}; !reflect.DeepEqual(others, want) {
+		t.Errorf("Config's fields beside its Definition are %v, want the process-local %v", others, want)
+	}
+	cfg := specFixture()
+	def := reflect.ValueOf(cfg.Definition)
+	for i := 0; i < def.NumField(); i++ {
+		if def.Field(i).IsZero() {
+			t.Errorf("Definition.%s is zero in specFixture: give it a value there", def.Type().Field(i).Name)
+		}
+	}
+	if got := wireRoundTrip(t, SpecOf(cfg, testVariants())).Config(); !reflect.DeepEqual(got.Definition, cfg.Definition) {
+		t.Errorf("the Definition does not survive SpecOf, JSON and Spec.Config:\n got %+v\nwant %+v", got.Definition, cfg.Definition)
+	}
+}
+
+// TestEmptyRostersSurviveTheWire: an explicitly empty Workloads or
+// Conditions list is a 0-cell grid in process, unlike nil (the default
+// roster), so it must cross the wire as empty, not as absent.
+func TestEmptyRostersSurviveTheWire(t *testing.T) {
+	for name, empty := range map[string]func(*experiments.Config){
+		"workloads":  func(c *experiments.Config) { c.Workloads = []string{} },
+		"conditions": func(c *experiments.Config) { c.Conditions = []experiments.Condition{} },
+	} {
+		cfg := experiments.QuickConfig()
+		empty(&cfg)
+		variants := experiments.Figure14Variants()
+		spec := wireRoundTrip(t, SpecOf(cfg, variants))
+		for _, side := range []struct {
+			label string
+			cfg   experiments.Config
+		}{{"in process", cfg}, {"after the wire", spec.Config()}} {
+			g, err := experiments.NewGrid(side.cfg, variants)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, side.label, err)
+			}
+			if g.Total() != 0 {
+				t.Errorf("empty %s %s: %d cells, want 0", name, side.label, g.Total())
+			}
+		}
+		want, err := experiments.ConfigHash(cfg, variants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := experiments.ConfigHash(spec.Config(), spec.Variants); err != nil || got != want {
+			t.Errorf("empty %s: config hash %s → %s (%v) across the wire", name, want, got, err)
 		}
 	}
 }

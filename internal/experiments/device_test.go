@@ -47,13 +47,15 @@ func TestConditionStringDeviceSuffix(t *testing.T) {
 	}
 }
 
+// TestConditionValidateDevice: NewGrid refuses a condition naming an
+// unknown device preset.
 func TestConditionValidateDevice(t *testing.T) {
 	good := Condition{PEC: 1000, Months: 3, Device: ssd.DeviceQLC16}
-	if err := good.Validate(); err != nil {
+	if err := checkCondition(good); err != nil {
 		t.Errorf("%+v: unexpected error %v", good, err)
 	}
 	bad := Condition{PEC: 1000, Months: 3, Device: "mlc8"}
-	if err := bad.Validate(); err == nil {
+	if err := checkCondition(bad); err == nil {
 		t.Errorf("%+v: expected a validation error", bad)
 	}
 }

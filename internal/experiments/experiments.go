@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -46,14 +45,6 @@ type Condition struct {
 	Device ssd.Device
 }
 
-// MinTempC and MaxTempC bound the explicit operating temperatures a sweep
-// accepts — the industrial NAND range the error model's temperature terms
-// are calibrated over.
-const (
-	MinTempC = -40.0
-	MaxTempC = 125.0
-)
-
 // String formats the condition as the figures label it: the PEC in
 // thousands with "K" ("2K/6mo"), with the operating temperature appended
 // when the condition carries one ("2K/6mo/85C") and the device preset
@@ -74,30 +65,6 @@ func (c Condition) String() string {
 		s += "/" + string(c.Device)
 	}
 	return s
-}
-
-// Validate reports whether the condition is physically meaningful: a
-// non-negative P/E-cycle count, a finite non-negative retention age, and a
-// temperature that is either the "device default" sentinel (0) or a finite
-// value within [MinTempC, MaxTempC]. The vth model silently accepts
-// nonsense (a negative retention age just shrinks the drift), so the sweep
-// engine rejects it up front instead of spending grid time on it.
-func (c Condition) Validate() error {
-	if c.PEC < 0 {
-		return fmt.Errorf("experiments: condition %s: negative PEC %d", c, c.PEC)
-	}
-	if math.IsNaN(c.Months) || math.IsInf(c.Months, 0) || c.Months < 0 {
-		return fmt.Errorf("experiments: condition %s: invalid retention age %g months", c, c.Months)
-	}
-	if c.TempC != 0 && (math.IsNaN(c.TempC) || c.TempC < MinTempC || c.TempC > MaxTempC) {
-		return fmt.Errorf("experiments: condition %s: temperature %g°C outside [%g, %g]",
-			c, c.TempC, MinTempC, MaxTempC)
-	}
-	if c.Device != "" && !c.Device.Valid() {
-		return fmt.Errorf("experiments: condition %s: unknown device %q (supported: %v)",
-			c, c.Device, ssd.Devices())
-	}
-	return nil
 }
 
 // CrossTemps expands a condition grid across a temperature axis: every
@@ -137,25 +104,33 @@ func CrossDevices(conds []Condition, devices []ssd.Device) []Condition {
 	return out
 }
 
-// Config parameterizes a sweep.
-type Config struct {
+// Definition is what a sweep is: the device template, the grid's axes
+// and the trace shape — every field that decides the cell-index space and
+// every measurement, and nothing local to the process running it. Config
+// embeds it beside the process-local knobs, and the coordinator's wire
+// spec embeds it beside the variant roster, so its JSON tags are the wire
+// form. Every leaf is a plain number or string, so a JSON round trip is
+// exact. NewGrid is the one check of whether a Definition is valid.
+type Definition struct {
 	// Base is the device template; scheme fields are overwritten per run.
-	Base ssd.Config
-	// Workloads are Table 2 names; nil selects all twelve.
-	Workloads []string
+	Base ssd.Config `json:"base"`
+	// Workloads are Table 2 names; nil selects all twelve, and an empty
+	// non-nil list is an empty grid.
+	Workloads []string `json:"workloads"`
 	// Conditions are the (PEC, t_RET) grid; nil selects the default
-	// {1K, 2K} × {0, 1, 3, 6, 12} months. Each condition may carry its own
-	// operating temperature (Condition.TempC); 0 inherits Base.TempC.
-	Conditions []Condition
+	// {1K, 2K} × {0, 1, 3, 6, 12} months, and an empty non-nil list is an
+	// empty grid. Each condition may carry its own operating temperature
+	// (Condition.TempC); 0 inherits Base.TempC.
+	Conditions []Condition `json:"conditions"`
 	// Temps, when non-empty, crosses the condition grid with an operating-
 	// temperature axis: every condition runs once per listed temperature
 	// (CrossTemps), making the sweep the 3-D PEC × retention × temperature
 	// grid. Temperatures must be non-zero (0 is the "device default"
-	// sentinel — change Base.TempC instead) and within [MinTempC, MaxTempC],
-	// and the conditions themselves must then be temperature-less (a
-	// condition pinning its own TempC alongside Temps is rejected as
-	// ambiguous). Empty preserves the 2-D grid exactly.
-	Temps []float64
+	// sentinel — change Base.TempC instead) and within the device's
+	// calibrated range, and the conditions themselves must then be
+	// temperature-less (a condition pinning its own TempC alongside Temps
+	// is rejected as ambiguous). Empty preserves the 2-D grid exactly.
+	Temps []float64 `json:"temps,omitempty"`
 	// Devices, when non-empty, crosses the condition grid with a device
 	// axis: every condition runs once per listed preset (CrossDevices,
 	// innermost — after Temps), so one sweep compares cell technologies at
@@ -164,11 +139,17 @@ type Config struct {
 	// and the conditions themselves must then be device-less, mirroring
 	// the Temps axis rules. Empty preserves the single-device grid
 	// exactly.
-	Devices []ssd.Device
+	Devices []ssd.Device `json:"devices,omitempty"`
 	// Requests per run and the workload arrival rate.
-	Requests int
-	IOPS     float64
-	Seed     uint64
+	Requests int     `json:"requests"`
+	IOPS     float64 `json:"iops"`
+	Seed     uint64  `json:"seed"`
+}
+
+// Config parameterizes a sweep: its Definition plus the knobs local to the
+// process running it.
+type Config struct {
+	Definition
 	// Parallelism bounds RunSweep's worker pool. 0 (the default) selects
 	// runtime.GOMAXPROCS(0); 1 reproduces the original serial execution
 	// order exactly. The result is identical at every setting.
@@ -198,7 +179,7 @@ type Config struct {
 
 // DefaultConfig returns the full Figure 14/15 sweep at experiment scale.
 func DefaultConfig() Config {
-	return Config{
+	return Config{Definition: Definition{
 		Base:      ssd.ExperimentConfig(),
 		Workloads: workload.Names(),
 		Conditions: []Condition{
@@ -210,7 +191,7 @@ func DefaultConfig() Config {
 		Requests: 2500,
 		IOPS:     1200,
 		Seed:     7,
-	}
+	}}
 }
 
 // QuickConfig returns a reduced sweep for smoke tests and benches.
@@ -304,27 +285,35 @@ func runOne(cfg Config, recs []trace.Record, cond Condition, v Variant) (*ssd.St
 	if cfg.simHook != nil {
 		cfg.simHook()
 	}
-	devCfg := cfg.Base
+	dev, err := ssd.New(cellConfig(cfg.Base, cond, v))
+	if err != nil {
+		return nil, err
+	}
+	return dev.Run(recs)
+}
+
+// cellConfig derives the device configuration one cell runs: the template
+// re-based on the condition's device preset, with the variant's scheme and
+// the condition's operating point installed. runOne simulates it and
+// NewGrid validates it, so a sweep is refused for exactly the cells that
+// would fail.
+func cellConfig(base ssd.Config, cond Condition, v Variant) ssd.Config {
 	if cond.Device != "" {
 		// Re-base the cell on the named preset before installing the
 		// condition: Apply changes only the cell-level fields (geometry
 		// bits, error-model calibration, ECC strength), so the sweep's
 		// scale, timing, and scheme knobs still come from Base.
-		devCfg = cond.Device.Apply(devCfg)
+		base = cond.Device.Apply(base)
 	}
-	devCfg.Scheme = v.Scheme
-	devCfg.UsePSO = v.PSO
-	devCfg.UseRetryHistory = v.History
-	devCfg.PEC = cond.PEC
-	devCfg.RetentionMonths = cond.Months
+	base.Scheme = v.Scheme
+	base.UsePSO = v.PSO
+	base.UseRetryHistory = v.History
+	base.PEC = cond.PEC
+	base.RetentionMonths = cond.Months
 	if cond.TempC != 0 {
-		devCfg.TempC = cond.TempC
+		base.TempC = cond.TempC
 	}
-	dev, err := ssd.New(devCfg)
-	if err != nil {
-		return nil, err
-	}
-	return dev.Run(recs)
+	return base
 }
 
 // cells selects measurements by configuration name.

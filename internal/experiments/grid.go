@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"strings"
 
 	"readretry/internal/ssd"
 	"readretry/internal/workload"
@@ -26,11 +26,21 @@ type Grid struct {
 	Variants  []Variant
 }
 
-// NewGrid resolves and validates a sweep's cell-index space. It performs
-// exactly the upfront checks RunSweep does — at least one variant, a known
-// workload roster, a meaningful condition grid, well-formed temperature and
-// device axes, no axis value listed twice — so an invalid configuration
-// fails identically whether it is about to be run, sharded, or merged.
+// MaxCells caps the cells one grid may hold, about 1,700 times the
+// 600-cell Figure 14 grid. NewGrid refuses a larger grid before building
+// any of it, so a small submission cannot make a process allocate state
+// for millions of cells.
+const MaxCells = 1 << 20
+
+// NewGrid resolves a sweep's cell-index space and is the one check of
+// whether a sweep is valid, so a configuration fails identically whether
+// it is about to be run, sharded, merged or submitted. It checks the
+// grid's shape — at least one variant, every variant name fit for a CSV
+// row, known workload and device names, no Temps entry equal to the 0
+// sentinel, no condition pinning a temperature or device an axis also
+// sets, no value listed twice, at most MaxCells cells — and then the
+// physics of every cell: the device configuration each (condition,
+// variant) pair runs (cellConfig) must pass ssd.Config.Validate.
 func NewGrid(cfg Config, variants []Variant) (*Grid, error) {
 	if len(variants) == 0 {
 		return nil, errors.New("experiments: sweep needs at least one variant")
@@ -39,75 +49,100 @@ func NewGrid(cfg Config, variants []Variant) (*Grid, error) {
 	if wls == nil {
 		wls = workload.Names()
 	}
-	conds := cfg.conditions()
-	// Validate the roster and the condition grid upfront so an unknown
-	// workload or a physically meaningless condition (negative PEC or
-	// retention age, out-of-range temperature — the vth model would
-	// silently accept them) fails before any simulation spends time, and
-	// independently of worker scheduling.
+	conds := cfg.Conditions
+	if conds == nil {
+		conds = DefaultConfig().Conditions
+	}
+	// Count before crossing the axes, in a product that cannot overflow.
+	// An empty roster counts as one workload: the physics check below
+	// still visits every (condition, variant) pair.
+	cells := 1
+	for _, n := range []int{max(len(wls), 1), len(conds), max(len(cfg.Temps), 1), max(len(cfg.Devices), 1), len(variants)} {
+		if n > 0 && cells > MaxCells/n {
+			return nil, fmt.Errorf("experiments: grid of %d workloads × %d conditions × %d temperatures × %d devices × %d variants exceeds %d cells",
+				len(wls), len(conds), len(cfg.Temps), len(cfg.Devices), len(variants), MaxCells)
+		}
+		cells *= n
+	}
+
 	for _, wl := range wls {
 		if _, err := workload.ByName(wl); err != nil {
 			return nil, err
 		}
+	}
+	names := make(map[string]bool, len(variants))
+	for _, v := range variants {
+		// A variant name is printed raw into every CSV row.
+		if v.Name == "" || strings.ContainsAny(v.Name, ",\"\r\n") {
+			return nil, fmt.Errorf("experiments: variant name %q must be non-empty and free of commas, quotes and line breaks", v.Name)
+		}
+		if names[v.Name] {
+			return nil, fmt.Errorf("experiments: variants list %s twice", v.Name)
+		}
+		names[v.Name] = true
 	}
 	for _, t := range cfg.Temps {
 		if t == 0 {
 			return nil, errors.New("experiments: Temps must not contain 0 (the \"device default\" sentinel); set Base.TempC to change the default temperature instead")
 		}
 	}
-	// A repeated axis value would run every one of its cells twice, write
-	// each row twice and count it twice in every reduction average.
+	for _, d := range cfg.Devices {
+		if !d.Valid() { // "" included: it is the "Base device" sentinel
+			return nil, fmt.Errorf("experiments: Devices contains %q, not a named preset (supported: %v)", d, ssd.Devices())
+		}
+	}
+	for _, c := range conds {
+		// Crossing an axis overwrites each condition's TempC or Device; a
+		// condition that already pins one would be silently re-measured
+		// elsewhere, so the ambiguous combination is rejected rather than
+		// guessed at.
+		if len(cfg.Temps) > 0 && c.TempC != 0 {
+			return nil, fmt.Errorf("experiments: condition %s pins a temperature while Temps is set; use one axis or the other", c)
+		}
+		if len(cfg.Devices) > 0 && c.Device != "" {
+			return nil, fmt.Errorf("experiments: condition %s pins a device while Devices is set; use one axis or the other", c)
+		}
+		// Apply leaves an unknown preset's config untouched, so the
+		// physics check below would not catch a misspelt name.
+		if c.Device != "" && !c.Device.Valid() {
+			return nil, fmt.Errorf("experiments: condition %s names unknown device %q (supported: %v)", c, c.Device, ssd.Devices())
+		}
+	}
+	// A repeated value would run every one of its cells twice, write each
+	// row twice and count it twice in every reduction average.
+	if w, ok := firstRepeat(wls); ok {
+		return nil, fmt.Errorf("experiments: Workloads lists %s twice", w)
+	}
 	if t, ok := firstRepeat(cfg.Temps); ok {
 		return nil, fmt.Errorf("experiments: Temps lists %g°C twice", t)
-	}
-	if c, ok := firstRepeat(cfg.Conditions); ok {
-		return nil, fmt.Errorf("experiments: Conditions lists %s twice", c)
-	}
-	if len(cfg.Temps) > 0 {
-		// Crossing overwrites each condition's TempC; a condition that
-		// already pins one would be silently re-measured elsewhere, so the
-		// ambiguous combination is rejected rather than guessed at.
-		for _, c := range cfg.Conditions {
-			if c.TempC != 0 {
-				return nil, fmt.Errorf("experiments: condition %s pins a temperature while Temps is set; use one axis or the other", c)
-			}
-		}
-	}
-	for _, d := range cfg.Devices {
-		if d == "" {
-			return nil, errors.New("experiments: Devices must not contain \"\" (the \"Base device\" sentinel); name the preset explicitly (e.g. ssd.DeviceTLC)")
-		}
-		if !d.Valid() {
-			return nil, fmt.Errorf("experiments: Devices contains unknown device %q (supported: %v)", d, ssd.Devices())
-		}
 	}
 	if d, ok := firstRepeat(cfg.Devices); ok {
 		return nil, fmt.Errorf("experiments: Devices lists %q twice", d)
 	}
-	if len(cfg.Devices) > 0 {
-		// Same ambiguity as the temperature axis: crossing overwrites each
-		// condition's Device.
-		for _, c := range cfg.Conditions {
-			if c.Device != "" {
-				return nil, fmt.Errorf("experiments: condition %s pins a device while Devices is set; use one axis or the other", c)
-			}
-		}
+	if c, ok := firstRepeat(conds); ok {
+		return nil, fmt.Errorf("experiments: Conditions lists %s twice", c)
 	}
+
+	conds = CrossDevices(CrossTemps(conds, cfg.Temps), cfg.Devices)
 	for _, c := range conds {
-		if err := c.Validate(); err != nil {
-			return nil, err
+		for _, v := range variants {
+			if err := cellConfig(cfg.Base, c, v).Validate(); err != nil {
+				return nil, fmt.Errorf("experiments: cell %s %s: %w", c, v.Name, err)
+			}
 		}
 	}
 	return &Grid{Workloads: wls, Conds: conds, Variants: variants}, nil
 }
 
 // firstRepeat returns the first element of xs that an earlier element
-// equals.
+// equals, in one pass over a set of the elements seen so far.
 func firstRepeat[T comparable](xs []T) (T, bool) {
-	for i, x := range xs {
-		if slices.Contains(xs[:i], x) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
 			return x, true
 		}
+		seen[x] = true
 	}
 	var zero T
 	return zero, false

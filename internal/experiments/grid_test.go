@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -53,6 +54,7 @@ func TestNewGridRejectsRepeatedAxisValues(t *testing.T) {
 		apply func(*Config)
 		want  string
 	}{
+		{"workloads", func(c *Config) { c.Workloads = []string{"stg_0", "YCSB-C", "stg_0"} }, "stg_0"},
 		{"temps", func(c *Config) { c.Temps = []float64{25, 85, 25} }, "25°C"},
 		{"devices", func(c *Config) { c.Devices = []ssd.Device{ssd.DeviceTLC, ssd.DeviceQLC16, ssd.DeviceTLC} }, `"tlc"`},
 		{"conditions", func(c *Config) {
@@ -71,6 +73,40 @@ func TestNewGridRejectsRepeatedAxisValues(t *testing.T) {
 				t.Errorf("error %q does not name the repeated value %s", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNewGridChecksEveryCellConfig: the template is checked as each cell
+// runs it, so ReducedRegularReads is refused beside a non-adaptive variant
+// and accepted when every variant is adaptive.
+func TestNewGridChecksEveryCellConfig(t *testing.T) {
+	cfg := tinySweepConfig(7)
+	cfg.Base.ReducedRegularReads = true
+	if _, err := NewGrid(cfg, Figure14Variants()); err == nil {
+		t.Error("ReducedRegularReads accepted beside Baseline")
+	}
+	vs := Figure14Variants()
+	if _, err := NewGrid(cfg, []Variant{vs[2], vs[3]}); err != nil {
+		t.Errorf("ReducedRegularReads under AR2 and PnAR2: %v", err)
+	}
+}
+
+// TestNewGridCapsCells: a grid above MaxCells is refused from the list
+// lengths alone, before any axis is crossed.
+func TestNewGridCapsCells(t *testing.T) {
+	cfg := tinySweepConfig(7)
+	cfg.Workloads = nil // all twelve
+	cfg.Conditions = nil
+	cfg.Temps = []float64{25, 55, 85}
+	variants := make([]Variant, MaxCells/(12*10*3)+1)
+	for i := range variants {
+		variants[i] = Variant{Name: fmt.Sprintf("v%d", i)}
+	}
+	if _, err := NewGrid(cfg, variants); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("%d cells: got %v, want the cap's error", 12*10*3*len(variants), err)
+	}
+	if _, err := NewGrid(cfg, variants[:len(variants)-1]); err != nil {
+		t.Fatalf("%d cells: %v", 12*10*3*(len(variants)-1), err)
 	}
 }
 

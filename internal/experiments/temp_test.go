@@ -72,6 +72,9 @@ func TestConditionStringInjectiveOverTempGrid(t *testing.T) {
 	}
 }
 
+// TestConditionValidate: a condition is physically meaningful
+// only if the device configuration its cells run is, so NewGrid checks
+// each one through ssd.Config.Validate.
 func TestConditionValidate(t *testing.T) {
 	valid := []Condition{
 		{PEC: 0, Months: 0},
@@ -81,7 +84,7 @@ func TestConditionValidate(t *testing.T) {
 		{PEC: 1000, Months: 3, TempC: 125},
 	}
 	for _, c := range valid {
-		if err := c.Validate(); err != nil {
+		if err := checkCondition(c); err != nil {
 			t.Errorf("%+v: unexpected error %v", c, err)
 		}
 	}
@@ -95,10 +98,18 @@ func TestConditionValidate(t *testing.T) {
 		{PEC: 1000, Months: 3, TempC: math.NaN()},
 	}
 	for _, c := range invalid {
-		if err := c.Validate(); err == nil {
+		if err := checkCondition(c); err == nil {
 			t.Errorf("%+v: expected a validation error", c)
 		}
 	}
+}
+
+// checkCondition builds the grid of the one condition c.
+func checkCondition(c Condition) error {
+	cfg := tinySweepConfig(7)
+	cfg.Conditions = []Condition{c}
+	_, err := NewGrid(cfg, Figure14Variants())
+	return err
 }
 
 // TestSweepRejectsInvalidConditionsBeforeSimulating is the regression test

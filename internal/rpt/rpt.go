@@ -12,7 +12,6 @@
 package rpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -188,70 +187,67 @@ const binaryMagic = uint32(0x52505431) // "RPT1"
 
 // MarshalBinary serializes the table in the compact fixed-layout form an
 // SSD would store in a reserved flash page (§6.2 estimates 144 bytes per
-// chip for 36 entries; this format meets that budget).
+// chip for 36 entries; this format meets that budget): the magic, the two
+// bucket counts as bytes, the P/E bounds as uint16s, the retention bounds
+// as uint16 tenths of a month, then the levels row by row. A table the
+// layout cannot carry exactly is an error, not a table that decodes with
+// other buckets: over 255 buckets on an axis, a P/E bound outside
+// [0, 65535], a retention bound that is not a whole number of tenths
+// within [0, 6553.5], or a level grid of another shape.
 func (t *Table) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) } //nolint:errcheck
-	w(binaryMagic)
-	w(uint8(len(t.PECBounds)))
-	w(uint8(len(t.RetBounds)))
+	np, nr := len(t.PECBounds), len(t.RetBounds)
+	if np > math.MaxUint8 || nr > math.MaxUint8 || len(t.Levels) != np {
+		return nil, fmt.Errorf("rpt: %d×%d buckets with %d level rows do not fit the binary form", np, nr, len(t.Levels))
+	}
+	buf := append(binary.LittleEndian.AppendUint32(nil, binaryMagic), uint8(np), uint8(nr))
 	for _, b := range t.PECBounds {
-		w(uint16(b))
+		if b < 0 || b > math.MaxUint16 {
+			return nil, fmt.Errorf("rpt: P/E bound %d outside the binary form's [0, 65535]", b)
+		}
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(b))
 	}
 	for _, b := range t.RetBounds {
-		w(uint16(b * 10)) // tenth-of-month resolution
+		tenths := math.Round(b * 10)
+		if !(tenths >= 0 && tenths <= math.MaxUint16) || tenths/10 != b { //lint:floateq the bound must decode to exactly itself
+			return nil, fmt.Errorf("rpt: retention bound %g months is not a whole number of tenths within [0, 6553.5]", b)
+		}
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(tenths))
 	}
 	for _, row := range t.Levels {
-		if len(row) != len(t.RetBounds) {
+		if len(row) != nr {
 			return nil, fmt.Errorf("rpt: ragged level row")
 		}
-		for _, l := range row {
-			w(l)
-		}
+		buf = append(buf, row...)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// UnmarshalBinary parses MarshalBinary's format.
+// UnmarshalBinary parses MarshalBinary's format. The header fixes the
+// table's length, so input cut short or carrying trailing bytes is an
+// error, and t is left unchanged.
 func (t *Table) UnmarshalBinary(data []byte) error {
-	buf := bytes.NewReader(data)
-	var magic uint32
-	if err := binary.Read(buf, binary.LittleEndian, &magic); err != nil {
-		return fmt.Errorf("rpt: truncated table: %w", err)
+	if len(data) < 6 {
+		return fmt.Errorf("rpt: truncated table: %d bytes", len(data))
 	}
-	if magic != binaryMagic {
+	if magic := binary.LittleEndian.Uint32(data); magic != binaryMagic {
 		return fmt.Errorf("rpt: bad magic %#x", magic)
 	}
-	var np, nr uint8
-	if err := binary.Read(buf, binary.LittleEndian, &np); err != nil {
-		return err
+	np, nr := int(data[4]), int(data[5])
+	if want := 6 + 2*(np+nr) + np*nr; len(data) != want {
+		return fmt.Errorf("rpt: table is %d bytes, its header describes %d", len(data), want)
 	}
-	if err := binary.Read(buf, binary.LittleEndian, &nr); err != nil {
-		return err
+	out := Table{PECBounds: make([]int, np), RetBounds: make([]float64, nr), Levels: make([][]uint8, np)}
+	for i := range out.PECBounds {
+		out.PECBounds[i] = int(binary.LittleEndian.Uint16(data[6+2*i:]))
 	}
-	t.PECBounds = make([]int, np)
-	for i := range t.PECBounds {
-		var v uint16
-		if err := binary.Read(buf, binary.LittleEndian, &v); err != nil {
-			return err
-		}
-		t.PECBounds[i] = int(v)
+	for i := range out.RetBounds {
+		out.RetBounds[i] = float64(binary.LittleEndian.Uint16(data[6+2*(np+i):])) / 10
 	}
-	t.RetBounds = make([]float64, nr)
-	for i := range t.RetBounds {
-		var v uint16
-		if err := binary.Read(buf, binary.LittleEndian, &v); err != nil {
-			return err
-		}
-		t.RetBounds[i] = float64(v) / 10
+	levels := data[6+2*(np+nr):]
+	for i := range out.Levels {
+		out.Levels[i] = append([]uint8(nil), levels[i*nr:(i+1)*nr]...)
 	}
-	t.Levels = make([][]uint8, np)
-	for i := range t.Levels {
-		t.Levels[i] = make([]uint8, nr)
-		if _, err := buf.Read(t.Levels[i]); err != nil {
-			return err
-		}
-	}
+	*t = out
 	return nil
 }
 

@@ -2,6 +2,8 @@ package rpt
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"readretry/internal/nand"
@@ -170,6 +172,77 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 	if err := tab.UnmarshalBinary([]byte{0, 0, 0, 0, 6, 6}); err == nil {
 		t.Error("bad magic should fail")
+	}
+}
+
+// TestBinaryIsStrict: every proper prefix of the 66-byte default table,
+// and the table with a byte appended, is refused rather than decoded with
+// zero levels or the extra bytes ignored.
+func TestBinaryIsStrict(t *testing.T) {
+	data, err := profiled(t).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 66 {
+		t.Fatalf("default table = %d bytes, want 66 (6 header + 24 bounds + 36 levels)", len(data))
+	}
+	for n := 0; n < len(data); n++ {
+		var tab Table
+		if err := tab.UnmarshalBinary(data[:n]); err == nil {
+			t.Errorf("a table cut to %d of %d bytes decoded", n, len(data))
+		}
+	}
+	var tab Table
+	if err := tab.UnmarshalBinary(append(data, 0)); err == nil {
+		t.Error("a trailing byte was ignored")
+	}
+}
+
+// TestBinaryEncodesBoundsExactly: a table decodes with exactly the
+// buckets it was encoded with, or does not encode at all.
+func TestBinaryEncodesBoundsExactly(t *testing.T) {
+	exact := &Table{
+		PECBounds: []int{0, 65535},
+		RetBounds: []float64{0.3, 6553.5},
+		Levels:    [][]uint8{{1, 2}, {3, 4}},
+	}
+	data, err := exact.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Table
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, exact) {
+		t.Errorf("round trip = %+v, want %+v", back, *exact)
+	}
+	for name, mutate := range map[string]func(*Table){
+		"retention 0.25":   func(t *Table) { t.RetBounds[0] = 0.25 },
+		"retention 6553.6": func(t *Table) { t.RetBounds[1] = 6553.6 },
+		"negative months":  func(t *Table) { t.RetBounds[0] = -1 },
+		"NaN months":       func(t *Table) { t.RetBounds[0] = math.NaN() },
+		"P/E 65536":        func(t *Table) { t.PECBounds[1] = 65536 },
+		"negative P/E":     func(t *Table) { t.PECBounds[0] = -1 },
+		"256 P/E buckets": func(t *Table) {
+			t.PECBounds = make([]int, 256)
+			t.Levels = make([][]uint8, 256)
+			for i := range t.Levels {
+				t.Levels[i] = make([]uint8, 2)
+			}
+		},
+		"missing row": func(t *Table) { t.Levels = t.Levels[:1] },
+		"ragged row":  func(t *Table) { t.Levels[1] = t.Levels[1][:1] },
+	} {
+		bad := &Table{
+			PECBounds: append([]int(nil), exact.PECBounds...),
+			RetBounds: append([]float64(nil), exact.RetBounds...),
+			Levels:    [][]uint8{{1, 2}, {3, 4}},
+		}
+		mutate(bad)
+		if _, err := bad.MarshalBinary(); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
 	}
 }
 
