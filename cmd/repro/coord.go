@@ -7,7 +7,8 @@
 // and waits for the merged results. -spawn-shards N is -serve on a
 // loopback port plus N child -worker processes this process supervises.
 // No process needs a shared directory — records travel over the wire —
-// though workers still want -cache-dir for crash-resume.
+// though workers still want -cache-dir for crash-resume, and the
+// coordinator -state-dir to survive its own crash.
 package main
 
 import (
@@ -39,7 +40,7 @@ var (
 	spawnShards = flag.Int("spawn-shards", 0, "run a loopback coordinator (as -serve does) and fork this many child repro -worker processes to drain it; each sweep is cut into -serve-shards shards")
 	serveShards = flag.Int("serve-shards", 8, "how many shards to partition each submitted sweep into (with -serve, -spawn-shards or -submit)")
 	leaseTTL    = flag.Duration("lease-ttl", coord.DefaultLeaseTTL, "how long a worker lease survives without a heartbeat before its shard is re-leased (with -serve)")
-	stateDir    = flag.String("state-dir", "", "directory for the coordinator's crash-safe state journal (with -serve): a killed coordinator restarted with the same -state-dir resumes every job with zero lost work")
+	stateDir    = flag.String("state-dir", "", "directory for the coordinator's crash-safe state (with -serve or -spawn-shards): a journal of submissions and a store of every merged cell; a killed coordinator restarted with the same -state-dir resumes every job with zero lost work")
 )
 
 // networked reports whether a coordinator-protocol sweep mode is active
@@ -201,15 +202,17 @@ func (p *workerPool) err() error {
 // after submitting, fails if all of them exit before the jobs complete,
 // and kills any still running once it is done.
 //
-// With -state-dir, every submission and completion is journaled before it
-// is acknowledged, and startup replays the journal: a SIGKILL'd
-// coordinator restarted with the same -state-dir resumes where it died,
-// re-simulating nothing. SIGTERM/SIGINT trigger a graceful exit instead:
-// stop granting leases, let in-flight deliveries land (journaled), flush,
-// exit 0.
+// With -state-dir, the coordinator keeps every merged cell in a store
+// under it and journals every submission and completion before it is
+// acknowledged, and startup replays the journal's submissions over the
+// store: a SIGKILL'd coordinator restarted with the same -state-dir
+// resumes where it died, re-simulating nothing. -cache-dir then serves
+// only the spawned workers. SIGTERM/SIGINT trigger a graceful exit
+// instead: stop granting leases, let in-flight deliveries land
+// (journaled), flush, exit 0.
 func runServeMode(cfg experiments.Config, figs []figureSweep, addr string, spawn int) error {
 	var c *coord.Coordinator
-	opts := coord.Options{LeaseTTL: *leaseTTL, Cache: cfg.Cache}
+	opts := coord.Options{LeaseTTL: *leaseTTL}
 	if *stateDir != "" {
 		recovered, stats, err := coord.Recover(*stateDir, opts)
 		if err != nil {
@@ -222,8 +225,9 @@ func runServeMode(cfg experiments.Config, figs []figureSweep, addr string, spawn
 		}
 		coordLogf("coordinator: recovered state from %s: %s%s", *stateDir, stats, note)
 	} else {
+		opts.Cache = cfg.Cache
 		c = coord.New(opts)
-		coordLogf("coordinator: no -state-dir; a crash loses queued jobs (merged cells survive only in -cache-dir)")
+		coordLogf("coordinator: no -state-dir; a crash loses queued jobs, and merged cells survive only in -cache-dir")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -660,7 +660,9 @@ func main() {
 			// invocation it also lets fig15 reuse fig14's Baseline and
 			// NoRR cells (same scheme+PSO, so the same content address).
 			// Under -serve and -spawn-shards it is the coordinator's
-			// store: a re-run over a warm cache finishes at Submit.
+			// store, so a re-run over a warm cache finishes at Submit,
+			// unless -state-dir holds the store; spawned workers share it
+			// as their crash-resume cache either way.
 			cache, err := openDiskCache(*cacheDir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)

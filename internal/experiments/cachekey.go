@@ -61,12 +61,9 @@ func CacheKeySchema() string { return cacheKeySchema }
 // completion records safe to merge. Unlike CellKey, the variant *names*
 // are hashed too: they appear in Result.Configs and the CSV, so renaming a
 // column changes what a merged result looks like even though the
-// underlying measurements are the same.
-func ConfigHash(cfg Config, variants []Variant) (string, error) {
-	g, err := NewGrid(cfg, variants)
-	if err != nil {
-		return "", err
-	}
+// underlying measurements are the same. g must be the grid NewGrid
+// resolved from cfg, so a caller that holds one resolves the sweep once.
+func ConfigHash(cfg Config, g *Grid) (string, error) {
 	dev, err := json.Marshal(cfg.Base)
 	if err != nil {
 		return "", fmt.Errorf("experiments: hashing device config: %w", err)

@@ -133,7 +133,7 @@ type DiskCache struct {
 
 // Disk returns a cache persisted under dir (created if absent), fronted
 // by an in-memory tier. Entries are one JSON file per cell named by the
-// key; writes go through a temp file + best-effort fsync + rename, so
+// key; writes go through a temp file, fsync, rename and directory fsync, so
 // neither a crashed run nor a concurrent reader in another process ever
 // observes a torn entry — many processes (a coordinator and its workers)
 // may safely share one dir. Each entry carries a CRC-32C checksum over its
@@ -180,7 +180,8 @@ func gcOrphanTmp(dir string) int {
 }
 
 // SetLogf installs an observer for integrity events (corrupt entries
-// quarantined). Set it before the cache is shared across goroutines.
+// quarantined, entries not written). Set it before the cache is shared
+// across goroutines.
 func (c *DiskCache) SetLogf(logf func(format string, args ...interface{})) { c.logf = logf }
 
 // CorruptCount reports how many corrupt disk entries this instance has
@@ -303,48 +304,66 @@ func (c *DiskCache) quarantine(key string, cause error) {
 	}
 }
 
+// Put stores m in the memory tier and writes its disk entry durably. A
+// failed write is reported through the logf observer and leaves the cell
+// to be recomputed by a later run; it is never a sweep error.
 func (c *DiskCache) Put(key string, m Measurement) {
 	c.mem.Put(key, m)
 	if !validKey(key) {
 		return
 	}
+	err := writeEntry(c.path(key), m)
+	if err != nil && c.logf != nil {
+		c.logf("cellcache: entry %s not written (%v); a later run recomputes the cell", key, err)
+	}
+}
+
+// writeEntry publishes m's checksummed envelope at path all-or-nothing and
+// durably: a temp file in the target's directory, fsync'd, renamed into
+// place, and the directory fsync'd so the rename survives a crash too.
+// Workers sharing the directory, and the coordinator whose store it is,
+// treat a visible entry as durable work they will never redo; a failure
+// leaves at worst a missing entry, never a torn one.
+func writeEntry(path string, m Measurement) error {
 	payload, err := json.Marshal(m)
 	if err != nil {
-		return
+		return err
 	}
 	data, err := json.Marshal(diskEntry{Version: entryVersion, Sum: payloadSum(payload), Payload: payload})
 	if err != nil {
-		return
+		return err
 	}
-	// Storage failures degrade to misses, never sweep errors.
-	_ = writeFileAtomic(c.path(key), data)
-}
-
-// writeFileAtomic publishes data at path all-or-nothing: a temp file in
-// the target's directory, a best-effort fsync, then a rename. A cache
-// lookup in any process never observes a torn entry, and the data should
-// hit stable storage before the name does, because concurrent workers
-// sharing the directory treat a visible entry as durable work they will
-// never redo. A failed sync still degrades to (at worst) a missing file
-// after a crash, never a torn one — the rename is what makes it visible.
-func writeFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(data)
-	_ = tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return nil
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory, so that a name just created in it, or
+// renamed into it, survives a crash.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

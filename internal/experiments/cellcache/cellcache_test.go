@@ -474,3 +474,27 @@ func TestConcurrentAccess(t *testing.T) {
 		})
 	}
 }
+
+// TestDiskPutReportsWriteFailures: an entry that cannot be written is
+// reported through logf, and the cell is still served from memory.
+func TestDiskPutReportsWriteFailures(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Disk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	c.SetLogf(func(format string, args ...interface{}) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(key, sample)
+	if len(logged) != 1 || !strings.Contains(logged[0], "not written") {
+		t.Fatalf("failed write logged %q, want one \"not written\" line", logged)
+	}
+	if got, ok := c.Get(key); !ok || got != sample {
+		t.Fatalf("Get after a failed write = %+v, %v; want the memory tier's %+v", got, ok, sample)
+	}
+}

@@ -16,6 +16,10 @@
 //   - Worker (worker.go) is the pull loop a worker process runs: lease,
 //     execute via shard.Run (crash-resumable through its local cellcache
 //     tier), heartbeat while running, stream the completion record back.
+//   - Recover (journal.go) makes the coordinator crash-safe: each merged
+//     measurement is kept once, in the cell store (Options.Cache), and a
+//     write-ahead journal holds the submissions and one marker per
+//     accepted completion.
 //
 // The correctness bar: however the work is distributed, re-leased after worker deaths, or completed twice,
 // the merged Result — and its CSV bytes — must be identical to a
@@ -166,8 +170,8 @@ type Job struct {
 	grid *experiments.Grid
 	plan *shard.Plan
 	// keys holds each cell's content address, derived by Submit from the
-	// grid (only when the coordinator has a cache). Complete writes merged
-	// cells through under these keys, never under anything a worker sent.
+	// grid (only when the coordinator has a cache). Complete stores new
+	// cells under these keys, never under anything a worker sent.
 	keys []string
 
 	shards    []shardState
@@ -211,12 +215,13 @@ type Options struct {
 	// LeaseTTL is how long a lease survives without a heartbeat; 0 selects
 	// DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// Cache, when non-nil, is the coordinator-side shared store: every
-	// merged measurement is written through to it, and each submission
-	// probes it first — so a sweep overlapping an earlier one (fig15 sharing
-	// fig14's Baseline and NoRR cells, a re-submitted grid after a daemon
-	// restart over a disk tier) starts with those cells already merged and
-	// only leases out the rest.
+	// Cache, when non-nil, is the coordinator's cell store: every merged
+	// measurement is written to it, and each submission probes it first —
+	// so a sweep overlapping an earlier one (fig15 sharing fig14's
+	// Baseline and NoRR cells, a re-submitted grid after a daemon restart)
+	// starts with those cells already merged and only leases out the
+	// rest. Recover defaults a nil Cache to a disk tier under its state
+	// dir: the one durable copy of every merged cell.
 	Cache cellcache.Cache
 }
 
@@ -229,10 +234,10 @@ type Coordinator struct {
 	cache cellcache.Cache
 
 	mu sync.Mutex
-	// journal, when non-nil (Recover attaches it), is the write-ahead log:
-	// Submit and Complete append — and fsync — before mutating state, so
-	// anything the coordinator has acknowledged is replayable after a
-	// crash. See journal.go.
+	// journal, when non-nil (Recover attaches it), is the write-ahead log
+	// of submissions and completion markers: Submit and Complete append —
+	// and fsync — before mutating state, so anything the coordinator has
+	// acknowledged is replayable after a crash. See journal.go.
 	journal *Journal // guarded by mu
 	// draining refuses new leases (graceful shutdown: in-flight completes
 	// still merge, heartbeats still answer, but no new work goes out).
@@ -314,7 +319,7 @@ func (c *Coordinator) Submit(spec Spec, shards int) (*Job, error) {
 		return nil, err
 	}
 	shards = min(shards, max(grid.Total(), 1))
-	plan, err := shard.NewPlan(cfg, spec.Variants, shards)
+	plan, err := shard.Partition(cfg, grid, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -509,10 +514,10 @@ func (c *Coordinator) Heartbeat(leaseID string) (time.Time, error) {
 //   - A valid record is merged idempotently — cells already covered are
 //     left untouched, so duplicate deliveries and overlapping stale
 //     records cannot change the result. Only newly merged cells are
-//     written through to the cache, under the keys Submit derived from
-//     the grid. leaseID is advisory: a record
-//     delivered under an expired lease (the worker outlived its lease
-//     mid-upload) is still accepted, because the measurements are
+//     written to the cache, under the keys Submit derived from the grid,
+//     and before the journal marks the completion. leaseID is advisory:
+//     a record delivered under an expired lease (the worker outlived its
+//     lease mid-upload) is still accepted, because the measurements are
 //     deterministic — identical to what the re-leased worker would
 //     produce — and discarding finished work would only waste it.
 //
@@ -562,48 +567,40 @@ func (c *Coordinator) Complete(leaseID string, rec *shard.Record) (duplicate boo
 	}
 	duplicate = shardIdx >= 0 && j.shards[shardIdx].status == shardDone
 
-	finalized := false
-	select {
-	case <-j.done:
-		finalized = true
-	default:
-	}
-	if c.journal != nil {
-		// Journal the record before merging it, but only if it changes
-		// state (new cells, or a planned shard newly done) — re-deliveries
-		// of already-merged records must not grow the journal unboundedly.
-		newCells := false
-		if !finalized {
-			for _, cr := range rec.Results {
-				if !j.have[cr.Index] {
-					newCells = true
-					break
-				}
-			}
-		}
-		if newCells || (shardIdx >= 0 && !duplicate) {
-			if err := c.journal.Append(journalEntry{Type: "complete", Record: rec}); err != nil {
-				return false, err
-			}
-		}
-	}
-	if !finalized {
-		for _, cr := range rec.Results {
-			if j.have[cr.Index] {
-				continue
-			}
-			j.got[cr.Index] = cr.Measurement
-			j.have[cr.Index] = true
-			j.remaining--
+	// Store the new cells, then mark the completion in the journal, and
+	// only then merge: the marker's fsync is the acknowledgement, and
+	// every cell it covers is already in the store a replay reads. Only a
+	// delivery that changes state (new cells, or a planned shard newly
+	// done) is marked, so re-deliveries cannot grow the journal. A
+	// finalized job has every cell, so nothing is new to it.
+	newCells := false
+	for _, cr := range rec.Results {
+		if !j.have[cr.Index] {
+			newCells = true
 			if c.cache != nil {
 				c.cache.Put(j.keys[cr.Index], cr.Measurement)
+			}
+		}
+	}
+	if c.journal != nil && (newCells || (shardIdx >= 0 && !duplicate)) {
+		marker := journalEntry{Type: "complete", Job: j.ID, Shard: &rec.Manifest.Index}
+		if err := c.journal.Append(marker); err != nil {
+			return false, err
+		}
+	}
+	if newCells {
+		for _, cr := range rec.Results {
+			if !j.have[cr.Index] {
+				j.got[cr.Index] = cr.Measurement
+				j.have[cr.Index] = true
+				j.remaining--
 			}
 		}
 	}
 	if shardIdx >= 0 {
 		j.shards[shardIdx] = shardState{status: shardDone}
 	}
-	if !finalized && j.remaining == 0 {
+	if newCells && j.remaining == 0 {
 		c.finalizeLocked(j)
 	}
 	return duplicate, nil

@@ -69,16 +69,9 @@ func startServer(t *testing.T, c *Coordinator) *Client {
 func TestSpecRoundTrip(t *testing.T) {
 	cfg := specFixture()
 	variants := testVariants()
-	want, err := experiments.ConfigHash(cfg, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := configHash(t, cfg, variants)
 	spec := wireRoundTrip(t, SpecOf(cfg, variants))
-	got, err := experiments.ConfigHash(spec.Config(), spec.Variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got := configHash(t, spec.Config(), spec.Variants); got != want {
 		t.Fatalf("spec JSON round-trip changed the config hash: %s → %s", want, got)
 	}
 }
@@ -137,14 +130,24 @@ func TestEmptyRostersSurviveTheWire(t *testing.T) {
 				t.Errorf("empty %s %s: %d cells, want 0", name, side.label, g.Total())
 			}
 		}
-		want, err := experiments.ConfigHash(cfg, variants)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := experiments.ConfigHash(spec.Config(), spec.Variants); err != nil || got != want {
-			t.Errorf("empty %s: config hash %s → %s (%v) across the wire", name, want, got, err)
+		if want, got := configHash(t, cfg, variants), configHash(t, spec.Config(), spec.Variants); got != want {
+			t.Errorf("empty %s: config hash %s → %s across the wire", name, want, got)
 		}
 	}
+}
+
+// configHash is experiments.ConfigHash over the sweep's resolved grid.
+func configHash(t *testing.T, cfg experiments.Config, variants []experiments.Variant) string {
+	t.Helper()
+	g, err := experiments.NewGrid(cfg, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := experiments.ConfigHash(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // specFixture is a config with every sweep-defining field set.

@@ -29,6 +29,14 @@ func postRaw(t *testing.T, url, path string, body []byte) (int, errorResponse) {
 	return resp.StatusCode, e
 }
 
+// post serves one POST through h in process, with no listener and no
+// client, and returns the recorded response.
+func post(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
 // TestMalformedRequestsAnswerTypedErrors drives a table of hostile bodies
 // at every endpoint and requires a 4xx JSON answer each time — then
 // proves the server is still healthy by running a real submission.
@@ -93,7 +101,9 @@ func TestMalformedRequestsAnswerTypedErrors(t *testing.T) {
 // FuzzCompleteEndpoint throws arbitrary bytes at the most complex
 // endpoint — /complete, whose payload nests a full shard record — against
 // a coordinator with a live job. Any response is acceptable except a 5xx
-// (which would mean an internal failure) or a dead server.
+// (which would mean an internal failure) or a panic. The handler is called
+// in process, so coverage measures the coordinator rather than an HTTP
+// client and server.
 func FuzzCompleteEndpoint(f *testing.F) {
 	f.Add([]byte(`{"lease_id":"L","record":{"manifest":{"version":1},"results":[]}}`))
 	f.Add([]byte(`{"record":{"manifest":{"version":1,"config_hash":"h","total_cells":1,"cells":[0],"shard_count":1},"results":[{"index":0,"key":"k","measurement":{"mean_us":1}}]}}`))
@@ -106,17 +116,11 @@ func FuzzCompleteEndpoint(f *testing.F) {
 	if _, err := c.Submit(SpecOf(testConfig(7), testVariants()), 2); err != nil {
 		f.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(c).Handler())
-	f.Cleanup(srv.Close)
+	h := NewServer(c).Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		resp, err := http.Post(srv.URL+"/complete", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("server died on %q: %v", body, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 500 {
-			t.Fatalf("/complete answered %d to %q", resp.StatusCode, body)
+		if code := post(h, "/complete", body).Code; code >= 500 {
+			t.Fatalf("/complete answered %d to %q", code, body)
 		}
 	})
 }
@@ -140,18 +144,11 @@ func FuzzSubmitEndpoint(f *testing.F) {
 	f.Add(bytes.Repeat([]byte(`[`), 1024)) // deep nesting
 	f.Add([]byte(`{"spec":{"variants":[{"name":"` + strings.Repeat("x", 4096) + `"}]}}`))
 
-	c := New(Options{Clock: newFakeClock()})
-	srv := httptest.NewServer(NewServer(c).Handler())
-	f.Cleanup(srv.Close)
+	h := NewServer(New(Options{Clock: newFakeClock()})).Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		resp, err := http.Post(srv.URL+"/submit", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("server died on %q: %v", body, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 500 {
-			t.Fatalf("/submit answered %d to %q", resp.StatusCode, body)
+		if code := post(h, "/submit", body).Code; code >= 500 {
+			t.Fatalf("/submit answered %d to %q", code, body)
 		}
 	})
 }

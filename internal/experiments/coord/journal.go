@@ -1,28 +1,23 @@
 package coord
 
-// The coordinator's write-ahead journal (DESIGN.md §12). Every state
-// transition that must survive a coordinator crash — a sweep submission,
-// an accepted completion record — is appended to an fsync'd log *before*
-// the in-memory state machine applies it. Recover replays the journal
-// (plus the shared cellcache, through Submit's normal prefill path) into a
-// fresh Coordinator, so a SIGKILL'd daemon restarted over the same
-// -state-dir resumes with every submission, every merged cell, and every
-// done shard intact — zero lost work, zero duplicate simulation.
+// The coordinator's write-ahead journal (DESIGN.md §12). It holds what
+// only it can hold: every sweep submission, and one marker per accepted
+// completion. The measurements themselves live once, in the coordinator's
+// cell store (Options.Cache; by default a cellcache disk tier under the
+// state dir), which Complete writes before it appends the marker. Both
+// are fsync'd before the coordinator acknowledges, so Recover rebuilds a
+// SIGKILL'd daemon by replaying the submissions alone: each re-Submit
+// merges, from the store, every cell that was merged before the crash —
+// zero lost work, zero duplicate simulation.
 //
 // Format: one entry per line, "crc32c-hex8 <compact JSON>\n". The CRC
 // covers the JSON bytes, so the reader can tell a torn final append (the
 // crash raced the write — tolerated, the entry had not been acknowledged)
 // from corruption earlier in the file (refused loudly: silently dropping
 // an acknowledged submission is exactly the failure mode the journal
-// exists to prevent). Replay is idempotent because the state machine is:
-// Submit dedupes by ConfigHash and Complete merges cell-wise, so an entry
-// applied before the crash and replayed after it changes nothing.
-//
-// Completion entries embed the full shard.Record — measurements included —
-// which makes the journal self-sufficient: a coordinator with no cellcache
-// at all still recovers every merged cell, and a coordinator whose cache
-// lost entries (disk swap, quarantined corruption) heals them from the
-// journal during replay.
+// exists to prevent). Replay is idempotent because Submit is: it dedupes
+// by ConfigHash, so a submission applied before the crash and replayed
+// after it changes nothing.
 
 import (
 	"bufio"
@@ -31,11 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log"
 	"os"
 	"path/filepath"
-	"sync"
 
-	"readretry/internal/experiments/shard"
+	"readretry/internal/experiments/cellcache"
 )
 
 // JournalFilename is the journal's name inside a coordinator state dir.
@@ -58,41 +53,18 @@ type journalEntry struct {
 	// Spec and Shards carry a submission.
 	Spec   *Spec `json:"spec,omitempty"`
 	Shards int   `json:"shards,omitempty"`
-	// Record carries an accepted completion record, measurements included.
-	Record *shard.Record `json:"record,omitempty"`
+	// Job and Shard mark an accepted completion: the job's ID and the
+	// delivered manifest's shard index. The measurements are in the cell
+	// store; an older journal's "complete" entry that still carries them
+	// is read as a marker too.
+	Job   string `json:"job,omitempty"`
+	Shard *int   `json:"shard,omitempty"`
 }
 
-// Journal is an append-only fsync'd log of journalEntry lines. Safe for
-// concurrent use.
-type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
-
-// OpenJournal opens (creating if absent) the journal at path for
-// appending. The parent directory must exist; syncDir is best-effort so a
-// freshly created journal file itself survives a crash.
-func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("coord: opening journal: %w", err)
-	}
-	syncDir(filepath.Dir(path))
-	return &Journal{f: f, path: path}, nil
-}
-
-// syncDir fsyncs a directory so a just-created name in it is durable.
-// Best-effort: some filesystems refuse directory syncs.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
+// Journal is the append-only fsync'd log of journalEntry lines that
+// Recover opens. The coordinator's mutex serializes every Append, and
+// Close runs after the coordinator has detached it.
+type Journal struct{ f *os.File }
 
 // Append writes one entry and fsyncs before returning: when Append
 // reports success the entry will be replayed after any crash.
@@ -105,8 +77,6 @@ func (j *Journal) Append(e journalEntry) error {
 	line = append(line, fmt.Sprintf("%08x ", crc32.Checksum(data, journalCRC))...)
 	line = append(line, data...)
 	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
@@ -118,18 +88,11 @@ func (j *Journal) Append(e journalEntry) error {
 
 // Close syncs and closes the journal.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
+	err := j.f.Sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	j.f = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return err
 }
 
 // readJournal parses every entry at path. A missing file is an empty
@@ -194,8 +157,9 @@ func scanTerminatedLines(data []byte, atEOF bool) (advance int, token []byte, er
 	return 0, nil, nil
 }
 
-// maxJournalLine bounds one journal entry (a completion record for a very
-// large grid is megabytes; 256 MiB is far beyond any real sweep).
+// maxJournalLine bounds one journal entry. Submissions and markers are
+// small, but an older journal's completion entries carry whole records,
+// megabytes for a very large grid; 256 MiB is far beyond any real sweep.
 const maxJournalLine = 256 << 20
 
 // parseJournalLine decodes and verifies "crc32c-hex8 <json>".
@@ -216,16 +180,10 @@ func parseJournalLine(line []byte) (journalEntry, error) {
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return e, fmt.Errorf("entry JSON: %w", err)
 	}
-	switch e.Type {
-	case "submit":
-		if e.Spec == nil {
-			return e, errors.New("submit entry missing spec")
-		}
-	case "complete":
-		if e.Record == nil {
-			return e, errors.New("complete entry missing record")
-		}
-	default:
+	if e.Type == "submit" && e.Spec == nil {
+		return e, errors.New("submit entry missing spec")
+	}
+	if e.Type != "submit" && e.Type != "complete" {
 		return e, fmt.Errorf("unknown entry type %q", e.Type)
 	}
 	return e, nil
@@ -233,12 +191,12 @@ func parseJournalLine(line []byte) (journalEntry, error) {
 
 // RecoveryStats summarizes a Recover replay.
 type RecoveryStats struct {
-	// Jobs and Records count replayed journal entries.
+	// Jobs counts replayed submissions, Records completion markers.
 	Jobs    int
 	Records int
 	// MergedCells is the total number of cells already merged across all
-	// jobs after replay (journal records plus cellcache prefill) — the
-	// work the restart did NOT lose.
+	// jobs after replay, each found in the cell store — the work the
+	// restart did NOT lose.
 	MergedCells int
 	// DoneJobs counts jobs that finalized during replay.
 	DoneJobs int
@@ -248,25 +206,37 @@ type RecoveryStats struct {
 }
 
 func (s RecoveryStats) String() string {
-	return fmt.Sprintf("%d jobs (%d already done), %d completion records, %d cells recovered",
+	return fmt.Sprintf("%d jobs (%d already done), %d completion markers, %d cells recovered",
 		s.Jobs, s.DoneJobs, s.Records, s.MergedCells)
 }
 
 // Recover builds a Coordinator whose durable state lives under stateDir
-// (created if absent): the journal is replayed into a fresh coordinator —
-// each submission re-registered (probing opts.Cache exactly as a live
-// Submit would) and each completion record re-merged — and then attached,
-// so every subsequent Submit/Complete appends before it acknowledges.
-// Leases are deliberately not recovered: they are ephemeral by design, so
-// a restarted coordinator simply re-leases any shard the journal does not
-// record as complete, and the lease-holding workers learn at their next
-// heartbeat (ErrUnknownLease) and re-pull.
+// (created if absent). opts.Cache is its cell store; when it is nil,
+// Recover opens a cellcache disk tier at stateDir/cells, whose
+// integrity events and failed writes go to the standard logger. The
+// journal's submissions are replayed into a fresh coordinator, each
+// probing the store exactly as a live Submit would, so every cell merged
+// before the crash is merged again and every shard it covers is born
+// done. The journal is then attached, so every subsequent Submit/Complete
+// appends before it acknowledges. Completion markers are only counted.
+// Leases are deliberately not recovered: they are ephemeral by design,
+// so a restarted coordinator simply re-leases any shard the store does
+// not cover, and the lease-holding workers learn at their next heartbeat
+// (ErrUnknownLease) and re-pull.
 //
 // Use Close on the returned coordinator to flush and release the journal.
 func Recover(stateDir string, opts Options) (*Coordinator, RecoveryStats, error) {
 	var stats RecoveryStats
 	if err := os.MkdirAll(stateDir, 0o755); err != nil {
 		return nil, stats, fmt.Errorf("coord: state dir: %w", err)
+	}
+	if opts.Cache == nil {
+		store, err := cellcache.Disk(filepath.Join(stateDir, "cells"))
+		if err != nil {
+			return nil, stats, err
+		}
+		store.SetLogf(log.Printf)
+		opts.Cache = store
 	}
 	path := filepath.Join(stateDir, JournalFilename)
 	entries, valid, torn, err := readJournal(path)
@@ -277,18 +247,14 @@ func Recover(stateDir string, opts Options) (*Coordinator, RecoveryStats, error)
 
 	c := New(opts) // journal not attached yet: replay must not re-append
 	for i, e := range entries {
-		switch e.Type {
-		case "submit":
-			if _, err := c.Submit(*e.Spec, e.Shards); err != nil {
-				return nil, stats, fmt.Errorf("coord: replaying journal entry %d (submit): %w", i+1, err)
-			}
-			stats.Jobs++
-		case "complete":
-			if _, err := c.Complete("", e.Record); err != nil {
-				return nil, stats, fmt.Errorf("coord: replaying journal entry %d (complete): %w", i+1, err)
-			}
+		if e.Type == "complete" {
 			stats.Records++
+			continue
 		}
+		if _, err := c.Submit(*e.Spec, e.Shards); err != nil {
+			return nil, stats, fmt.Errorf("coord: replaying journal entry %d (submit): %w", i+1, err)
+		}
+		stats.Jobs++
 	}
 	for _, st := range c.Jobs() {
 		stats.MergedCells += st.CellsDone
@@ -297,24 +263,27 @@ func Recover(stateDir string, opts Options) (*Coordinator, RecoveryStats, error)
 		}
 	}
 
-	jl, err := OpenJournal(path)
+	// Syncing the directory (best-effort: some filesystems refuse) makes a
+	// freshly created journal itself survive a crash.
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, fmt.Errorf("coord: opening journal: %w", err)
 	}
+	_ = cellcache.SyncDir(stateDir)
 	if torn {
 		// Cut the torn bytes off before the next append lands after them:
 		// left in place, they would swallow that acknowledged entry.
-		err := jl.f.Truncate(valid)
+		err := f.Truncate(valid)
 		if err == nil {
-			err = jl.f.Sync()
+			err = f.Sync()
 		}
 		if err != nil {
-			jl.Close()
+			f.Close()
 			return nil, stats, fmt.Errorf("coord: truncating torn journal tail: %w", err)
 		}
 	}
 	c.mu.Lock()
-	c.journal = jl
+	c.journal = &Journal{f: f}
 	c.mu.Unlock()
 	return c, stats, nil
 }

@@ -9,6 +9,8 @@ package coord
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,10 +95,10 @@ func TestRecoverFreshStateDir(t *testing.T) {
 // TestCoordinatorCrashRestartZeroResim is the acceptance scenario: a
 // coordinator with a state dir and a disk cache is SIGKILLed after one of
 // two shards completed. The recovered coordinator must hold the merged
-// half (journal + cache replay), lease out only the other half, and the
-// drained result must be byte-identical to a single-process run — with the
-// post-restart worker's Put count proving zero already-completed cells
-// were re-simulated.
+// half (the journal's submission replayed over the cache), lease out only
+// the other half, and the drained result must be byte-identical to a
+// single-process run — with the post-restart worker's Put count proving
+// zero already-completed cells were re-simulated.
 func TestCoordinatorCrashRestartZeroResim(t *testing.T) {
 	cfg := e2eConfig(7)
 	variants := testVariants()
@@ -177,9 +179,9 @@ func TestCoordinatorCrashRestartZeroResim(t *testing.T) {
 	assertIdentical(t, "crash-restart", unsharded, res)
 }
 
-// TestRecoverWithoutCache: with no cellcache at all, the journal alone
-// carries every merged measurement — a fully completed sweep recovers
-// finalized, with an identical result.
+// TestRecoverWithoutCache: with no cache passed, Recover's own store
+// under the state dir carries every merged measurement — a fully
+// completed sweep recovers finalized, with an identical result.
 func TestRecoverWithoutCache(t *testing.T) {
 	cfg := testConfig(7)
 	variants := testVariants()
@@ -348,7 +350,7 @@ func TestJournalSkipsNoOpDeliveries(t *testing.T) {
 
 // TestDrainRefusesLeasesKeepsCompletes: Drain is the graceful-shutdown
 // half-open state — no new grants, but in-flight work still merges and the
-// journal still records it.
+// journal still marks it.
 func TestDrainRefusesLeasesKeepsCompletes(t *testing.T) {
 	state := t.TempDir()
 	c, _, err := Recover(state, Options{Clock: newFakeClock()})
@@ -502,4 +504,166 @@ func TestCorruptCacheEntryQuarantinedRecomputedHealed(t *testing.T) {
 	if got := cache3.CorruptCount(); got != 0 {
 		t.Fatalf("healed entry still corrupt on re-read: count %d", got)
 	}
+}
+
+// TestJournalHoldsOnlySubmitsAndMarkers: after a full sweep the journal is
+// the submission plus one marker per shard, with no measurement in it,
+// and the store holds each cell once.
+func TestJournalHoldsOnlySubmitsAndMarkers(t *testing.T) {
+	cfg := testConfig(7)
+	variants := testVariants()
+	state := t.TempDir()
+	c, _, err := Recover(state, Options{Clock: newFakeClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.Submit(SpecOf(cfg, variants), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := completeShard(t, c, cfg, variants, cellcache.Memory()); !ok {
+			break
+		}
+	}
+	if _, err := j.Result(); err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for i, line := range journalLines(t, state) {
+		e, err := parseJournalLine([]byte(line))
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		count[e.Type]++
+		for _, key := range []string{`"record"`, `"results"`, `"measurement"`} {
+			if strings.Contains(line, key) {
+				t.Errorf("line %d carries %s: %.120s…", i+1, key, line)
+			}
+		}
+	}
+	if count["submit"] != 1 || count["complete"] != 2 || len(count) != 2 {
+		t.Errorf("journal entries by type %v, want 1 submit and 2 complete markers", count)
+	}
+	entries, err := os.ReadDir(filepath.Join(state, "cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != j.grid.Total() {
+		t.Errorf("store holds %d entries, want one per cell (%d)", len(entries), j.grid.Total())
+	}
+}
+
+// TestRecordCarryingJournalRecovers: a journal whose completion entries
+// embed their records, as journals once did (testdata/records.journal: a
+// two-shard sweep with one shard delivered), still recovers. Its
+// completion entry counts as a marker, but no measurement is merged out of
+// the journal: the cells are not in the store, so the whole sweep is
+// leased again, and the drained result is identical to a single-process
+// run.
+func TestRecordCarryingJournalRecovers(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "records.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := t.TempDir()
+	if err := os.WriteFile(filepath.Join(state, JournalFilename), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, stats, err := Recover(state, Options{Clock: newFakeClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Jobs != 1 || stats.Records != 1 || stats.MergedCells != 0 || stats.TornTail {
+		t.Fatalf("recovery stats %+v, want 1 job, 1 marker, 0 cells", stats)
+	}
+	j, _ := c.Job(c.Jobs()[0].ID)
+	cfg := j.Spec.Config()
+	for {
+		if _, ok := completeShard(t, c, cfg, j.Spec.Variants, cellcache.Memory()); !ok {
+			break
+		}
+	}
+	got, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.RunSweep(context.Background(), cfg, j.Spec.Variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "record-carrying journal", want, got)
+}
+
+// TestCrashBetweenStoreAndMarker: a completion whose cells reached the
+// store but whose marker never reached the journal (the journal's file is
+// closed underneath the coordinator, as in
+// TestJournalFailure503IsRetryableRefusal) is refused with a 503 and
+// merges nothing. A restart still finds those cells in the store: the
+// worker that drains the sweep simulates none of them.
+func TestCrashBetweenStoreAndMarker(t *testing.T) {
+	cfg := e2eConfig(7)
+	variants := testVariants()
+	state := t.TempDir()
+	c, _, err := Recover(state, Options{Clock: newFakeClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.Submit(SpecOf(cfg, variants), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, ok := c.Lease("w")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	runCfg := cfg
+	runCfg.Parallelism = 1
+	rec, err := shard.Run(context.Background(), runCfg, variants, l.Manifest, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.journal.f.Close()
+	c.mu.Unlock()
+	body, err := json.Marshal(completeRequest{LeaseID: l.ID, Record: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post(NewServer(c).Handler(), "/complete", body).Code; code != http.StatusServiceUnavailable {
+		t.Fatalf("/complete with a dead journal answered %d, want 503", code)
+	}
+	if st, _ := c.Status(j.ID); st.CellsDone != 0 || st.ShardsDone != 0 {
+		t.Fatalf("refused completion changed the job: %+v", st)
+	}
+
+	// SIGKILL; recover over the same state dir.
+	c2, stats, err := Recover(state, Options{Clock: newFakeClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := len(l.Manifest.Cells)
+	if stats.Records != 0 || stats.MergedCells != stored {
+		t.Fatalf("recovery stats %+v, want no marker and the %d stored cells", stats, stored)
+	}
+	resume := &countingCache{c: cellcache.Memory()}
+	for {
+		if _, ok := completeShard(t, c2, cfg, variants, resume); !ok {
+			break
+		}
+	}
+	total := j.grid.Total()
+	if resume.count() != total-stored {
+		t.Fatalf("post-restart worker simulated %d cells, want %d (none of the %d stored)", resume.count(), total-stored, stored)
+	}
+	j2, _ := c2.Job(j.ID)
+	got, err := j2.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.RunSweep(context.Background(), cfg, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "store without marker", want, got)
 }

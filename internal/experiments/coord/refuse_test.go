@@ -104,9 +104,8 @@ func TestInvalidSweepsRefusedEverywhere(t *testing.T) {
 }
 
 // TestSubmitOfManyConditionsIsPrompt: a 32,000-condition submission, a
-// body of about 1.4 MB, is checked in time linear in its lists. Submit
-// resolves the grid three times (NewGrid, shard.NewPlan, ConfigHash), so
-// a pairwise repeat scan would cost seconds here.
+// body of about 1.4 MB, is checked in time linear in its lists; a
+// pairwise repeat scan would cost seconds here.
 func TestSubmitOfManyConditionsIsPrompt(t *testing.T) {
 	cfg := testConfig(7)
 	cfg.Conditions = make([]experiments.Condition, 32000)

@@ -224,19 +224,16 @@ func NormalizeCells(cells []Cell, variants []Variant) error {
 // first and filled after each miss (giving shard processes sharing a disk
 // tier crash-resumability for free), and cfg.Progress observing completed
 // cells against len(indices). cfg.Sink is ignored — streaming is defined
-// over the canonical order of a full grid.
-func RunCells(ctx context.Context, cfg Config, variants []Variant, indices []int) ([]Cell, error) {
-	g, err := NewGrid(cfg, variants)
-	if err != nil {
-		return nil, err
-	}
+// over the canonical order of a full grid. g must be the grid NewGrid
+// resolved from cfg.
+func RunCells(ctx context.Context, cfg Config, g *Grid, indices []int) ([]Cell, error) {
 	for _, idx := range indices {
 		if err := g.checkIndex(idx); err != nil {
 			return nil, err
 		}
 	}
 	out := make([]Cell, len(indices))
-	err = runGridCells(ctx, cfg, g, indices, func(pos, idx int, c Cell) error {
+	err := runGridCells(ctx, cfg, g, indices, func(pos, idx int, c Cell) error {
 		out[pos] = c // each pos is delivered exactly once
 		return nil
 	})

@@ -118,7 +118,7 @@ func TestRunCellsSubsetMatchesFullSweep(t *testing.T) {
 	}
 	// An arbitrary subset, deliberately out of ascending order.
 	indices := []int{7, 0, 3, 9, 2}
-	cells, err := RunCells(context.Background(), cfg, Figure14Variants(), indices)
+	cells, err := RunCells(context.Background(), cfg, mustGrid(t, cfg, Figure14Variants()), indices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRunCellsSubsetMatchesFullSweep(t *testing.T) {
 func TestRunCellsRejectsOutOfRangeIndex(t *testing.T) {
 	cfg := tinySweepConfig(7)
 	for _, bad := range [][]int{{-1}, {10}, {0, 99}} {
-		if _, err := RunCells(context.Background(), cfg, Figure14Variants(), bad); err == nil {
+		if _, err := RunCells(context.Background(), cfg, mustGrid(t, cfg, Figure14Variants()), bad); err == nil {
 			t.Fatalf("RunCells accepted out-of-range indices %v", bad)
 		}
 	}
@@ -175,11 +175,11 @@ func TestNormalizeCellsMatchesEngineNormalization(t *testing.T) {
 func TestConfigHashSensitivity(t *testing.T) {
 	cfg := tinySweepConfig(7)
 	variants := Figure14Variants()
-	base, err := ConfigHash(cfg, variants)
+	base, err := ConfigHash(cfg, mustGrid(t, cfg, variants))
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := ConfigHash(cfg, Figure14Variants())
+	same, err := ConfigHash(cfg, mustGrid(t, cfg, Figure14Variants()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestConfigHashSensitivity(t *testing.T) {
 		if vs == nil {
 			vs = variants
 		}
-		h, err := ConfigHash(c, vs)
+		h, err := ConfigHash(c, mustGrid(t, c, vs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -212,4 +212,14 @@ func TestConfigHashSensitivity(t *testing.T) {
 		vs[1].Name = "renamed"
 		return vs
 	})
+}
+
+// mustGrid resolves cfg's grid, failing the test on an invalid sweep.
+func mustGrid(t *testing.T, cfg Config, variants []Variant) *Grid {
+	t.Helper()
+	g, err := NewGrid(cfg, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

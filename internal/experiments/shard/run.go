@@ -31,7 +31,7 @@ func Run(ctx context.Context, cfg experiments.Config, variants []experiments.Var
 	if err != nil {
 		return nil, err
 	}
-	hash, err := experiments.ConfigHash(cfg, variants)
+	hash, err := experiments.ConfigHash(cfg, g)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func Run(ctx context.Context, cfg experiments.Config, variants []experiments.Var
 		return nil, err
 	}
 
-	cells, err := experiments.RunCells(ctx, cfg, variants, m.Cells)
+	cells, err := experiments.RunCells(ctx, cfg, g, m.Cells)
 	if err != nil {
 		return nil, err
 	}

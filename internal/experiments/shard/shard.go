@@ -5,11 +5,12 @@
 //
 // The lifecycle has three steps:
 //
-//   - NewPlan partitions the canonical cell-index space round-robin into N
-//     balanced shards (cell idx goes to shard idx mod N, so the expensive
-//     high-PEC stripes at the end of each workload block spread evenly) and
-//     describes each as a self-contained Manifest: the sweep's config hash,
-//     the cache-key schema, and the assigned cell indices.
+//   - NewPlan (or Partition, over a grid already resolved) splits the
+//     canonical cell-index space round-robin into N balanced shards (cell
+//     idx goes to shard idx mod N, so the expensive high-PEC stripes at
+//     the end of each workload block spread evenly) and describes each as
+//     a self-contained Manifest: the sweep's config hash, the cache-key
+//     schema, and the assigned cell indices.
 //   - Run executes one shard's cells through the existing sweep machinery
 //     (experiments.RunCells): the same worker pool, shared traces, and
 //     per-cell cache, so a shard over a cellcache disk tier persists every
@@ -93,7 +94,17 @@ type Plan struct {
 	Shards     []Manifest
 }
 
-// NewPlan partitions the sweep's canonical cell-index space into n
+// NewPlan resolves the sweep's grid and partitions it into n shards; see
+// Partition.
+func NewPlan(cfg experiments.Config, variants []experiments.Variant, n int) (*Plan, error) {
+	g, err := experiments.NewGrid(cfg, variants)
+	if err != nil {
+		return nil, err
+	}
+	return Partition(cfg, g, n)
+}
+
+// Partition splits a resolved grid's canonical cell-index space into n
 // round-robin shards: cell idx is assigned to shard idx mod n. The
 // partition is deterministic, disjoint, and covering at every n ≥ 1, and
 // balanced two ways at once — shard sizes differ by at most one cell, and
@@ -101,16 +112,14 @@ type Plan struct {
 // (low PEC and short retention first, the cheap cells), striding by n
 // spreads the expensive high-PEC / long-retention cells evenly instead of
 // handing the last shard all of them. n larger than the grid simply leaves
-// the excess shards empty, which run and merge like any other.
-func NewPlan(cfg experiments.Config, variants []experiments.Variant, n int) (*Plan, error) {
+// the excess shards empty, which run and merge like any other. g must be
+// the grid experiments.NewGrid resolved from cfg; a caller that holds it
+// (the coordinator's Submit) resolves the sweep once.
+func Partition(cfg experiments.Config, g *experiments.Grid, n int) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: plan needs at least 1 shard, got %d", n)
 	}
-	g, err := experiments.NewGrid(cfg, variants)
-	if err != nil {
-		return nil, err
-	}
-	hash, err := experiments.ConfigHash(cfg, variants)
+	hash, err := experiments.ConfigHash(cfg, g)
 	if err != nil {
 		return nil, err
 	}

@@ -205,9 +205,10 @@ func TestPlanPartitionPropertyAndMergeIdentity(t *testing.T) {
 }
 
 // TestMergedMetricsCSVMatchesUnsharded: the retry digest rides each cell
-// through the HTTP wire and the coordinator's journal, so a coordinator
-// fed over HTTP — and one rebuilt from its journal alone, with no cache —
-// renders the metrics CSV byte-identically to a single-process sweep.
+// through the HTTP wire and the coordinator's cell store, so a coordinator
+// fed over HTTP — and one rebuilt from its state dir, with no cache
+// passed — renders the metrics CSV byte-identically to a single-process
+// sweep.
 func TestMergedMetricsCSVMatchesUnsharded(t *testing.T) {
 	cfg := baseConfig(7)
 	cfg.Base.RetryMetrics = true
