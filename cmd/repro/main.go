@@ -357,6 +357,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repro: -spawn-shards, -serve, -worker and -submit are mutually exclusive")
 		os.Exit(2)
 	}
+	if *stateDir != "" && *spawnShards == 0 && *serveAddr == "" {
+		fmt.Fprintln(os.Stderr, "repro: -state-dir is the coordinator's state; use it with -serve or -spawn-shards")
+		os.Exit(2)
+	}
 	if !slices.ContainsFunc(experimentNames, func(n string) bool { return strings.EqualFold(n, *only) }) {
 		fmt.Fprintf(os.Stderr, "repro: unknown -only %q; valid names: %s\n", *only, strings.Join(experimentNames, ", "))
 		os.Exit(2)

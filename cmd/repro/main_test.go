@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,7 @@ func TestUnknownOnlyIsRejected(t *testing.T) {
 // message naming the flag, before any experiment prints or a coordinator
 // listens.
 func TestBadFlagValuesAreRejected(t *testing.T) {
+	stateDir := filepath.Join(t.TempDir(), "state")
 	cases := [][]string{
 		{"-only", "fig5", "-samples", "0"},
 		{"-only", "fig5", "-samples", "-5"},
@@ -46,6 +48,8 @@ func TestBadFlagValuesAreRejected(t *testing.T) {
 		{"-only", "table1", "-device", "xyz"},
 		{"-only", "table1", "-temps", "25,25"},
 		{"-only", "table1", "-device", "tlc,tlc"},
+		{"-quick", "-only", "fig14", "-state-dir", stateDir},
+		{"-only", "fig14", "-worker", "127.0.0.1:1", "-state-dir", stateDir},
 	}
 	for _, args := range cases {
 		cmd := exec.Command(os.Args[0], append(args, "-progress=false")...)
@@ -64,6 +68,9 @@ func TestBadFlagValuesAreRejected(t *testing.T) {
 		if flagName := args[len(args)-2]; !strings.Contains(stderr.String(), flagName) {
 			t.Errorf("repro %s: stderr does not name %s:\n%s", strings.Join(args, " "), flagName, stderr.String())
 		}
+	}
+	if _, err := os.Stat(stateDir); !os.IsNotExist(err) {
+		t.Errorf("a rejected -state-dir was created (stat: %v)", err)
 	}
 }
 

@@ -65,7 +65,8 @@ func main() {
 			break
 		}
 		m := l.Manifest
-		fmt.Printf("  shard %d/%d: %d cells %v\n", m.Index+1, m.Count, len(m.Cells), m.Cells)
+		cells := m.Cells(st.TotalCells)
+		fmt.Printf("  shard %d/%d: %d cells %v\n", m.Index+1, m.Count, len(cells), cells)
 		if m.Index == n-1 {
 			ctx, cancel := context.WithCancel(context.Background())
 			crashCfg := workerCfg

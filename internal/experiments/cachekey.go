@@ -46,12 +46,6 @@ func CellKey(cfg Config, wl string, cond Condition, v Variant) (string, error) {
 	return cellKey(cfg, wl, cond, v)
 }
 
-// CacheKeySchema returns the engine's current cache-key schema tag. Shard
-// manifests record it so a manifest planned by one engine version is never
-// executed or merged against a cache tier written under a different key
-// derivation.
-func CacheKeySchema() string { return cacheKeySchema }
-
 // ConfigHash fingerprints a sweep's entire cell-index space: the resolved
 // workload roster, the resolved condition grid (Temps already crossed in),
 // every variant (name, scheme, PSO), the trace shape (Seed, Requests,

@@ -90,9 +90,9 @@ var ErrUnknownLease = errors.New("coord: unknown lease")
 var ErrLeaseExpired = errors.New("coord: lease expired")
 
 // ErrBadRecord reports a completion record that is internally inconsistent
-// (results not mirroring the manifest's cell list, indices outside the
-// grid). Unlike a foreign record it cannot be attributed to another sweep;
-// it is a worker bug, rejected outright.
+// (a manifest naming no shard, results that are not the cells it derives
+// over the job's grid). Unlike a foreign record it cannot be attributed to
+// another sweep; it is a worker bug, rejected outright.
 var ErrBadRecord = errors.New("coord: malformed completion record")
 
 // ForeignRecordError is the typed rejection for a completion record whose
@@ -323,12 +323,14 @@ func (c *Coordinator) Submit(spec Spec, shards int) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j, ok := c.jobs[plan.ConfigHash]; ok {
+	if j, ok := c.Job(plan.ConfigHash); ok {
 		return j, nil
 	}
+
+	// Build the job outside the mutex: deriving a key JSON-encodes the
+	// device template (~12 µs a cell), and the store probes may touch
+	// disk, so a MaxCells grid would otherwise stall every lease and
+	// heartbeat for seconds.
 	total := grid.Total()
 	j := &Job{
 		ID:        plan.ConfigHash,
@@ -356,17 +358,16 @@ func (c *Coordinator) Submit(spec Spec, shards int) (*Job, error) {
 			}
 		}
 	}
-	for i, m := range plan.Shards {
-		covered := true
-		for _, idx := range m.Cells {
-			if !j.have[idx] {
-				covered = false
-				break
-			}
-		}
-		if covered { // includes the empty shards of an n > cells plan
+	for i, m := range plan.Shards { // the empty shard of a 0-cell grid is covered too
+		if !slices.ContainsFunc(m.Cells(total), func(idx int) bool { return !j.have[idx] }) {
 			j.shards[i].status = shardDone
 		}
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prior, ok := c.jobs[j.ID]; ok { // a concurrent submission of the same sweep won
+		return prior, nil
 	}
 	if c.journal != nil {
 		// WAL discipline: the submission is durable before it is
@@ -509,7 +510,8 @@ func (c *Coordinator) Heartbeat(leaseID string) (time.Time, error) {
 //
 //   - A record whose ConfigHash matches no job is rejected with a typed
 //     *ForeignRecordError and merges nothing.
-//   - A record whose results do not mirror its manifest's cell list is
+//   - A record whose manifest names no shard, or whose results are not
+//     the cells its (index, count) derives over the job's grid, is
 //     rejected as malformed (ErrBadRecord).
 //   - A valid record is merged idempotently — cells already covered are
 //     left untouched, so duplicate deliveries and overlapping stale
@@ -521,69 +523,71 @@ func (c *Coordinator) Heartbeat(leaseID string) (time.Time, error) {
 //     deterministic — identical to what the re-leased worker would
 //     produce — and discarding finished work would only waste it.
 //
-// When the record matches one of the job's planned shards exactly, that
-// shard is marked done, so any lease still on it (the deliverer's, or a
-// re-leased worker's) reads as expired at its holder's next heartbeat.
-// The returned duplicate flag reports whether the shard had already
-// completed. When the last cell lands the job finalizes: the
+// A record cut under the job's own shard count completes that planned
+// shard, so any lease still on it (the deliverer's, or a re-leased
+// worker's) reads as expired at its holder's next heartbeat; one cut
+// under another count (a client that planned its own partition) merges
+// cell-wise only. The returned duplicate flag reports whether the shard
+// had already completed. When the last cell lands the job finalizes: the
 // merged grid is normalized once (shard.Assemble) and Done closes.
 func (c *Coordinator) Complete(leaseID string, rec *shard.Record) (duplicate bool, err error) {
 	if rec == nil {
 		return false, fmt.Errorf("%w: no record", ErrBadRecord)
 	}
+	m := rec.Manifest
 	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	j, ok := c.jobs[rec.Manifest.ConfigHash]
+	j, ok := c.jobs[m.ConfigHash]
+	jobs := len(c.jobs)
+	c.mu.Unlock()
 	if !ok {
-		return false, &ForeignRecordError{ConfigHash: rec.Manifest.ConfigHash, Jobs: len(c.jobs)}
+		return false, &ForeignRecordError{ConfigHash: m.ConfigHash, Jobs: jobs}
 	}
-	total := j.grid.Total()
-	if rec.Manifest.Version > shard.ManifestVersion || rec.Manifest.TotalCells != total {
-		return false, fmt.Errorf("%w: manifest (version %d, %d cells) does not fit job %.12s… (%d cells)",
-			ErrBadRecord, rec.Manifest.Version, rec.Manifest.TotalCells, j.ID, total)
+	// The grid is immutable once submitted, so the record is checked
+	// against it outside the mutex.
+	if err := m.Validate(); err != nil {
+		return false, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
-	if len(rec.Results) != len(rec.Manifest.Cells) {
-		return false, fmt.Errorf("%w: %d results for %d assigned cells", ErrBadRecord, len(rec.Results), len(rec.Manifest.Cells))
+	cells := m.Cells(j.grid.Total())
+	if len(rec.Results) != len(cells) {
+		return false, fmt.Errorf("%w: %d results for shard %d/%d's %d cells", ErrBadRecord, len(rec.Results), m.Index, m.Count, len(cells))
 	}
 	for i, cr := range rec.Results {
-		if cr.Index != rec.Manifest.Cells[i] {
-			return false, fmt.Errorf("%w: result %d holds cell %d, manifest assigns %d", ErrBadRecord, i, cr.Index, rec.Manifest.Cells[i])
-		}
-		if cr.Index < 0 || cr.Index >= total {
-			return false, fmt.Errorf("%w: cell index %d outside grid [0, %d)", ErrBadRecord, cr.Index, total)
+		if cr.Index != cells[i] {
+			return false, fmt.Errorf("%w: result %d holds cell %d, shard %d/%d assigns %d", ErrBadRecord, i, cr.Index, m.Index, m.Count, cells[i])
 		}
 	}
 
-	// Identify the planned shard this record completes, if any. A record
-	// cut under a different partition of the same sweep (a client that
-	// planned its own shard count) still merges cell-wise below; it just
-	// cannot mark a planned shard done unless the cell lists agree.
+	// Store the cells this delivery brings before the journal marks it,
+	// outside the mutex: each Put is a disk write with two fsyncs. A
+	// concurrent delivery of the same cells may store them too, which is
+	// harmless — the key and the measurement are the same. A failed Put
+	// is only logged by the store (DESIGN §12): after a crash that cell
+	// is leased and computed again.
+	if c.cache != nil {
+		c.mu.Lock()
+		fresh := slices.DeleteFunc(slices.Clone(rec.Results), func(cr shard.CellResult) bool { return j.have[cr.Index] })
+		c.mu.Unlock()
+		for _, cr := range fresh {
+			c.cache.Put(j.keys[cr.Index], cr.Measurement)
+		}
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	shardIdx := -1
-	if rec.Manifest.Count == len(j.plan.Shards) &&
-		rec.Manifest.Index >= 0 && rec.Manifest.Index < len(j.plan.Shards) &&
-		slices.Equal(rec.Manifest.Cells, j.plan.Shards[rec.Manifest.Index].Cells) {
-		shardIdx = rec.Manifest.Index
+	if m.Count == len(j.shards) {
+		shardIdx = m.Index
 	}
 	duplicate = shardIdx >= 0 && j.shards[shardIdx].status == shardDone
 
-	// Store the new cells, then mark the completion in the journal, and
-	// only then merge: the marker's fsync is the acknowledgement, and
-	// every cell it covers is already in the store a replay reads. Only a
-	// delivery that changes state (new cells, or a planned shard newly
-	// done) is marked, so re-deliveries cannot grow the journal. A
-	// finalized job has every cell, so nothing is new to it.
-	newCells := false
-	for _, cr := range rec.Results {
-		if !j.have[cr.Index] {
-			newCells = true
-			if c.cache != nil {
-				c.cache.Put(j.keys[cr.Index], cr.Measurement)
-			}
-		}
-	}
+	// Mark the completion in the journal, and only then merge: the
+	// marker's fsync is the acknowledgement. Only a delivery that changes
+	// state (new cells, or a planned shard newly done) is marked, so
+	// re-deliveries cannot grow the journal. A finalized job has every
+	// cell, so nothing is new to it.
+	newCells := slices.ContainsFunc(rec.Results, func(cr shard.CellResult) bool { return !j.have[cr.Index] })
 	if c.journal != nil && (newCells || (shardIdx >= 0 && !duplicate)) {
-		marker := journalEntry{Type: "complete", Job: j.ID, Shard: &rec.Manifest.Index}
+		marker := journalEntry{Type: "complete", Job: j.ID, Shard: &m.Index}
 		if err := c.journal.Append(marker); err != nil {
 			return false, err
 		}

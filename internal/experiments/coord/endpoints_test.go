@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -98,6 +100,57 @@ func TestMalformedRequestsAnswerTypedErrors(t *testing.T) {
 	}
 }
 
+// hostileShardRecords are /complete bodies for a live job whose manifest
+// names no shard (no shards, a negative index, an index past the count)
+// or strides past the largest int, each carrying one result. Every one
+// must answer 400.
+func hostileShardRecords(jobID string) map[string][]byte {
+	body := func(index, count int) []byte {
+		return []byte(fmt.Sprintf(`{"lease_id":"L","record":{"manifest":{"version":2,"config_hash":%q,"shard_index":%d,"shard_count":%d},"results":[{"index":0,"measurement":{"mean_us":1}}]}}`,
+			jobID, index, count))
+	}
+	return map[string][]byte{
+		"no-shards":       body(0, 0),
+		"negative-index":  body(-1, 2),
+		"index-past":      body(2, 2),
+		"near-maxint":     body(math.MaxInt-1, math.MaxInt),
+		"stride-overflow": body(1, math.MaxInt),
+	}
+}
+
+// TestCompleteRejectsHostileShardCoordinates: a record whose (index,
+// count) derives no valid cell list is a 400 that merges nothing.
+func TestCompleteRejectsHostileShardCoordinates(t *testing.T) {
+	c := New(Options{Clock: newFakeClock()})
+	j, err := c.Submit(SpecOf(testConfig(7), testVariants()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(c).Handler()
+	for name, body := range hostileShardRecords(j.ID) {
+		if code := post(h, "/complete", body).Code; code != http.StatusBadRequest {
+			t.Errorf("%s: /complete answered %d, want 400", name, code)
+		}
+	}
+	if st, _ := c.Status(j.ID); st.CellsDone != 0 || st.ShardsDone != 0 {
+		t.Fatalf("hostile records changed the job: %+v", st)
+	}
+}
+
+// TestLeaseToHungUpWorkerIsNotGranted: a /lease request whose client has
+// already gone grants nothing, so the shard stays leasable instead of
+// sitting under a lease no worker holds until its deadline.
+func TestLeaseToHungUpWorkerIsNotGranted(t *testing.T) {
+	c, _, _ := newTestCoordinator(t, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/lease", strings.NewReader(`{"worker_id":"gone"}`)).WithContext(ctx)
+	NewServer(c).Handler().ServeHTTP(httptest.NewRecorder(), req)
+	if _, ok := c.Lease("w"); !ok {
+		t.Fatal("the hung-up worker's request took the only shard")
+	}
+}
+
 // FuzzCompleteEndpoint throws arbitrary bytes at the most complex
 // endpoint — /complete, whose payload nests a full shard record — against
 // a coordinator with a live job. Any response is acceptable except a 5xx
@@ -105,18 +158,22 @@ func TestMalformedRequestsAnswerTypedErrors(t *testing.T) {
 // in process, so coverage measures the coordinator rather than an HTTP
 // client and server.
 func FuzzCompleteEndpoint(f *testing.F) {
+	c := New(Options{Clock: newFakeClock()})
+	j, err := c.Submit(SpecOf(testConfig(7), testVariants()), 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := NewServer(c).Handler()
+
 	f.Add([]byte(`{"lease_id":"L","record":{"manifest":{"version":1},"results":[]}}`))
 	f.Add([]byte(`{"record":{"manifest":{"version":1,"config_hash":"h","total_cells":1,"cells":[0],"shard_count":1},"results":[{"index":0,"key":"k","measurement":{"mean_us":1}}]}}`))
 	f.Add([]byte(`{"lease_id":"L","record":null}`))
 	f.Add([]byte(`{"record":{"results":[{"index":-1},{"index":4294967295}]}}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
-
-	c := New(Options{Clock: newFakeClock()})
-	if _, err := c.Submit(SpecOf(testConfig(7), testVariants()), 2); err != nil {
-		f.Fatal(err)
+	for _, body := range hostileShardRecords(j.ID) {
+		f.Add(body)
 	}
-	h := NewServer(c).Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if code := post(h, "/complete", body).Code; code >= 500 {

@@ -207,6 +207,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, http.MethodPost, maxSmallBody, &req) {
 		return
 	}
+	if r.Context().Err() != nil {
+		// The worker hung up: a lease granted now would reach no one and
+		// hold its shard until the deadline.
+		return
+	}
 	l, ok := s.c.Lease(req.WorkerID)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)

@@ -40,7 +40,7 @@ func completeShard(t *testing.T, c *Coordinator, cfg experiments.Config, variant
 	if _, err := c.Complete(l.ID, rec); err != nil {
 		t.Fatal(err)
 	}
-	return len(l.Manifest.Cells), true
+	return len(rec.Results), true
 }
 
 func journalLines(t *testing.T, stateDir string) []string {
@@ -642,7 +642,7 @@ func TestCrashBetweenStoreAndMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := len(l.Manifest.Cells)
+	stored := len(rec.Results)
 	if stats.Records != 0 || stats.MergedCells != stored {
 		t.Fatalf("recovery stats %+v, want no marker and the %d stored cells", stats, stored)
 	}

@@ -240,7 +240,7 @@ func (w *Worker) runLease(ctx context.Context, l *Lease) error {
 		}
 	}()
 
-	w.logf("worker: running shard %d/%d (%d cells, lease %s)", l.Manifest.Index, l.Manifest.Count, len(l.Manifest.Cells), l.ID)
+	w.logf("worker: running shard %d/%d (lease %s)", l.Manifest.Index, l.Manifest.Count, l.ID)
 	rec, runErr := shard.Run(runCtx, cfg, l.Spec.Variants, l.Manifest, "")
 	cancel()
 	<-hbDone

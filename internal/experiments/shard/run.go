@@ -13,10 +13,11 @@ import (
 // machinery (experiments.RunCells — same worker pool, shared traces,
 // cfg.Cache consulted first and filled after each miss). Before any
 // simulation it re-derives the configuration's hash and refuses a manifest
-// planned for a different sweep or under a different cache-key schema, so
-// mixing up flags between processes fails loudly instead of merging
-// garbage. Give a shard a cellcache disk tier to make it resumable:
-// re-running a crashed shard performs only the simulations the crash lost.
+// planned for a different sweep, or by an engine that derives cache keys
+// differently (the hash covers the key schema), so mixing up flags between
+// processes fails loudly instead of merging garbage. Give a shard a
+// cellcache disk tier to make it resumable: re-running a crashed shard
+// performs only the simulations the crash lost.
 //
 // dir is vestigial — shards no longer write files — and must be empty; a
 // non-empty dir is an error rather than a silently ignored request.
@@ -39,20 +40,17 @@ func Run(ctx context.Context, cfg experiments.Config, variants []experiments.Var
 		return nil, fmt.Errorf("shard: manifest %d/%d was planned for config %.12s…, this configuration hashes to %.12s…; re-plan or fix the flags",
 			m.Index, m.Count, m.ConfigHash, hash)
 	}
-	if m.KeySchema != experiments.CacheKeySchema() {
-		return nil, fmt.Errorf("shard: manifest %d/%d uses cache-key schema %q, this engine derives %q; re-plan with this engine",
-			m.Index, m.Count, m.KeySchema, experiments.CacheKeySchema())
-	}
-	if err := m.validate(g); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 
-	cells, err := experiments.RunCells(ctx, cfg, g, m.Cells)
+	idxs := m.Cells(g.Total())
+	cells, err := experiments.RunCells(ctx, cfg, g, idxs)
 	if err != nil {
 		return nil, err
 	}
 	rec := &Record{Manifest: m, Results: make([]CellResult, len(cells))}
-	for i, idx := range m.Cells {
+	for i, idx := range idxs {
 		rec.Results[i] = CellResult{
 			Index: idx,
 			Measurement: cellcache.Measurement{

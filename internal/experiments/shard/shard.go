@@ -9,8 +9,8 @@
 //     canonical cell-index space round-robin into N balanced shards (cell
 //     idx goes to shard idx mod N, so the expensive high-PEC stripes at
 //     the end of each workload block spread evenly) and describes each as
-//     a self-contained Manifest: the sweep's config hash, the cache-key
-//     schema, and the assigned cell indices.
+//     a Manifest: the sweep's config hash and the shard's (index, count),
+//     from which Manifest.Cells derives its cell indices.
 //   - Run executes one shard's cells through the existing sweep machinery
 //     (experiments.RunCells): the same worker pool, shared traces, and
 //     per-cell cache, so a shard over a cellcache disk tier persists every
@@ -35,57 +35,52 @@ import (
 
 // ManifestVersion is the current manifest/record format version. Readers
 // reject anything newer than they understand rather than guessing.
-const ManifestVersion = 1
+// Version 2 dropped the key schema, the grid size and the explicit cell
+// list, all of which the config hash already pins.
+const ManifestVersion = 2
 
-// Manifest is the self-describing unit of shard work: everything a process
-// needs to check it is about to run the same sweep the planner partitioned,
-// plus the exact cells assigned to it. It serializes as JSON (inside a
+// Manifest is the unit of shard work: the sweep it belongs to and its
+// place in the round-robin plan. It serializes as JSON (inside a
 // coordinator lease); the zero Index/Count shard of a 1-shard plan is a
 // valid degenerate case covering the whole grid.
 type Manifest struct {
 	Version int `json:"version"`
-	// ConfigHash fingerprints the full cell-index space
-	// (experiments.ConfigHash); Run refuses manifests whose hash does not
-	// match the configuration it was given.
+	// ConfigHash fingerprints the full cell-index space, cache-key schema
+	// included (experiments.ConfigHash); Run refuses manifests whose hash
+	// does not match the configuration it was given.
 	ConfigHash string `json:"config_hash"`
-	// KeySchema is the cache-key schema the planning engine derived cell
-	// addresses under (experiments.CacheKeySchema).
-	KeySchema string `json:"key_schema"`
 	// Index and Count locate this shard in the plan: 0 ≤ Index < Count.
 	Index int `json:"shard_index"`
 	Count int `json:"shard_count"`
-	// TotalCells is the whole grid's size — the space Cells indexes into.
-	TotalCells int `json:"total_cells"`
-	// Cells are the canonical cell indices assigned to this shard,
-	// ascending. Under the round-robin plan these are exactly
-	// {Index, Index+Count, Index+2·Count, …} ∩ [0, TotalCells), but
-	// consumers must trust the explicit list, not re-derive it, so other
-	// partitioners stay possible.
-	Cells []int `json:"cells"`
 }
 
-// validate checks the manifest's internal consistency against a grid.
-func (m Manifest) validate(g *experiments.Grid) error {
+// Validate checks what the config hash cannot: that this engine reads the
+// manifest's format and that the manifest names a shard, 0 ≤ Index < Count.
+func (m Manifest) Validate() error {
 	if m.Version > ManifestVersion {
 		return fmt.Errorf("shard: manifest version %d is newer than this engine understands (%d)", m.Version, ManifestVersion)
 	}
 	if m.Count <= 0 || m.Index < 0 || m.Index >= m.Count {
 		return fmt.Errorf("shard: manifest index %d of %d out of range", m.Index, m.Count)
 	}
-	if m.TotalCells != g.Total() {
-		return fmt.Errorf("shard: manifest describes a %d-cell grid, configuration resolves to %d", m.TotalCells, g.Total())
-	}
-	prev := -1
-	for _, idx := range m.Cells {
-		if idx < 0 || idx >= g.Total() {
-			return fmt.Errorf("shard: manifest cell index %d outside grid [0, %d)", idx, g.Total())
-		}
-		if idx <= prev {
-			return fmt.Errorf("shard: manifest cell indices not strictly ascending at %d", idx)
-		}
-		prev = idx
-	}
 	return nil
+}
+
+// Cells derives the canonical cell indices the round-robin plan assigns
+// this shard in a total-cell grid, ascending: {Index, Index+Count, …} ∩
+// [0, total). A manifest that Validate rejects has none. The stride never
+// overflows, whatever Index and Count a client sends.
+func (m Manifest) Cells(total int) []int {
+	if m.Validate() != nil || m.Index >= total {
+		return nil
+	}
+	cells := make([]int, 0, (total-m.Index-1)/m.Count+1)
+	for idx := m.Index; ; idx += m.Count {
+		cells = append(cells, idx)
+		if total-idx <= m.Count {
+			return cells
+		}
+	}
 }
 
 // Plan is a full partition of one sweep into shards.
@@ -125,18 +120,7 @@ func Partition(cfg experiments.Config, g *experiments.Grid, n int) (*Plan, error
 	}
 	p := &Plan{ConfigHash: hash}
 	for i := 0; i < n; i++ {
-		m := Manifest{
-			Version:    ManifestVersion,
-			ConfigHash: hash,
-			KeySchema:  experiments.CacheKeySchema(),
-			Index:      i,
-			Count:      n,
-			TotalCells: g.Total(),
-		}
-		for idx := i; idx < g.Total(); idx += n {
-			m.Cells = append(m.Cells, idx)
-		}
-		p.Shards = append(p.Shards, m)
+		p.Shards = append(p.Shards, Manifest{Version: ManifestVersion, ConfigHash: hash, Index: i, Count: n})
 	}
 	return p, nil
 }
@@ -150,7 +134,7 @@ type CellResult struct {
 }
 
 // Record is a shard's completion record: the manifest it executed plus
-// every assigned cell's raw measurement, in manifest order.
+// every assigned cell's raw measurement, in Manifest.Cells order.
 type Record struct {
 	Manifest Manifest     `json:"manifest"`
 	Results  []CellResult `json:"results"`

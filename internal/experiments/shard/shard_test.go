@@ -159,17 +159,18 @@ func TestPlanPartitionPropertyAndMergeIdentity(t *testing.T) {
 				// Partition property: disjoint, covering, balanced.
 				seen := make([]int, total)
 				for _, m := range p.Shards {
-					if m.TotalCells != total || m.ConfigHash != p.ConfigHash {
+					if m.ConfigHash != p.ConfigHash {
 						t.Fatalf("n=%d: manifest %d self-description wrong: %+v", n, m.Index, m)
 					}
-					for _, idx := range m.Cells {
+					cells := m.Cells(total)
+					for _, idx := range cells {
 						if idx < 0 || idx >= total {
 							t.Fatalf("n=%d: shard %d holds out-of-range cell %d", n, m.Index, idx)
 						}
 						seen[idx]++
 					}
-					if min, max := total/n, (total+n-1)/n; len(m.Cells) < min || len(m.Cells) > max {
-						t.Fatalf("n=%d: shard %d has %d cells, want within [%d, %d]", n, m.Index, len(m.Cells), min, max)
+					if min, max := total/n, (total+n-1)/n; len(cells) < min || len(cells) > max {
+						t.Fatalf("n=%d: shard %d has %d cells, want within [%d, %d]", n, m.Index, len(cells), min, max)
 					}
 				}
 				for idx, c := range seen {
@@ -303,6 +304,7 @@ func TestResumeAfterPartialShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shard1Cells := len(p.Shards[1].Cells(len(unsharded.Cells)))
 	cache := &countingCache{c: cellcache.Memory()}
 	runCfg := cfg
 	runCfg.Cache = cache
@@ -328,7 +330,7 @@ func TestResumeAfterPartialShard(t *testing.T) {
 	if saved == 0 {
 		t.Fatal("interrupted shard persisted no cells; resume has nothing to reuse")
 	}
-	if saved >= len(p.Shards[1].Cells) {
+	if saved >= shard1Cells {
 		t.Fatalf("interrupted shard persisted all %d of its cells; nothing was interrupted", saved)
 	}
 
@@ -348,9 +350,9 @@ func TestResumeAfterPartialShard(t *testing.T) {
 	if _, err := shard.Run(context.Background(), runCfg, variants, p.Shards[1], ""); err != nil {
 		t.Fatal(err)
 	}
-	if resimulated := cache.count() - before; resimulated != len(p.Shards[1].Cells)-saved {
+	if resimulated := cache.count() - before; resimulated != shard1Cells-saved {
 		t.Fatalf("resume simulated %d cells, want only the %d lost ones",
-			resimulated, len(p.Shards[1].Cells)-saved)
+			resimulated, shard1Cells-saved)
 	}
 
 	assertIdentical(t, "resume", unsharded, bornDone(t, cfg, variants, 2, cache))
@@ -369,12 +371,6 @@ func TestRunRejectsForeignManifest(t *testing.T) {
 	drifted.Seed = 8
 	if _, err := shard.Run(context.Background(), drifted, variants, p.Shards[0], ""); err == nil {
 		t.Fatal("shard.Run accepted a manifest planned for a different seed")
-	}
-	// Tampered key schema is likewise refused.
-	bad := p.Shards[0]
-	bad.KeySchema = "readretry-cell-v1"
-	if _, err := shard.Run(context.Background(), cfg, variants, bad, ""); err == nil {
-		t.Fatal("shard.Run accepted a manifest under a foreign key schema")
 	}
 }
 

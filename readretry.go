@@ -259,9 +259,10 @@ func Figure15Variants() []SweepVariant { return experiments.Figure15Variants() }
 
 // Sweep sharding: the work units a coordinator leases out.
 type (
-	// SweepShardManifest is one shard's self-describing work unit: config
-	// hash, cache-key schema, and the assigned cell indices. It travels
-	// inside each SweepLease.
+	// SweepShardManifest is one shard's work unit: the sweep's config hash
+	// and the shard's index and count in the round-robin plan, from which
+	// its Cells method derives the cell indices. It travels inside each
+	// SweepLease.
 	SweepShardManifest = shard.Manifest
 	// SweepShardRecord is a shard's completion record: its manifest plus
 	// every assigned cell's raw measurement, delivered to a coordinator
