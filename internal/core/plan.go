@@ -28,7 +28,7 @@ type Options struct {
 	PerStepSetFeature bool
 }
 
-// BuildPlan constructs the operation DAG for a read that needs nrr retry
+// BuildPlan constructs the operation tree for a read that needs nrr retry
 // steps under the given scheme. NoRR ignores nrr (the ideal SSD never
 // retries).
 func BuildPlan(s Scheme, nrr int, t StepTimings, opts Options) Plan {

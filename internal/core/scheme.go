@@ -18,7 +18,7 @@
 //   - PnAR2: both combined.
 //   - NoRR: the ideal upper bound where no read ever retries.
 //
-// A controller's output is a Plan: a DAG of resource-tagged operations.
+// A controller's output is a Plan: a tree of resource-tagged operations.
 // The SSD simulator executes plans under contention; Plan.Latency gives the
 // uncontended makespan, which reproduces Equations 2–5 and the latency
 // figures of §6.
@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"readretry/internal/sim"
@@ -137,7 +138,7 @@ type Op struct {
 	Step int
 }
 
-// Plan is the operation DAG for one complete page read, including all retry
+// Plan is the operation tree for one complete page read, including all retry
 // steps the page needs.
 type Plan struct {
 	Scheme Scheme
@@ -165,43 +166,40 @@ type Plan struct {
 	kindDur [OpReset + 1]sim.Time
 }
 
-// Finalize computes the plan's dependents adjacency. BuildPlan calls it on
-// every plan it emits; hand-constructed plans must call it before being
-// handed to an executor that uses Dependents.
+// Finalize checks that the plan is a tree rooted at op 0 — op 0 depends on
+// nothing and every other op on exactly one op — and computes its
+// dependents adjacency. Every builder emits such trees, and the executor
+// relies on it: it starts op 0 and then each op when its one parent
+// completes, with no per-op wait counts. Finalize panics on any other
+// shape. BuildPlan calls it on every plan it emits; hand-constructed plans
+// must call it before being handed to an executor that uses Dependents.
 func (p *Plan) Finalize() {
 	p.kindDur = [OpReset + 1]sim.Time{}
-	for _, op := range p.Ops {
+	for i, op := range p.Ops {
+		if want := min(i, 1); len(op.Deps) != want {
+			panic(fmt.Sprintf("core: %v plan op %d has %d dependencies, want %d: plans are trees rooted at op 0",
+				p.Scheme, i, len(op.Deps), want))
+		}
 		p.kindDur[op.Kind] += op.Dur
 	}
+	// Count each parent's dependents into succOff[parent+1], prefix-sum
+	// into offsets, then fill. Filling in op order keeps each dependent
+	// list ascending, matching the order a per-read append loop over Ops
+	// would build.
 	n := len(p.Ops)
 	p.succOff = make([]int32, n+1)
-	total := 0
-	for _, op := range p.Ops {
-		total += len(op.Deps)
+	for i := 1; i < n; i++ {
+		p.succOff[p.Ops[i].Deps[0]+1]++
 	}
-	p.succ = make([]int32, total)
-	// Count dependents per op, prefix-sum into offsets, then fill. Filling
-	// in op order keeps each dependent list ascending, matching the order a
-	// per-read append loop over Ops would build.
-	counts := make([]int32, n)
-	for _, op := range p.Ops {
-		for _, d := range op.Deps {
-			counts[d]++
-		}
+	for i := 1; i <= n; i++ {
+		p.succOff[i] += p.succOff[i-1]
 	}
-	var off int32
-	for i := 0; i < n; i++ {
-		p.succOff[i] = off
-		off += counts[i]
-	}
-	p.succOff[n] = off
-	next := make([]int32, n)
-	copy(next, p.succOff[:n])
-	for i, op := range p.Ops {
-		for _, d := range op.Deps {
-			p.succ[next[d]] = int32(i)
-			next[d]++
-		}
+	p.succ = make([]int32, max(n-1, 0))
+	next := slices.Clone(p.succOff[:n])
+	for i := 1; i < n; i++ {
+		d := p.Ops[i].Deps[0]
+		p.succ[next[d]] = int32(i)
+		next[d]++
 	}
 }
 

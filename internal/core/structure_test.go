@@ -4,9 +4,10 @@ import (
 	"testing"
 
 	"readretry/internal/sim"
+	"readretry/internal/vth"
 )
 
-// Structural tests on the operation DAGs: op counts, kinds, resource tags,
+// Structural tests on the operation trees: op counts, kinds, resource tags,
 // and step labels per scheme — the contract the SSD executor relies on.
 
 func countKind(p Plan, k OpKind) int {
@@ -181,4 +182,41 @@ func TestDieHoldNeverBelowLatencyMinusECC(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlansAreTreesRootedAtOpZero pins the shape the ssd executor relies
+// on: it starts op 0 and then each op when its one parent completes. Every
+// scheme, every ladder depth and every Options combination must build a
+// tree rooted at op 0, and Finalize must refuse an op that waits on two.
+func TestPlansAreTreesRootedAtOpZero(t *testing.T) {
+	tm := paperTimings()
+	for _, s := range []Scheme{Baseline, PR2, AR2, PnAR2, NoRR} {
+		for nrr := 0; nrr <= vth.DefaultParams().MaxLadderSteps; nrr++ {
+			for _, opts := range []Options{{}, {NoSpeculativeReset: true}, {PerStepSetFeature: true},
+				{NoSpeculativeReset: true, PerStepSetFeature: true}} {
+				p := BuildPlan(s, nrr, tm, opts)
+				if err := p.Validate(); err != nil {
+					t.Fatalf("%v nrr=%d %+v: %v", s, nrr, opts, err)
+				}
+				reached := 1 // op 0
+				for i, op := range p.Ops {
+					if want := min(i, 1); len(op.Deps) != want {
+						t.Fatalf("%v nrr=%d %+v: op %d has %d dependencies, want %d", s, nrr, opts, i, len(op.Deps), want)
+					}
+					reached += len(p.Dependents(i))
+				}
+				if reached != len(p.Ops) {
+					t.Fatalf("%v nrr=%d %+v: the tree from op 0 reaches %d of %d ops", s, nrr, opts, reached, len(p.Ops))
+				}
+			}
+		}
+	}
+
+	join := Plan{Ops: []Op{{Kind: OpSense}, {Kind: OpDMA, Deps: []int{0}}, {Kind: OpECC, Deps: []int{0, 1}}}}
+	defer func() {
+		if recover() == nil {
+			t.Error("Finalize accepted an op with two dependencies")
+		}
+	}()
+	join.Finalize()
 }

@@ -543,13 +543,20 @@ func TestSubmitDedupAndCachePrefill(t *testing.T) {
 	}
 
 	// Drain job 1 through a worker, then stop it so job 2's prefill can
-	// be observed without racing live completions.
+	// be observed without racing live completions. The worker talks to a
+	// server of its own, closed before drain returns: Close waits out
+	// every request that server took, so a /lease the cancelled worker
+	// sent is served, if at all, while the drained job is the only one
+	// with shards, and never holds a shard of the next job on a clock
+	// that never expires it.
 	drain := func(jobID string) *experiments.Result {
 		t.Helper()
+		srv := httptest.NewServer(NewServer(c).Handler())
+		defer srv.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		done := make(chan error, 1)
-		w := &Worker{Client: client, ID: "w", Parallelism: 1, Poll: time.Millisecond}
+		w := &Worker{Client: NewClient(srv.URL), ID: "w", Parallelism: 1, Poll: time.Millisecond}
 		go func() { done <- w.Run(ctx) }()
 		res, err := client.Result(ctx, jobID)
 		if err != nil {
@@ -559,6 +566,7 @@ func TestSubmitDedupAndCachePrefill(t *testing.T) {
 		if err := <-done; !errors.Is(err, context.Canceled) {
 			t.Fatalf("drain worker exited with %v", err)
 		}
+		srv.Close()
 		return res
 	}
 	res1 := drain(r1.JobID)

@@ -71,7 +71,7 @@ func victimsOf(f *FTL) []victim {
 	var vs []victim
 	for d := 0; d < f.cfg.Dies; d++ {
 		for pl := 0; pl < f.cfg.PlanesPerDie; pl++ {
-			b, lpns, ok := f.Victim(d, pl)
+			b, lpns, ok := f.Victim(d, pl, nil)
 			vs = append(vs, victim{b, lpns, ok})
 		}
 	}
@@ -86,7 +86,7 @@ type ftlOp func(f *FTL) any
 // relocate its valid pages, erase it.
 func collect(die, pl int) ftlOp {
 	return func(f *FTL) any {
-		block, lpns, ok := f.Victim(die, pl)
+		block, lpns, ok := f.Victim(die, pl, nil)
 		out := []any{victim{block, lpns, ok}}
 		if !ok {
 			return out
@@ -222,7 +222,7 @@ func TestFrozenImageRejectsMutation(t *testing.T) {
 	for name, mutate := range map[string]func(){
 		"AllocateWrite": func() { f.AllocateWrite(3, false) },
 		"Precondition":  func() { f.Precondition(200) },
-		"Victim":        func() { f.Victim(0, 0) },
+		"Victim":        func() { f.Victim(0, 0, nil) },
 		"OnErase":       func() { f.OnErase(0, 0, 5) },
 	} {
 		func() {
@@ -305,5 +305,79 @@ func TestCloneCopiesOnlyWrittenChunks(t *testing.T) {
 		if p, ok := f.Lookup(lpn); !ok || p != old {
 			t.Errorf("%s maps LPN %d to %v, want its old page %v", name, lpn, p, old)
 		}
+	}
+}
+
+// TestErasedBlockReusesItsReverseMap: in a clone, a block takes its own
+// reverse map the first time it is written (a copy of the image's, or a
+// new one for a block the image left free), and every later erase and
+// reopen reuses that map. Cycling a hot set through one plane's garbage
+// collection must therefore stop allocating once the blocks own their
+// maps, and the image must end exactly as preconditioned.
+func TestErasedBlockReusesItsReverseMap(t *testing.T) {
+	cfg := smallConfig()
+	const pages = 400
+	img := preconditionedFTL(t, cfg, pages)
+	img.Freeze()
+	pristine := stateOf(img)
+	f := img.Clone()
+	die, pl := f.StripeOf(0)
+	blocks := f.blocks[f.planeIndex(die, pl)]
+	stride := int64(cfg.Dies * cfg.PlanesPerDie)
+	own := make([]*int64, cfg.BlocksPerPlane) // each block's map once it owns one
+	var victims []int64
+	cycle := func(i int) {
+		if _, _, err := f.AllocateWrite(int64(i%24)*stride, false); err != nil {
+			t.Fatal(err)
+		}
+		for f.NeedGC(die, pl) {
+			block, valids, ok := f.Victim(die, pl, victims[:0])
+			victims = valids
+			if !ok {
+				t.Fatal("plane needs GC but has no victim")
+			}
+			for _, lpn := range valids {
+				if _, _, err := f.AllocateWrite(lpn, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.OnErase(die, pl, block)
+		}
+		for b := range blocks {
+			meta := &blocks[b]
+			if meta.shared || meta.lpns == nil {
+				continue
+			}
+			if own[b] == nil {
+				own[b] = &meta.lpns[0]
+			} else if own[b] != &meta.lpns[0] {
+				t.Fatalf("cycle %d: block %d replaced the reverse map it owned", i, b)
+			}
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		cycle(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1000; i < 2000; i++ {
+		cycle(i)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+		t.Errorf("1000 warm write and GC cycles allocated %d bytes, want 0", got)
+	}
+	reopened := 0
+	for b := range blocks {
+		if f.BlockErases(die, pl, b) >= 2 {
+			reopened++
+		}
+	}
+	if reopened < cfg.BlocksPerPlane/2 {
+		t.Errorf("only %d of %d blocks were erased twice; the reuse path is barely exercised", reopened, cfg.BlocksPerPlane)
+	}
+	if !reflect.DeepEqual(stateOf(img), pristine) ||
+		!reflect.DeepEqual(victimsOf(img.Clone()), victimsOf(preconditionedFTL(t, cfg, pages))) {
+		t.Error("erasing and reopening a clone's blocks changed the image")
 	}
 }

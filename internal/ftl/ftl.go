@@ -68,13 +68,16 @@ func (c Config) Validate() error {
 // blockMeta tracks one physical block.
 type blockMeta struct {
 	// state is free, open (actively written), or closed.
-	state     blockState
-	writePtr  int     // next page to program (for open blocks)
-	valid     int     // count of valid pages
-	lpns      []int64 // reverse map: page → LPN it was written for (pages below writePtr)
-	erases    int     // P/E cycles (wear)
-	cold      bool    // preconditioned cold block (never victimized while fully valid)
-	collected bool    // currently being garbage-collected
+	state    blockState
+	writePtr int // next page to program (for open blocks)
+	valid    int // count of valid pages
+	// lpns is the reverse map: page → LPN it was written for. Only pages
+	// below writePtr are meaningful; the block keeps the map across erases
+	// (OnErase, popFree), so entries past writePtr are a former life's.
+	lpns      []int64
+	erases    int  // P/E cycles (wear)
+	cold      bool // preconditioned cold block (never victimized while fully valid)
+	collected bool // currently being garbage-collected
 	// shared marks lpns as aliased by a frozen image and its clones (see
 	// Freeze); the block copies it before its first append.
 	shared bool
@@ -320,11 +323,12 @@ func (f *FTL) popFree(pi int) int {
 		return -1
 	}
 	f.planes[pi].freeCount--
-	blocks[best] = blockMeta{
-		state:  blockOpen,
-		erases: blocks[best].erases,
-		lpns:   make([]int64, f.cfg.PagesPerBlock),
+	old := &blocks[best]
+	lpns := old.lpns
+	if lpns == nil {
+		lpns = make([]int64, f.cfg.PagesPerBlock)
 	}
+	*old = blockMeta{state: blockOpen, erases: old.erases, lpns: lpns, shared: old.shared}
 	return best
 }
 
@@ -424,9 +428,10 @@ func (f *FTL) NeedGC(die, pl int) bool {
 // block with the fewest valid pages (greedy), breaking ties toward the
 // least-worn block so cleaning work doubles as wear leveling. Open blocks,
 // fully-valid cold blocks, and blocks already under collection are skipped.
-// It returns the block index, the valid LPNs that must be relocated, and
-// whether a victim was found.
-func (f *FTL) Victim(die, pl int) (int, []int64, bool) {
+// It returns the block index, dst with the valid LPNs that must be
+// relocated appended, and whether a victim was found. A caller that passes
+// the previous result's dst[:0] reuses one buffer for every job.
+func (f *FTL) Victim(die, pl int, dst []int64) (int, []int64, bool) {
 	f.mutate()
 	pi := f.planeIndex(die, pl)
 	best, bestValid, bestErases := -1, f.cfg.PagesPerBlock+1, 1<<30
@@ -440,23 +445,25 @@ func (f *FTL) Victim(die, pl int) (int, []int64, bool) {
 		}
 	}
 	if best < 0 {
-		return 0, nil, false
+		return 0, dst, false
 	}
 	meta := &f.blocks[pi][best]
 	meta.collected = true
-	var lpns []int64
 	for page, lpn := range meta.lpns[:meta.writePtr] {
 		if f.table.mapsTo(lpn, PPN{Die: die, Plane: pl, Block: best, Page: page}) {
-			lpns = append(lpns, lpn)
+			dst = append(dst, lpn)
 		}
 	}
-	return best, lpns, true
+	return best, dst, true
 }
 
 // OnErase returns a collected (or otherwise emptied) block to the free
 // pool, incrementing its wear. The caller must have relocated all valid
 // pages first; erasing a block with valid pages is a data-loss bug, so it
-// panics.
+// panics. The block keeps its reverse map for its next life: popFree
+// reopens it at writePtr 0, and each page below writePtr is rewritten
+// before anything reads it. A map still shared with the frozen image stays
+// shared until appendTo copies it on the block's first append.
 func (f *FTL) OnErase(die, pl, block int) {
 	f.mutate()
 	pi := f.planeIndex(die, pl)
@@ -465,7 +472,7 @@ func (f *FTL) OnErase(die, pl, block int) {
 		panic(fmt.Sprintf("ftl: erasing block (d%d p%d b%d) with %d valid pages",
 			die, pl, block, meta.valid))
 	}
-	f.blocks[pi][block] = blockMeta{state: blockFree, erases: meta.erases + 1}
+	*meta = blockMeta{state: blockFree, erases: meta.erases + 1, lpns: meta.lpns, shared: meta.shared}
 	f.planes[pi].freeCount++
 }
 

@@ -130,7 +130,7 @@ func TestPreconditionedBlocksNotVictims(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := f.Victim(die, pl); ok {
+	if _, _, ok := f.Victim(die, pl, nil); ok {
 		t.Error("fully valid cold blocks must not be GC victims")
 	}
 }
@@ -157,7 +157,7 @@ func TestVictimPicksFewestValid(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	block, valids, ok := f.Victim(die, pl)
+	block, valids, ok := f.Victim(die, pl, nil)
 	if !ok {
 		t.Fatal("no victim found")
 	}
@@ -168,7 +168,7 @@ func TestVictimPicksFewestValid(t *testing.T) {
 		t.Error("victim valid count mismatch")
 	}
 	// A second call skips the in-flight victim.
-	if b2, _, ok2 := f.Victim(die, pl); ok2 && b2 == block {
+	if b2, _, ok2 := f.Victim(die, pl, nil); ok2 && b2 == block {
 		t.Error("victim selected twice")
 	}
 }
@@ -184,7 +184,7 @@ func TestGCRelocationAndErase(t *testing.T) {
 		f.AllocateWrite(i*stride, false)
 	}
 	freeBefore := f.FreeBlocks(die, pl)
-	block, valids, ok := f.Victim(die, pl)
+	block, valids, ok := f.Victim(die, pl, nil)
 	if !ok {
 		t.Fatal("no victim")
 	}
@@ -256,7 +256,7 @@ func TestWearLevelingPicksLeastWorn(t *testing.T) {
 		}
 		// Opportunistic GC keeps the pool healthy.
 		for f.NeedGC(die, pl) {
-			block, valids, ok := f.Victim(die, pl)
+			block, valids, ok := f.Victim(die, pl, nil)
 			if !ok {
 				break
 			}

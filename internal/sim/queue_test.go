@@ -39,7 +39,7 @@ func TestHeapStressOrdering(t *testing.T) {
 
 	for i := 0; i < n; i++ {
 		at := Time(r.Intn(2000)) * Microsecond
-		s, id := stamp{at: at, seq: e.seq}, i
+		s, id := stamp{at: at, seq: uint64(i)}, i // i is the scheduling order
 		if i%2 == 0 {
 			e.Schedule(at, func(now Time) { check(now, s, id) })
 		} else {

@@ -67,18 +67,8 @@ func (f Event) Fire(now Time, _ int) { f(now) }
 // stale firing is a no-op.
 type scheduled struct {
 	at  Time
-	seq uint64 // insertion order breaks ties deterministically
 	cb  Callback
 	tag int
-}
-
-// eventLess is the engine's firing order: by time, then by scheduling
-// order. seq is unique, so the order is strict and total.
-func eventLess(a, b *scheduled) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
@@ -86,10 +76,9 @@ func eventLess(a, b *scheduled) bool {
 // The zero value is ready to use.
 type Engine struct {
 	now Time
-	seq uint64
-	// queue[head:] holds the pending events sorted by eventLess, so the
-	// next to fire is queue[head]. Popped slots keep their stale pointers:
-	// the records live on in free.
+	// queue[head:] holds the pending events in firing order: by time, then
+	// by scheduling order. The next to fire is queue[head]. Popped slots
+	// keep their stale pointers: the records live on in free.
 	queue []*scheduled
 	head  int
 	fired uint64
@@ -100,11 +89,13 @@ type Engine struct {
 	free []*scheduled
 
 	// arrivals is the time-sorted stream installed by Feed, arrive its
-	// callback, and next the index of its first unfired entry. Step merges
-	// the stream with the queue, so the queue holds only in-flight events.
+	// callback, and next the index of its first unfired entry, which fires
+	// at nextAt. Step merges the stream with the queue, so the queue holds
+	// only in-flight events.
 	arrivals []Time
 	arrive   Callback
 	next     int
+	nextAt   Time
 }
 
 // Now returns the current simulated time.
@@ -142,6 +133,9 @@ func (e *Engine) Feed(at []Time, cb Callback) {
 		prev = t
 	}
 	e.arrivals, e.arrive, e.next = at, cb, 0
+	if len(at) > 0 {
+		e.nextAt = at[0]
+	}
 }
 
 // Schedule enqueues fn to run at time at; it is ScheduleTag(at, fn, 0).
@@ -162,14 +156,15 @@ func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) {
 	} else {
 		s = &scheduled{}
 	}
-	s.at, s.seq, s.cb, s.tag = at, e.seq, cb, tag
-	e.seq++
+	s.at, s.cb, s.tag = at, cb, tag
 	e.insert(s)
 }
 
 // insert adds s to the queue, scanning from the latest end past the events
-// that sort after it. The scan is short because a device keeps few events
-// in flight (ssd's TestPendingEventsStayBounded), and a monotone schedule
+// that fire later. s is the latest event scheduled, so it fires after every
+// pending event at its own time, and comparing times alone keeps the queue
+// in firing order. The scan is short because a device keeps few events in
+// flight (ssd's TestPendingEventsStayBounded), and a monotone schedule
 // appends.
 func (e *Engine) insert(s *scheduled) {
 	q := e.queue
@@ -182,7 +177,7 @@ func (e *Engine) insert(s *scheduled) {
 	}
 	q = append(q, s)
 	i := len(q) - 1
-	for ; i > e.head && eventLess(s, q[i-1]); i-- {
+	for ; i > e.head && s.at < q[i-1].at; i-- {
 		q[i] = q[i-1]
 	}
 	q[i] = s
@@ -199,9 +194,11 @@ func (e *Engine) Step() bool {
 	)
 	switch {
 	case e.streamFirst():
-		tag = e.next
-		at, cb = e.arrivals[tag], e.arrive
+		at, cb, tag = e.nextAt, e.arrive, e.next
 		e.next++
+		if e.next < len(e.arrivals) {
+			e.nextAt = e.arrivals[e.next]
+		}
 	case e.head < len(e.queue):
 		s := e.queue[e.head]
 		e.head++
@@ -223,7 +220,7 @@ func (e *Engine) Step() bool {
 // streamFirst reports whether the next event to fire is the arrival
 // stream's: ties go to the stream.
 func (e *Engine) streamFirst() bool {
-	return e.next < len(e.arrivals) && (e.head == len(e.queue) || e.arrivals[e.next] <= e.queue[e.head].at)
+	return e.next < len(e.arrivals) && (e.head == len(e.queue) || e.nextAt <= e.queue[e.head].at)
 }
 
 // Run fires events until the queue is empty.

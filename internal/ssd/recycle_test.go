@@ -12,8 +12,9 @@ import (
 // TestTxnsRecycleExactlyOnce checks the transaction conservation law on
 // the fast path, through runs that collect garbage, suspend programs and
 // erases, and fall back from AR²: afterwards no die queue or die holds a
-// txn, the free list holds every txn the run made exactly once (a double
-// free shows as a duplicate), and no die's phase epoch ever went back.
+// txn, the free lists hold every txn and every host request the run made
+// exactly once (a double free shows as a duplicate), and no die's phase
+// epoch ever went back.
 func TestTxnsRecycleExactlyOnce(t *testing.T) {
 	base := tinyConfig()
 	base.PEC, base.RetentionMonths = 2000, 6
@@ -72,6 +73,16 @@ func TestTxnsRecycleExactlyOnce(t *testing.T) {
 			if len(free) != dev.txns {
 				t.Errorf("free list holds %d of the %d txns the run made", len(free), dev.txns)
 			}
+			freeReqs := make(map[*request]bool, len(dev.reqFree))
+			for _, req := range dev.reqFree {
+				if freeReqs[req] {
+					t.Fatalf("request %p is on the free list twice", req)
+				}
+				freeReqs[req] = true
+			}
+			if len(freeReqs) != dev.reqs {
+				t.Errorf("free list holds %d of the %d requests the run made", len(freeReqs), dev.reqs)
+			}
 		})
 	}
 }
@@ -79,9 +90,11 @@ func TestTxnsRecycleExactlyOnce(t *testing.T) {
 // TestWarmRunAllocations pins the allocation-free device run. Once a
 // warm-up run has built the shared plans, the RPT profile and the
 // precondition image, a fresh device's Run on the BenchmarkSweepCell trace
-// allocates only per-run state (the arrival stream, the queues and free
-// lists at their peak depth, the table chunks it writes), so one bound
-// holds at 2,500 and at 10,000 requests, with retry metrics off and on.
+// allocates only per-run state: the arrival stream and its order, the
+// queues and the txn, request and executor free lists at their peak
+// depth, the table chunks it writes, and at most one reverse map per block
+// it opens. So one bound holds at 2,500 and at 10,000 requests, with retry
+// metrics off and on.
 func TestWarmRunAllocations(t *testing.T) {
 	cfg := ExperimentConfig()
 	cfg.PEC, cfg.RetentionMonths = 2000, 12
@@ -115,6 +128,49 @@ func TestWarmRunAllocations(t *testing.T) {
 			if got := run(); got > limit {
 				t.Errorf("warm Run of %d requests (RetryMetrics %v) made %d allocations, want ≤ %d", n, metrics, got, limit)
 			}
+		}
+	}
+}
+
+// TestGCHeavyRunAllocations is TestWarmRunAllocations on a write-heavy
+// trace that keeps garbage collection busy: a run's allocations must not
+// grow with its GC jobs. Each job's valid LPNs land in one reused buffer,
+// an erased block keeps its reverse map for its next life, and requests
+// and txns come from free lists, so one bound holds at two trace lengths
+// whose GC job counts differ more than 3×.
+func TestGCHeavyRunAllocations(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.PEC, cfg.RetentionMonths = 2000, 6
+	const limit = 1000
+	for _, metrics := range []bool{false, true} {
+		cfg.RetryMetrics = metrics
+		var jobs []int64
+		for _, n := range []int{4000, 8000} {
+			recs := workloadTrace(t, cfg, "stg_0", n, 1500)
+			run := func() (uint64, *Stats) {
+				dev, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				st, err := dev.Run(recs)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return after.Mallocs - before.Mallocs, st
+			}
+			run() // warm-up
+			got, st := run()
+			if got > limit {
+				t.Errorf("warm Run of %d stg_0 requests (%d GC jobs, RetryMetrics %v) made %d allocations, want ≤ %d",
+					n, st.GCJobs, metrics, got, limit)
+			}
+			jobs = append(jobs, st.GCJobs)
+		}
+		if jobs[0] == 0 || jobs[1] < 3*jobs[0] {
+			t.Fatalf("GC jobs %v: the longer trace must run at least 3× the shorter one's", jobs)
 		}
 	}
 }

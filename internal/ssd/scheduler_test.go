@@ -57,7 +57,7 @@ func TestEraseSuspendedByRead(t *testing.T) {
 	}
 	// Force a GC erase on die 0 by directly enqueueing the transaction.
 	d := dev.dies[0]
-	block, _, ok := dev.flash.Victim(0, 0)
+	block, _, ok := dev.flash.Victim(0, 0, nil)
 	if ok {
 		t.Skip("fresh FTL should have no victim; test relies on manual erase txn")
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"readretry/internal/chip"
@@ -31,16 +32,23 @@ type SSD struct {
 	table    *rpt.Table
 	pso      *core.PSO
 
-	// execFree recycles plan executors: a read's scratch (waiting counts)
-	// is returned here when its last operation completes, so the
-	// steady-state read loop reuses a handful of executors instead of
-	// allocating per-read closure graphs.
+	// execFree recycles plan executors: an executor returns here when its
+	// plan's last operation completes, so the steady-state read loop
+	// reuses a handful of executors instead of allocating per-read closure
+	// graphs.
 	execFree []*planExec
 	// txnFree recycles page transactions, host and GC alike: a txn returns
 	// here when its last continuation has run. txns counts every txn made,
 	// so txns - len(txnFree) are in flight.
 	txnFree []*txn
 	txns    int
+	// reqFree recycles host requests the same way: a request returns here
+	// when its last page completes, and reqs counts every request made.
+	reqFree []*request
+	reqs    int
+	// victims is the one buffer every GC job's valid LPNs land in:
+	// maybeStartGC copies them into txns at once.
+	victims []int64
 
 	// metrics is the per-physical-address retry accounting layer
 	// (Config.RetryMetrics); nil when disabled. history holds each block's
@@ -149,33 +157,33 @@ func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
 	return s.finish()
 }
 
-// start installs the request stream as the engine's arrival stream.
+// start installs the request stream as the engine's arrival stream. The
+// records stay the caller's: the stream reads them, in stable arrival
+// order, as each arrives.
 func (s *SSD) start(recs []trace.Record) error {
 	if s.ran {
 		return errors.New("ssd: Run on a device that already ran; build a new one with New")
 	}
 	s.ran = true
-	feed := &hostArrivals{s: s, reqs: make([]request, len(recs))}
+	if len(recs) > math.MaxInt32 {
+		return fmt.Errorf("ssd: %d requests exceed the %d a run replays", len(recs), math.MaxInt32)
+	}
+	feed := &hostArrivals{s: s, recs: recs, order: make([]int32, len(recs))}
 	reads := 0
 	logical := s.cfg.TotalPages()
 	for i := range recs {
 		r := &recs[i]
-		req := request{
-			arrival: r.Arrival,
-			write:   r.Write,
-			lpn:     r.Offset / workload.PageSize,
-			pages:   max(1, (r.Size+workload.PageSize-1)/workload.PageSize),
-		}
+		lpn, pages := pageSpan(r)
 		switch {
 		case r.Arrival < 0:
 			return fmt.Errorf("ssd: request %d arrives at %v, before the stream starts", i, r.Arrival)
 		case r.Offset < 0:
 			return fmt.Errorf("ssd: request %d has negative offset %d", i, r.Offset)
-		case int64(req.pages) > logical-req.lpn:
+		case int64(pages) > logical-lpn:
 			return fmt.Errorf("ssd: request %d (offset %d, %d bytes) ends past the %d-page logical space",
 				i, r.Offset, r.Size, logical)
 		}
-		feed.reqs[i] = req
+		feed.order[i] = int32(i)
 		if !r.Write {
 			reads++
 		}
@@ -184,18 +192,27 @@ func (s *SSD) start(recs []trace.Record) error {
 		// One sample per read request, so completions never grow the slice.
 		s.stats.readSamples = make([]float64, 0, reads)
 	}
-	slices.SortStableFunc(feed.reqs, func(a, b request) int { return cmp.Compare(a.arrival, b.arrival) })
-	at := make([]sim.Time, len(feed.reqs))
-	for i := range feed.reqs {
-		at[i] = feed.reqs[i].arrival
+	slices.SortStableFunc(feed.order, func(a, b int32) int { return cmp.Compare(recs[a].Arrival, recs[b].Arrival) })
+	at := make([]sim.Time, len(recs))
+	for i, r := range feed.order {
+		at[i] = recs[r].Arrival
 	}
 	s.eng.Feed(at, feed)
 	return nil
 }
 
-// finish checks, once the engine has drained, that every transaction
-// completed, and totals the run's statistics.
+// pageSpan returns the first logical page a record addresses and how many
+// pages it spans: at least one, so a zero-byte request still costs a page.
+func pageSpan(r *trace.Record) (lpn int64, pages int) {
+	return r.Offset / workload.PageSize, max(1, (r.Size+workload.PageSize-1)/workload.PageSize)
+}
+
+// finish checks, once the engine has drained, that every request and
+// transaction completed, and totals the run's statistics.
 func (s *SSD) finish() (*Stats, error) {
+	if n := s.reqs - len(s.reqFree); n != 0 {
+		return nil, fmt.Errorf("ssd: %d requests stranded after run", n)
+	}
 	if n := s.txns - len(s.txnFree); n != 0 {
 		return nil, fmt.Errorf("ssd: %d transactions stranded after run", n)
 	}
@@ -217,23 +234,44 @@ func (s *SSD) finish() (*Stats, error) {
 	return &s.stats, nil
 }
 
-// hostArrivals feeds a run's requests, sorted by arrival, to the engine:
-// request i is submitted when the stream fires entry i.
+// hostArrivals feeds a run's records to the engine in stable arrival
+// order: when the stream fires entry i, record order[i] becomes a request
+// and is submitted.
 type hostArrivals struct {
-	s    *SSD
-	reqs []request
+	s     *SSD
+	recs  []trace.Record
+	order []int32
 }
 
 // Fire implements sim.Callback.
-func (h *hostArrivals) Fire(now sim.Time, i int) { h.s.submit(&h.reqs[i], now) }
+func (h *hostArrivals) Fire(now sim.Time, i int) {
+	r := &h.recs[h.order[i]]
+	req := h.s.newRequest()
+	req.arrival, req.write = r.Arrival, r.Write
+	req.lpn, req.pages = pageSpan(r)
+	h.s.submit(req, now)
+}
 
-// request tracks one host request across its page transactions.
+// request tracks one host request across its page transactions. Requests
+// recycle through SSD.reqFree (newRequest, completePage).
 type request struct {
 	arrival   sim.Time
 	write     bool
 	lpn       int64
 	pages     int
 	remaining int
+}
+
+// newRequest takes a request from the free list, allocating only when
+// every request made so far is in flight.
+func (s *SSD) newRequest() *request {
+	if n := len(s.reqFree); n > 0 {
+		r := s.reqFree[n-1]
+		s.reqFree = s.reqFree[:n-1]
+		return r
+	}
+	s.reqs++
+	return new(request)
 }
 
 // txn is one page-granularity flash transaction. Txns recycle through
@@ -668,19 +706,19 @@ const (
 )
 
 // planExec drives one shared, immutable plan for the page read of txn t.
-// All mutable state — the per-op waiting counts and the outstanding-op
-// counter — lives here, never in the plan; executors recycle through
-// SSD.execFree once their last operation completes. More than one executor
-// can be in flight on a die (a regular plan releases the die at its final
-// DMA while its last ECC decode is still pending), which is why the
-// scratch is pooled rather than per-die.
+// A plan is a tree rooted at op 0 (core.Plan.Finalize checks it), so an op
+// starts exactly when its one parent completes and the executor needs no
+// per-op wait counts: its only mutable state is the outstanding-op
+// counter. Executors recycle through SSD.execFree once their last
+// operation completes. More than one executor can be in flight on a die (a
+// regular plan releases the die at its final DMA while its last ECC decode
+// is still pending), which is why they are pooled rather than per-die.
 type planExec struct {
 	s         *SSD
 	d         *die
 	t         *txn
 	stage     execStage
 	plan      *core.Plan
-	waiting   []int32
 	remaining int
 }
 
@@ -695,21 +733,8 @@ func (s *SSD) runPlan(d *die, plan *core.Plan, start sim.Time, t *txn, stage exe
 		x = &planExec{s: s}
 	}
 	x.d, x.t, x.stage, x.plan = d, t, stage, plan
-	n := len(plan.Ops)
-	if cap(x.waiting) < n {
-		x.waiting = make([]int32, n)
-	} else {
-		x.waiting = x.waiting[:n]
-	}
-	for i := range plan.Ops {
-		x.waiting[i] = int32(len(plan.Ops[i].Deps))
-	}
-	x.remaining = n
-	for i := range plan.Ops {
-		if x.waiting[i] == 0 {
-			x.startOp(i, start)
-		}
-	}
+	x.remaining = len(plan.Ops)
+	x.startOp(0, start)
 }
 
 func (x *planExec) startOp(i int, at sim.Time) {
@@ -733,10 +758,7 @@ func (x *planExec) Fire(t sim.Time, i int) {
 		x.release(t)
 	}
 	for _, dep := range x.plan.Dependents(i) {
-		x.waiting[dep]--
-		if x.waiting[dep] == 0 {
-			x.startOp(int(dep), t)
-		}
+		x.startOp(int(dep), t)
 	}
 	x.remaining--
 	if x.remaining == 0 {
@@ -911,7 +933,8 @@ func (s *SSD) maybeStartGC(d *die, plane int, now sim.Time) {
 	if d.gcActive[plane] || !s.flash.NeedGC(d.id, plane) {
 		return
 	}
-	block, valids, ok := s.flash.Victim(d.id, plane)
+	block, valids, ok := s.flash.Victim(d.id, plane, s.victims[:0])
+	s.victims = valids
 	if !ok {
 		return
 	}
@@ -1016,24 +1039,28 @@ func (s *SSD) runGCErase(d *die, t *txn, now sim.Time) {
 	d.phase.start(now, dur)
 }
 
-// completePage accounts a finished host page transaction.
+// completePage accounts a finished host page transaction. The request's
+// last page returns it to the free list: every txn that pointed at it has
+// completed, and the caller frees t next.
 func (s *SSD) completePage(t *txn, done sim.Time) {
-	if t.req == nil {
+	req := t.req
+	if req == nil {
 		return
 	}
-	t.req.remaining--
-	if t.req.remaining > 0 {
+	req.remaining--
+	if req.remaining > 0 {
 		return
 	}
-	resp := (done - t.req.arrival).Microseconds()
+	resp := (done - req.arrival).Microseconds()
 	s.stats.All.Add(resp)
-	if t.req.write {
+	if req.write {
 		s.stats.Writes.Add(resp)
 	} else {
 		s.stats.Reads.Add(resp)
 		s.stats.addReadSample(resp)
 	}
 	s.stats.Completed++
+	s.reqFree = append(s.reqFree, req)
 }
 
 // resourceQueue is a FIFO-arbitrated unit (channel bus or ECC engine). Its

@@ -68,10 +68,10 @@ const (
 // ParseScheme converts a configuration name to a Scheme.
 func ParseScheme(name string) (Scheme, error) { return core.ParseScheme(name) }
 
-// Plan building (the controllers' operation DAGs) for direct latency
+// Plan building (the controllers' operation trees) for direct latency
 // analysis, as in Figures 12 and 13.
 type (
-	// Plan is a controller's operation DAG for one page read.
+	// Plan is a controller's operation tree for one page read.
 	Plan = core.Plan
 	// StepTimings carries the per-operation latencies plans compose.
 	StepTimings = core.StepTimings
@@ -79,7 +79,7 @@ type (
 	ControllerOptions = core.Options
 )
 
-// BuildPlan constructs the operation DAG for a read needing nrr retry steps.
+// BuildPlan constructs the operation tree for a read needing nrr retry steps.
 func BuildPlan(s Scheme, nrr int, t StepTimings, opts ControllerOptions) Plan {
 	return core.BuildPlan(s, nrr, t, opts)
 }
