@@ -61,6 +61,10 @@ func main() {
 	cfg.Seed = *seed
 	cfg.RetryMetrics = *retryMetrics
 	cfg.UseRetryHistory = *useHistory
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "ssdsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	var recs []trace.Record
 	if *traceFile != "" {

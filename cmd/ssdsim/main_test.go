@@ -30,6 +30,8 @@ func TestBadFlagsAreRejected(t *testing.T) {
 	}{
 		{[]string{"-requests", "-3"}, []string{"-requests", "at least 0"}},
 		{[]string{"-iops", "-5"}, []string{"-iops", "at least 0", "workload default"}},
+		{[]string{"-pso", "-history", "-requests", "10"}, []string{"UsePSO", "UseRetryHistory", "at most one"}},
+		{[]string{"-temp", "200"}, []string{"TempC", "range"}},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), childEnv+"=1")

@@ -38,10 +38,12 @@ func BuildPlan(s Scheme, nrr int, t StepTimings, opts Options) Plan {
 	if s == NoRR {
 		nrr = 0
 	}
-	b := planBuilder{plan: Plan{Scheme: s, NRR: nrr}}
+	// Every scheme's tree has at most 4 ops per retry step plus 8 more, so
+	// one allocation holds the whole plan.
+	b := planBuilder{plan: Plan{Scheme: s, NRR: nrr, Ops: make([]Op, 0, 4*nrr+8)}}
 	switch s {
 	case PR2:
-		b.buildPR2(nrr, t, opts, t.SenseDefault)
+		b.buildPR2(nrr, t, opts)
 	case AR2:
 		b.buildAR2(nrr, t, opts)
 	case PnAR2:
@@ -57,94 +59,74 @@ type planBuilder struct {
 	plan Plan
 }
 
-func (b *planBuilder) add(kind OpKind, res Resource, dur sim.Time, step int, deps ...int) int {
-	b.plan.Ops = append(b.plan.Ops, Op{Kind: kind, Res: res, Dur: dur, Step: step, Deps: deps})
+// add appends an op whose parent is op parent (-1 for the root) and
+// returns its index.
+func (b *planBuilder) add(kind OpKind, res Resource, dur sim.Time, step, parent int) int {
+	b.plan.Ops = append(b.plan.Ops, Op{Kind: kind, Res: res, Dur: dur, Step: step, Parent: parent})
 	return len(b.plan.Ops) - 1
 }
 
 // buildRegular emits Figure 12(a): sense → DMA → ECC, strictly serialized
 // across retry steps (a new step starts only after the previous ECC fails).
 func (b *planBuilder) buildRegular(nrr int, t StepTimings) {
-	prevECC := -1
-	lastDMA := 0
+	ecc, dma := -1, 0
 	for k := 0; k <= nrr; k++ {
-		var sense int
-		if prevECC < 0 {
-			sense = b.add(OpSense, ResDie, t.SenseDefault, k)
-		} else {
-			sense = b.add(OpSense, ResDie, t.SenseDefault, k, prevECC)
-		}
-		dma := b.add(OpDMA, ResChannel, t.DMA, k, sense)
-		prevECC = b.add(OpECC, ResECC, t.ECC, k, dma)
-		lastDMA = dma
+		sense := b.add(OpSense, ResDie, t.SenseDefault, k, ecc)
+		dma = b.add(OpDMA, ResChannel, t.DMA, k, sense)
+		ecc = b.add(OpECC, ResECC, t.ECC, k, dma)
 	}
-	b.plan.ResponseOp = prevECC
-	b.plan.ReleaseOp = lastDMA
+	b.plan.ResponseOp = ecc
+	b.plan.ReleaseOp = dma
 }
 
 // buildPR2 emits Figure 12(b): sensings chain back-to-back on the die via
 // CACHE READ; each step's DMA and ECC overlap the next sensing. After the
 // final ECC succeeds, a RESET kills the speculatively started extra step.
-func (b *planBuilder) buildPR2(nrr int, t StepTimings, opts Options, sense sim.Time) {
-	prevSense := -1
-	lastECC := -1
+func (b *planBuilder) buildPR2(nrr int, t StepTimings, opts Options) {
+	sense, ecc := -1, -1
 	for k := 0; k <= nrr; k++ {
-		var s int
-		if prevSense < 0 {
-			s = b.add(OpSense, ResDie, sense, k)
-		} else {
-			s = b.add(OpSense, ResDie, sense, k, prevSense)
-		}
-		dma := b.add(OpDMA, ResChannel, t.DMA, k, s)
-		lastECC = b.add(OpECC, ResECC, t.ECC, k, dma)
-		prevSense = s
+		sense = b.add(OpSense, ResDie, t.SenseDefault, k, sense)
+		dma := b.add(OpDMA, ResChannel, t.DMA, k, sense)
+		ecc = b.add(OpECC, ResECC, t.ECC, k, dma)
 	}
-	b.plan.ResponseOp = lastECC
+	b.plan.ResponseOp = ecc
 	if opts.NoSpeculativeReset {
 		// Ablation: the speculative (nrr+1)-th sensing runs to completion
 		// and only then is the die free.
-		spec := b.add(OpSense, ResDie, sense, nrr+1, prevSense)
-		b.plan.ReleaseOp = spec
+		b.plan.ReleaseOp = b.add(OpSense, ResDie, t.SenseDefault, nrr+1, sense)
 		return
 	}
 	// The speculative step is killed as soon as ECC succeeds (§6.1); the
 	// RESET's tRST is the only residual die occupancy.
-	reset := b.add(OpReset, ResDie, t.Reset, nrr+1, lastECC)
-	b.plan.ReleaseOp = reset
+	b.plan.ReleaseOp = b.add(OpReset, ResDie, t.Reset, nrr+1, ecc)
 }
 
 // buildAR2 emits Figure 13 without pipelining: the initial read fails, the
 // controller programs reduced timing once (❷), performs serialized retry
 // steps at the shorter tR (❸), and rolls the timing back (❹).
 func (b *planBuilder) buildAR2(nrr int, t StepTimings, opts Options) {
-	s0 := b.add(OpSense, ResDie, t.SenseDefault, 0)
+	s0 := b.add(OpSense, ResDie, t.SenseDefault, 0, -1)
 	d0 := b.add(OpDMA, ResChannel, t.DMA, 0, s0)
-	e0 := b.add(OpECC, ResECC, t.ECC, 0, d0)
+	ecc := b.add(OpECC, ResECC, t.ECC, 0, d0)
+	b.plan.ResponseOp, b.plan.ReleaseOp = ecc, d0
 	if nrr == 0 {
 		// No failure: a plain read, no SET FEATURE traffic at all.
-		b.plan.ResponseOp = e0
-		b.plan.ReleaseOp = d0
 		return
 	}
-	gate := b.add(OpSetFeature, ResDie, t.Set, 1, e0)
-	prevECC := -1
+	gate := b.add(OpSetFeature, ResDie, t.Set, 1, ecc)
 	for k := 1; k <= nrr; k++ {
-		deps := []int{gate}
-		if prevECC >= 0 {
-			deps = []int{prevECC}
-		}
 		if opts.PerStepSetFeature && k > 1 {
-			deps = []int{b.add(OpSetFeature, ResDie, t.Set, k, prevECC)}
+			gate = b.add(OpSetFeature, ResDie, t.Set, k, ecc)
 		}
-		sense := b.add(OpSense, ResDie, t.SenseReduced, k, deps...)
+		sense := b.add(OpSense, ResDie, t.SenseReduced, k, gate)
 		dma := b.add(OpDMA, ResChannel, t.DMA, k, sense)
-		prevECC = b.add(OpECC, ResECC, t.ECC, k, dma)
+		ecc = b.add(OpECC, ResECC, t.ECC, k, dma)
+		gate = ecc
 	}
-	b.plan.ResponseOp = prevECC
+	b.plan.ResponseOp = ecc
 	// Roll back to default timing once the operation concludes; the host
 	// response does not wait for it, but the die does.
-	rollback := b.add(OpSetFeature, ResDie, t.Set, nrr, prevECC)
-	b.plan.ReleaseOp = rollback
+	b.plan.ReleaseOp = b.add(OpSetFeature, ResDie, t.Set, nrr, ecc)
 }
 
 // buildPnAR2 combines both techniques: PR² speculation runs the first
@@ -152,51 +134,40 @@ func (b *planBuilder) buildAR2(nrr int, t StepTimings, opts Options) {
 // controller RESETs that speculative step, programs reduced timing, and
 // pipelines the remaining retry steps at the shorter tR.
 func (b *planBuilder) buildPnAR2(nrr int, t StepTimings, opts Options) {
-	s0 := b.add(OpSense, ResDie, t.SenseDefault, 0)
+	s0 := b.add(OpSense, ResDie, t.SenseDefault, 0, -1)
 	d0 := b.add(OpDMA, ResChannel, t.DMA, 0, s0)
 	e0 := b.add(OpECC, ResECC, t.ECC, 0, d0)
+	b.plan.ResponseOp = e0
 	if nrr == 0 {
 		// Clean read: only the PR² speculation cleanup remains.
 		if opts.NoSpeculativeReset {
-			spec := b.add(OpSense, ResDie, t.SenseDefault, 1, s0)
-			b.plan.ResponseOp = e0
-			b.plan.ReleaseOp = spec
+			b.plan.ReleaseOp = b.add(OpSense, ResDie, t.SenseDefault, 1, s0)
 			return
 		}
-		reset := b.add(OpReset, ResDie, t.Reset, 1, e0)
-		b.plan.ResponseOp = e0
-		b.plan.ReleaseOp = reset
+		b.plan.ReleaseOp = b.add(OpReset, ResDie, t.Reset, 1, e0)
 		return
 	}
 	// Kill the speculative default-timing step, then switch timing.
 	reset := b.add(OpReset, ResDie, t.Reset, 1, e0)
 	gate := b.add(OpSetFeature, ResDie, t.Set, 1, reset)
-	prevSense := -1
-	lastECC := -1
+	sense, ecc := -1, -1
 	for k := 1; k <= nrr; k++ {
-		var deps []int
-		if prevSense < 0 {
-			deps = []int{gate}
-		} else {
-			deps = []int{prevSense}
-		}
 		if opts.PerStepSetFeature && k > 1 {
-			deps = []int{b.add(OpSetFeature, ResDie, t.Set, k, prevSense)}
+			gate = b.add(OpSetFeature, ResDie, t.Set, k, sense)
 		}
-		sense := b.add(OpSense, ResDie, t.SenseReduced, k, deps...)
+		sense = b.add(OpSense, ResDie, t.SenseReduced, k, gate)
 		dma := b.add(OpDMA, ResChannel, t.DMA, k, sense)
-		lastECC = b.add(OpECC, ResECC, t.ECC, k, dma)
-		prevSense = sense
+		ecc = b.add(OpECC, ResECC, t.ECC, k, dma)
+		gate = sense
 	}
-	b.plan.ResponseOp = lastECC
+	b.plan.ResponseOp = ecc
 	// The pipeline speculatively started an (nrr+1)-th reduced step; kill
 	// it and restore default timing (Figure 13 ends with tRST + ❹).
 	if opts.NoSpeculativeReset {
-		spec := b.add(OpSense, ResDie, t.SenseReduced, nrr+1, prevSense)
+		spec := b.add(OpSense, ResDie, t.SenseReduced, nrr+1, sense)
 		b.plan.ReleaseOp = b.add(OpSetFeature, ResDie, t.Set, nrr+1, spec)
 		return
 	}
-	finalReset := b.add(OpReset, ResDie, t.Reset, nrr+1, lastECC)
-	rollback := b.add(OpSetFeature, ResDie, t.Set, nrr+1, finalReset)
-	b.plan.ReleaseOp = rollback
+	finalReset := b.add(OpReset, ResDie, t.Reset, nrr+1, ecc)
+	b.plan.ReleaseOp = b.add(OpSetFeature, ResDie, t.Set, nrr+1, finalReset)
 }

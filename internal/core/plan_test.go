@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -62,7 +63,7 @@ func TestAllPlansValidate(t *testing.T) {
 		for _, nrr := range []int{0, 1, 5, 21} {
 			for _, opts := range []Options{{}, {NoSpeculativeReset: true}, {PerStepSetFeature: true}} {
 				p := BuildPlan(s, nrr, tm, opts)
-				if err := p.Validate(); err != nil {
+				if err := finalizeErr(p); err != nil {
 					t.Errorf("%v nrr=%d opts=%+v: %v", s, nrr, opts, err)
 				}
 			}
@@ -284,10 +285,8 @@ func TestNoIntraPlanResourceConflicts(t *testing.T) {
 			start := make([]sim.Time, len(p.Ops))
 			for i, op := range p.Ops {
 				var st sim.Time
-				for _, d := range op.Deps {
-					if finish[d] > st {
-						st = finish[d]
-					}
+				if op.Parent >= 0 {
+					st = finish[op.Parent]
 				}
 				start[i] = st
 				finish[i] = st + op.Dur
@@ -314,18 +313,38 @@ func TestNegativeNRRTreatedAsZero(t *testing.T) {
 	}
 }
 
+// finalizeErr runs p.Finalize on a copy and returns its panic, if any, as an
+// error.
+func finalizeErr(p Plan) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	p.Finalize()
+	return nil
+}
+
 func TestValidateCatchesBrokenPlans(t *testing.T) {
-	p := Plan{Ops: []Op{{Kind: OpSense}}, ResponseOp: 2, ReleaseOp: 0}
-	if p.Validate() == nil {
+	p := Plan{Ops: []Op{{Kind: OpSense, Parent: -1}}, ResponseOp: 2, ReleaseOp: 0}
+	if finalizeErr(p) == nil {
 		t.Error("out-of-range ResponseOp should fail")
 	}
-	p = Plan{Ops: []Op{{Kind: OpSense, Deps: []int{0}}}, ResponseOp: 0, ReleaseOp: 0}
-	if p.Validate() == nil {
+	p = Plan{Ops: []Op{{Kind: OpSense, Parent: -1}}, ResponseOp: 0, ReleaseOp: -1}
+	if finalizeErr(p) == nil {
+		t.Error("out-of-range ReleaseOp should fail")
+	}
+	p = Plan{Ops: []Op{{Kind: OpSense, Parent: 0}}, ResponseOp: 0, ReleaseOp: 0}
+	if finalizeErr(p) == nil {
 		t.Error("self-dependency should fail")
 	}
-	p = Plan{Ops: []Op{{Kind: OpSense, Dur: -1}}, ResponseOp: 0, ReleaseOp: 0}
-	if p.Validate() == nil {
+	p = Plan{Ops: []Op{{Kind: OpSense, Parent: -1, Dur: -1}}, ResponseOp: 0, ReleaseOp: 0}
+	if finalizeErr(p) == nil {
 		t.Error("negative duration should fail")
+	}
+	p = Plan{Ops: []Op{{Kind: OpSense, Parent: -1}, {Kind: OpDMA, Parent: -1}}, ResponseOp: 1, ReleaseOp: 1}
+	if finalizeErr(p) == nil {
+		t.Error("a second root should fail")
 	}
 }
 
@@ -389,6 +408,23 @@ func TestPSONeverWorseThanCold(t *testing.T) {
 	// True steps 4, cached 2: distance+min = 5 > 4 → clamp to 4.
 	if got := p.AdjustedSteps(g, 4); got != 4 {
 		t.Errorf("PSO = %d steps, cold walk needs only 4", got)
+	}
+}
+
+// TestPSOFloorOutranksColdCap pins the order of AdjustedSteps' two bounds:
+// the cap at the cold walk comes first and the MinSteps floor second, so a
+// group hit on a page whose cold walk is 1 or 2 steps performs 3.
+func TestPSOFloorOutranksColdCap(t *testing.T) {
+	for _, trueSteps := range []int{1, 2} {
+		p := NewPSO()
+		g := Group(0, 0, 2000, 12)
+		p.AdjustedSteps(g, trueSteps) // miss: seeds the group
+		if got := p.AdjustedSteps(g, trueSteps); got != p.MinSteps {
+			t.Errorf("hit needing %d steps performs %d, want the floor %d", trueSteps, got, p.MinSteps)
+		}
+		if hits, misses := p.Stats(); hits != 1 || misses != 1 {
+			t.Errorf("%d hits, %d misses, want 1 and 1", hits, misses)
+		}
 	}
 }
 

@@ -61,3 +61,36 @@ func CachedPlan(s Scheme, nrr int, t StepTimings, opts Options) *Plan {
 	sharedPlans.mu.Unlock()
 	return &built
 }
+
+// fallbackKey identifies a fallback plan: the scheme's failed pass of nrr
+// retry steps, then Baseline's default-timing re-read of fbNRR steps.
+type fallbackKey struct {
+	scheme     Scheme
+	nrr, fbNRR int
+	t          StepTimings
+}
+
+// fallbackPlans memoizes CachedFallback apart from sharedPlans, whose
+// lookup runs for every read: fallbacks are rare (none at the paper's RPT
+// margin), so one mutex guards them.
+var fallbackPlans = struct {
+	mu sync.Mutex
+	m  map[fallbackKey]*Plan
+}{m: make(map[fallbackKey]*Plan)}
+
+// CachedFallback returns the memoized, immutable plan of §6.2's AR² worst
+// case: BuildPlan(s, nrr, t, Options{}) followed, through Then, by the
+// Baseline re-read of fbNRR retry steps. Like CachedPlan's, the result is
+// shared and must not be modified.
+func CachedFallback(s Scheme, nrr, fbNRR int, t StepTimings) *Plan {
+	key := fallbackKey{scheme: s, nrr: nrr, fbNRR: fbNRR, t: t}
+	fallbackPlans.mu.Lock()
+	defer fallbackPlans.mu.Unlock()
+	p, ok := fallbackPlans.m[key]
+	if !ok {
+		built := BuildPlan(s, nrr, t, Options{}).Then(BuildPlan(Baseline, fbNRR, t, Options{}))
+		p = &built
+		fallbackPlans.m[key] = p
+	}
+	return p
+}

@@ -42,7 +42,7 @@ func TestCachedPlanMatchesBuildPlan(t *testing.T) {
 				if again := CachedPlan(s, nrr, tm, o); again != cached {
 					t.Fatalf("%v nrr=%d opts=%+v: second lookup returned a different pointer", s, nrr, o)
 				}
-				if err := cached.Validate(); err != nil {
+				if err := finalizeErr(*cached); err != nil {
 					t.Fatalf("%v nrr=%d: cached plan invalid: %v", s, nrr, err)
 				}
 			}
@@ -82,7 +82,9 @@ func TestCachedPlanConcurrent(t *testing.T) {
 				total := 0
 				for op := range p.Ops {
 					total += len(p.Dependents(op))
-					total += len(p.Ops[op].Deps)
+					if p.Ops[op].Parent >= 0 {
+						total++
+					}
 				}
 				if total == 0 && nrr > 0 {
 					t.Errorf("plan nrr=%d has no edges", nrr)
@@ -95,7 +97,7 @@ func TestCachedPlanConcurrent(t *testing.T) {
 }
 
 // TestDependentsMatchesDeps cross-checks the finalized adjacency against the
-// per-op Deps lists it was derived from, including ascending order.
+// per-op parent links it was derived from, including ascending order.
 func TestDependentsMatchesDeps(t *testing.T) {
 	tm := cacheTestTimings()
 	for _, s := range []Scheme{Baseline, PR2, AR2, PnAR2} {
@@ -103,8 +105,8 @@ func TestDependentsMatchesDeps(t *testing.T) {
 			p := BuildPlan(s, nrr, tm, Options{})
 			want := make([][]int32, len(p.Ops))
 			for i, op := range p.Ops {
-				for _, d := range op.Deps {
-					want[d] = append(want[d], int32(i))
+				if op.Parent >= 0 {
+					want[op.Parent] = append(want[op.Parent], int32(i))
 				}
 			}
 			for i := range p.Ops {
@@ -118,6 +120,61 @@ func TestDependentsMatchesDeps(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestThenHangsReReadUnderRelease pins §6.2's fallback tree: the re-read's
+// root hangs under the failed pass's ReleaseOp, the host waits for the
+// pass's die hold plus the re-read's latency, the die is held through
+// both passes, the latency attribution sums both, and CachedFallback
+// memoizes exactly that tree.
+func TestThenHangsReReadUnderRelease(t *testing.T) {
+	tm := cacheTestTimings()
+	for _, s := range []Scheme{Baseline, PR2, AR2, PnAR2} {
+		for _, nrr := range []int{0, 3, 17} {
+			const fbNRR = 5
+			pass := BuildPlan(s, nrr, tm, Options{})
+			reread := BuildPlan(Baseline, fbNRR, tm, Options{})
+			p := pass.Then(reread)
+			root := len(pass.Ops)
+			if len(p.Ops) != root+len(reread.Ops) || p.Ops[root].Parent != pass.ReleaseOp {
+				t.Fatalf("%v nrr=%d: %d ops, re-read root's parent %d, want %d ops under op %d",
+					s, nrr, len(p.Ops), p.Ops[root].Parent, root+len(reread.Ops), pass.ReleaseOp)
+			}
+			if got, want := p.Latency(), pass.DieHold()+reread.Latency(); got != want {
+				t.Errorf("%v nrr=%d: latency %v, want pass hold + re-read latency %v", s, nrr, got, want)
+			}
+			if got, want := p.DieHold(), pass.DieHold()+reread.DieHold(); got != want {
+				t.Errorf("%v nrr=%d: die hold %v, want %v", s, nrr, got, want)
+			}
+			for k := OpSense; k <= OpReset; k++ {
+				if got, want := p.KindTotal(k), pass.KindTotal(k)+reread.KindTotal(k); got != want {
+					t.Errorf("%v nrr=%d: %v total %v, want %v", s, nrr, k, got, want)
+				}
+			}
+			if p.NRR != pass.NRR+fbNRR {
+				t.Errorf("%v nrr=%d: NRR %d, want %d", s, nrr, p.NRR, pass.NRR+fbNRR)
+			}
+			cached := CachedFallback(s, nrr, fbNRR, tm)
+			if !reflect.DeepEqual(*cached, p) {
+				t.Fatalf("%v nrr=%d: CachedFallback differs from BuildPlan(...).Then(...)", s, nrr)
+			}
+			if CachedFallback(s, nrr, fbNRR, tm) != cached {
+				t.Fatalf("%v nrr=%d: second lookup returned a different pointer", s, nrr)
+			}
+		}
+	}
+}
+
+// TestBuildPlanAllocations bounds what one plan costs to build: the op
+// slice and the finalized adjacency, not a slice per op.
+func TestBuildPlanAllocations(t *testing.T) {
+	tm := cacheTestTimings()
+	for _, s := range []Scheme{Baseline, PR2, AR2, PnAR2, NoRR} {
+		allocs := testing.AllocsPerRun(20, func() { BuildPlan(s, 40, tm, Options{}) })
+		if allocs > 12 {
+			t.Errorf("%v at nrr=40: %.0f allocations, want at most 12", s, allocs)
 		}
 	}
 }

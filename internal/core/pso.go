@@ -54,7 +54,9 @@ func Group(chipIdx, die, pec int, retentionMonths float64) GroupKey {
 // AdjustedSteps maps the page's true ladder position (the retry step count a
 // cold read-retry would need) to the steps PSO actually performs, updating
 // the group cache. Reads that need no retry (trueSteps == 0) bypass PSO
-// entirely: no read failure occurs, so no V_REF reuse happens.
+// entirely: no read failure occurs, so no V_REF reuse happens. A group hit
+// pays MinSteps at least, even when the cold walk is shorter: a hit on a
+// page that needs 1 or 2 steps performs 3.
 func (p *PSO) AdjustedSteps(g GroupKey, trueSteps int) int {
 	if trueSteps <= 0 {
 		return 0
@@ -72,11 +74,14 @@ func (p *PSO) AdjustedSteps(g GroupKey, trueSteps int) int {
 	}
 	steps := dist + p.MinSteps
 	if steps > trueSteps {
-		// Starting from the cached position can never be worse than the
-		// cold ladder walk from the default V_REF.
+		// Cap the seeded walk at the cold ladder walk from the default
+		// V_REF.
 		steps = trueSteps
 	}
 	if steps < p.MinSteps {
+		// The floor comes after the cap, so it wins below MinSteps true
+		// steps and the seeded walk is then longer than the cold one. The
+		// Figure 15 goldens are built with this order (ROADMAP 3(b)).
 		steps = p.MinSteps
 	}
 	return steps

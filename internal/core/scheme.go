@@ -125,14 +125,15 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one operation in a read plan. Deps hold indices of operations that
-// must complete before this one starts; builders emit ops in topological
-// order (every dependency index is smaller than the op's own index).
+// Op is one operation in a read plan. Parent indexes the one operation
+// that must complete before this one starts, or is -1 for the plan's root,
+// op 0; builders emit ops in topological order (every parent index is
+// smaller than the op's own index).
 type Op struct {
-	Kind OpKind
-	Res  Resource
-	Dur  sim.Time
-	Deps []int
+	Kind   OpKind
+	Res    Resource
+	Dur    sim.Time
+	Parent int
 	// Step tags which retry step the op belongs to (0 = initial read),
 	// for tracing and tests.
 	Step int
@@ -142,8 +143,10 @@ type Op struct {
 // steps the page needs.
 type Plan struct {
 	Scheme Scheme
-	NRR    int // retry steps planned (excluding the initial read)
-	Ops    []Op
+	// NRR is the retry steps planned, excluding the initial read; a plan
+	// built by Then counts both passes' steps.
+	NRR int
+	Ops []Op
 	// ResponseOp indexes the op whose completion delivers the page to the
 	// host (the final successful ECC decode).
 	ResponseOp int
@@ -153,9 +156,9 @@ type Plan struct {
 
 	// succOff/succ are the flattened dependents adjacency, computed once by
 	// Finalize so executors need not rebuild it per read:
-	// succ[succOff[i]:succOff[i+1]] lists the ops depending on op i, in
-	// ascending index order (the order the original per-read construction
-	// produced). Plans from BuildPlan are always finalized.
+	// succ[succOff[i]:succOff[i+1]] lists the ops whose parent is op i, in
+	// ascending index order. Plans from BuildPlan and Then are always
+	// finalized.
 	succOff []int32
 	succ    []int32
 
@@ -166,41 +169,74 @@ type Plan struct {
 	kindDur [OpReset + 1]sim.Time
 }
 
-// Finalize checks that the plan is a tree rooted at op 0 — op 0 depends on
-// nothing and every other op on exactly one op — and computes its
-// dependents adjacency. Every builder emits such trees, and the executor
-// relies on it: it starts op 0 and then each op when its one parent
-// completes, with no per-op wait counts. Finalize panics on any other
-// shape. BuildPlan calls it on every plan it emits; hand-constructed plans
-// must call it before being handed to an executor that uses Dependents.
+// Finalize checks that the plan is a tree rooted at op 0 — op 0 has no
+// parent and every other op's parent comes before it — that its response
+// and release ops exist and that no op has a negative duration; then it
+// computes the dependents adjacency. Every builder emits such trees, and
+// the executor relies on it: it starts op 0 and then each op when its
+// parent completes, with no per-op wait counts. Finalize panics on any
+// other shape. BuildPlan and Then call it on every plan they emit;
+// hand-constructed plans must call it before being handed to an executor.
 func (p *Plan) Finalize() {
+	n := len(p.Ops)
+	if p.ResponseOp < 0 || p.ResponseOp >= n || p.ReleaseOp < 0 || p.ReleaseOp >= n {
+		panic(fmt.Sprintf("core: %v plan of %d ops responds at op %d and releases at op %d",
+			p.Scheme, n, p.ResponseOp, p.ReleaseOp))
+	}
 	p.kindDur = [OpReset + 1]sim.Time{}
+	p.succOff = make([]int32, n+1)
 	for i, op := range p.Ops {
-		if want := min(i, 1); len(op.Deps) != want {
-			panic(fmt.Sprintf("core: %v plan op %d has %d dependencies, want %d: plans are trees rooted at op 0",
-				p.Scheme, i, len(op.Deps), want))
+		if parent := op.Parent; (i == 0 && parent != -1) || (i > 0 && (parent < 0 || parent >= i)) {
+			panic(fmt.Sprintf("core: %v plan op %d has parent %d: plans are trees rooted at op 0",
+				p.Scheme, i, op.Parent))
+		}
+		if op.Dur < 0 {
+			panic(fmt.Sprintf("core: %v plan op %d has negative duration %v", p.Scheme, i, op.Dur))
 		}
 		p.kindDur[op.Kind] += op.Dur
-	}
-	// Count each parent's dependents into succOff[parent+1], prefix-sum
-	// into offsets, then fill. Filling in op order keeps each dependent
-	// list ascending, matching the order a per-read append loop over Ops
-	// would build.
-	n := len(p.Ops)
-	p.succOff = make([]int32, n+1)
-	for i := 1; i < n; i++ {
-		p.succOff[p.Ops[i].Deps[0]+1]++
+		// Count each parent's dependents into succOff[parent+1]; the
+		// prefix sum below turns the counts into offsets.
+		if i > 0 {
+			p.succOff[op.Parent+1]++
+		}
 	}
 	for i := 1; i <= n; i++ {
 		p.succOff[i] += p.succOff[i-1]
 	}
+	// Filling in op order keeps each dependent list ascending.
 	p.succ = make([]int32, max(n-1, 0))
 	next := slices.Clone(p.succOff[:n])
 	for i := 1; i < n; i++ {
-		d := p.Ops[i].Deps[0]
+		d := p.Ops[i].Parent
 		p.succ[next[d]] = int32(i)
 		next[d]++
 	}
+}
+
+// Then returns the plan that runs p and, when p's ReleaseOp completes,
+// next on the same die: next's root hangs under p's ReleaseOp, and next's
+// response and release are the result's. It is §6.2's AR² worst case, a
+// failed reduced-timing pass followed by the default-timing re-read. The
+// re-read starts when the pass would have freed the die; so that it also
+// starts before anything else the pass still has to run, p's ReleaseOp
+// should have no dependents of its own, as an adaptive scheme's has not at
+// any depth a failed pass reaches.
+func (p Plan) Then(next Plan) Plan {
+	off := len(p.Ops)
+	ops := make([]Op, off, off+len(next.Ops))
+	copy(ops, p.Ops)
+	for _, op := range next.Ops {
+		if op.Parent < 0 {
+			op.Parent = p.ReleaseOp
+		} else {
+			op.Parent += off
+		}
+		ops = append(ops, op)
+	}
+	q := Plan{Scheme: p.Scheme, NRR: p.NRR + next.NRR, Ops: ops,
+		ResponseOp: next.ResponseOp + off, ReleaseOp: next.ReleaseOp + off}
+	q.Finalize()
+	return q
 }
 
 // Dependents returns the indices of the ops that depend on op i. The slice
@@ -216,7 +252,7 @@ func (p *Plan) KindTotal(k OpKind) sim.Time {
 }
 
 // Latency returns the uncontended makespan from plan start to host
-// response: the longest dependency path into ResponseOp. Under Table 1
+// response: the path from op 0 down to ResponseOp. Under Table 1
 // timings no two ops of one plan compete for the same resource at the same
 // instant (tR exceeds tDMA + tECC), so this equals the contention-free
 // execution time; the plan_test suite asserts that property.
@@ -246,35 +282,10 @@ func (p Plan) finishTimes() []sim.Time {
 	finish := make([]sim.Time, len(p.Ops))
 	for i, op := range p.Ops {
 		var start sim.Time
-		for _, d := range op.Deps {
-			if finish[d] > start {
-				start = finish[d]
-			}
+		if op.Parent >= 0 {
+			start = finish[op.Parent]
 		}
 		finish[i] = start + op.Dur
 	}
 	return finish
-}
-
-// Validate checks structural invariants: topological dep order and index
-// range. Builders always produce valid plans; the check exists for tests
-// and for plans deserialized or constructed by hand.
-func (p Plan) Validate() error {
-	if p.ResponseOp < 0 || p.ResponseOp >= len(p.Ops) {
-		return fmt.Errorf("core: ResponseOp %d out of range", p.ResponseOp)
-	}
-	if p.ReleaseOp < 0 || p.ReleaseOp >= len(p.Ops) {
-		return fmt.Errorf("core: ReleaseOp %d out of range", p.ReleaseOp)
-	}
-	for i, op := range p.Ops {
-		for _, d := range op.Deps {
-			if d < 0 || d >= i {
-				return fmt.Errorf("core: op %d dependency %d not topologically ordered", i, d)
-			}
-		}
-		if op.Dur < 0 {
-			return fmt.Errorf("core: op %d has negative duration", i)
-		}
-	}
-	return nil
 }

@@ -39,7 +39,7 @@ func TestBaselinePlanStructure(t *testing.T) {
 	// Every sense after the first depends on the previous step's ECC.
 	for _, op := range p.Ops {
 		if op.Kind == OpSense && op.Step > 0 {
-			if len(op.Deps) != 1 || p.Ops[op.Deps[0]].Kind != OpECC {
+			if op.Parent < 0 || p.Ops[op.Parent].Kind != OpECC {
 				t.Errorf("retry sense at step %d should gate on ECC", op.Step)
 			}
 		}
@@ -56,7 +56,7 @@ func TestPR2PlanStructure(t *testing.T) {
 	// Senses chain on the die: each retry sense depends on a sense.
 	for _, op := range p.Ops {
 		if op.Kind == OpSense && op.Step > 0 && op.Step <= nrr {
-			if p.Ops[op.Deps[0]].Kind != OpSense {
+			if p.Ops[op.Parent].Kind != OpSense {
 				t.Errorf("PR2 sense at step %d should chain on the previous sense", op.Step)
 			}
 		}
@@ -129,10 +129,8 @@ func TestDieOpsNeverOverlapWithinPlan(t *testing.T) {
 			start := make([]sim.Time, len(p.Ops))
 			for i, op := range p.Ops {
 				var st sim.Time
-				for _, d := range op.Deps {
-					if finish[d] > st {
-						st = finish[d]
-					}
+				if op.Parent >= 0 {
+					st = finish[op.Parent]
 				}
 				start[i] = st
 				finish[i] = st + op.Dur
@@ -159,11 +157,9 @@ func TestStepTagsMonotone(t *testing.T) {
 	for _, s := range []Scheme{Baseline, PR2, AR2, PnAR2} {
 		p := BuildPlan(s, 5, tm, Options{})
 		for i, op := range p.Ops {
-			for _, d := range op.Deps {
-				if p.Ops[d].Step > op.Step {
-					t.Errorf("%v: op %d (step %d) depends on later step %d",
-						s, i, op.Step, p.Ops[d].Step)
-				}
+			if op.Parent >= 0 && p.Ops[op.Parent].Step > op.Step {
+				t.Errorf("%v: op %d (step %d) depends on later step %d",
+					s, i, op.Step, p.Ops[op.Parent].Step)
 			}
 		}
 	}
@@ -187,7 +183,12 @@ func TestDieHoldNeverBelowLatencyMinusECC(t *testing.T) {
 // TestPlansAreTreesRootedAtOpZero pins the shape the ssd executor relies
 // on: it starts op 0 and then each op when its one parent completes. Every
 // scheme, every ladder depth and every Options combination must build a
-// tree rooted at op 0, and Finalize must refuse an op that waits on two.
+// tree rooted at op 0, and Finalize must refuse an op whose parent comes
+// after it. An adaptive scheme's ReleaseOp is a leaf at every depth a
+// failed pass can have (it walks the whole ladder, so nrr ≥ 1): a re-read
+// that Then hangs under it is the only op its completion starts, as when
+// the simulator started the re-read as a second plan. At nrr = 0 AR²'s
+// plain read releases the die at its DMA, whose ECC still follows.
 func TestPlansAreTreesRootedAtOpZero(t *testing.T) {
 	tm := paperTimings()
 	for _, s := range []Scheme{Baseline, PR2, AR2, PnAR2, NoRR} {
@@ -195,15 +196,18 @@ func TestPlansAreTreesRootedAtOpZero(t *testing.T) {
 			for _, opts := range []Options{{}, {NoSpeculativeReset: true}, {PerStepSetFeature: true},
 				{NoSpeculativeReset: true, PerStepSetFeature: true}} {
 				p := BuildPlan(s, nrr, tm, opts)
-				if err := p.Validate(); err != nil {
+				if err := finalizeErr(p); err != nil {
 					t.Fatalf("%v nrr=%d %+v: %v", s, nrr, opts, err)
 				}
 				reached := 1 // op 0
 				for i, op := range p.Ops {
-					if want := min(i, 1); len(op.Deps) != want {
-						t.Fatalf("%v nrr=%d %+v: op %d has %d dependencies, want %d", s, nrr, opts, i, len(op.Deps), want)
+					if (i == 0) != (op.Parent < 0) {
+						t.Fatalf("%v nrr=%d %+v: op %d has parent %d", s, nrr, opts, i, op.Parent)
 					}
 					reached += len(p.Dependents(i))
+				}
+				if deps := p.Dependents(p.ReleaseOp); s.Adaptive() && nrr > 0 && len(deps) != 0 {
+					t.Fatalf("%v nrr=%d %+v: ReleaseOp %d has dependents %v", s, nrr, opts, p.ReleaseOp, deps)
 				}
 				if reached != len(p.Ops) {
 					t.Fatalf("%v nrr=%d %+v: the tree from op 0 reaches %d of %d ops", s, nrr, opts, reached, len(p.Ops))
@@ -212,11 +216,11 @@ func TestPlansAreTreesRootedAtOpZero(t *testing.T) {
 		}
 	}
 
-	join := Plan{Ops: []Op{{Kind: OpSense}, {Kind: OpDMA, Deps: []int{0}}, {Kind: OpECC, Deps: []int{0, 1}}}}
+	forward := Plan{Ops: []Op{{Kind: OpSense, Parent: -1}, {Kind: OpDMA, Parent: 2}, {Kind: OpECC, Parent: 0}}}
 	defer func() {
 		if recover() == nil {
-			t.Error("Finalize accepted an op with two dependencies")
+			t.Error("Finalize accepted an op whose parent comes after it")
 		}
 	}()
-	join.Finalize()
+	forward.Finalize()
 }

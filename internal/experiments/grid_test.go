@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"readretry/internal/core"
 	"readretry/internal/ssd"
 )
 
@@ -78,9 +79,13 @@ func TestNewGridRejectsRepeatedAxisValues(t *testing.T) {
 
 // TestNewGridChecksEveryCellConfig: the template is checked as each cell
 // runs it, so ReducedRegularReads is refused beside a non-adaptive variant
-// and accepted when every variant is adaptive.
+// and accepted when every variant is adaptive, and a variant that turns on
+// both PSO and history, two ladder-start policies, is refused.
 func TestNewGridChecksEveryCellConfig(t *testing.T) {
 	cfg := tinySweepConfig(7)
+	if _, err := NewGrid(cfg, []Variant{{Name: "PSO+H", Scheme: core.PnAR2, PSO: true, History: true}}); err == nil {
+		t.Error("a variant with both PSO and history accepted")
+	}
 	cfg.Base.ReducedRegularReads = true
 	if _, err := NewGrid(cfg, Figure14Variants()); err == nil {
 		t.Error("ReducedRegularReads accepted beside Baseline")

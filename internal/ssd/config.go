@@ -181,5 +181,17 @@ func (c Config) Validate() error {
 	if c.ReducedRegularReads && !c.Scheme.Adaptive() {
 		return fmt.Errorf("ssd: ReducedRegularReads requires an adaptive scheme (AR2/PnAR2), got %v", c.Scheme)
 	}
+	// Each policy picks where a retried read's ladder walk starts, and a
+	// read starts in one place: a second policy would be silently ignored.
+	starts := 0
+	for _, on := range []bool{c.UsePSO, c.UseDriftPredictor, c.UseRetryHistory} {
+		if on {
+			starts++
+		}
+	}
+	if starts > 1 {
+		return fmt.Errorf("ssd: UsePSO (%t), UseDriftPredictor (%t) and UseRetryHistory (%t) each pick a read's ladder start; enable at most one",
+			c.UsePSO, c.UseDriftPredictor, c.UseRetryHistory)
+	}
 	return nil
 }

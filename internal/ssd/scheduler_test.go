@@ -314,3 +314,57 @@ func TestSchemePlansDriveDieOccupancy(t *testing.T) {
 			st.DieBusyTotal, st.MeanRead())
 	}
 }
+
+// TestGCMoveHoldsDieThroughFallback: a GC relocation whose reduced-timing
+// read exhausts the ladder runs §6.2's default-timing re-read before its
+// write-back, as a host read does. On an otherwise idle device the die is
+// therefore held for the failed pass's die hold plus the re-read's, both
+// priced here from their own plans, and only then does the write-back's
+// channel transfer begin.
+func TestGCMoveHoldsDieThroughFallback(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.AR2, core.PnAR2} {
+		cfg := tinyConfig()
+		cfg.Scheme = scheme
+		cfg.PEC, cfg.RetentionMonths, cfg.TempC = 2500, 18, 25
+		for _, fast := range []bool{true, false} {
+			cfg.DisableReadFastPath = !fast
+			dev, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := dev.dies[0]
+			// The first preconditioned page on die 0 whose read falls back.
+			// Reads at this condition are pure functions of the page, so
+			// resolving one here leaves the device as it was.
+			lpn, oc := int64(-1), readOutcome{}
+			for l := int64(0); l < cfg.PreconditionPages && lpn < 0; l++ {
+				if ppn, ok := dev.flash.Lookup(l); ok && ppn.Die == d.id {
+					if o := dev.resolveRead(dev.chips[d.id], chipAddr(ppn)); o.fallback {
+						lpn, oc = l, o
+					}
+				}
+			}
+			if lpn < 0 {
+				t.Fatalf("%v: no page on die 0 falls back at (2500, 18mo, 25°C)", scheme)
+			}
+			want := core.BuildPlan(scheme, oc.nrr, oc.timings, core.Options{}).DieHold() +
+				core.BuildPlan(core.Baseline, oc.fbNRR, oc.timings, core.Options{}).DieHold()
+
+			tx := dev.newTxn(txnGCMove)
+			tx.lpn = lpn
+			dev.enqueue(d, tx, 0)
+			for d.cur == nil && dev.eng.Step() {
+			}
+			if d.cur != tx {
+				t.Fatalf("%v fast=%t: the move never reached its write-back", scheme, fast)
+			}
+			if got := dev.eng.Now(); got != want {
+				t.Errorf("%v fast=%t: write-back began at %v, want the pass's and the re-read's die holds, %v",
+					scheme, fast, got, want)
+			}
+			if dev.stats.AR2Fallbacks != 1 {
+				t.Errorf("%v fast=%t: %d fallbacks counted, want 1", scheme, fast, dev.stats.AR2Fallbacks)
+			}
+		}
+	}
+}

@@ -285,9 +285,6 @@ type txn struct {
 	// serviceStart stamps when a read's service began.
 	enqueuedAt   sim.Time
 	serviceStart sim.Time
-	// fallback is an AR² fallback read's outcome, which its Baseline
-	// re-read needs when the failed first pass releases the die.
-	fallback readOutcome
 	// gcPlane identifies the collection job for gcMove/gcErase.
 	gcPlane int
 	gcBlock int
@@ -581,35 +578,23 @@ func (s *SSD) globalBlock(c *chip.Chip, addr nand.Address) int {
 	return c.Index()*s.blocksPerDie + addr.BlockOf().Linear(s.cfg.Geometry)
 }
 
-// recordReadMetrics folds one resolved read into the per-address accounting.
-// The plan lookups hit the memoized plan cache (the same entries the
-// executor uses), so the latency attribution costs two map hits and no
-// allocations per read.
-func (s *SSD) recordReadMetrics(c *chip.Chip, addr nand.Address, oc readOutcome, queue sim.Time) {
+// recordReadMetrics folds one resolved read, run as plan, into the
+// per-address accounting. plan carries its latency attribution (a fallback
+// plan both passes'), so this costs no plan lookup and no allocation.
+func (s *SSD) recordReadMetrics(c *chip.Chip, addr nand.Address, oc readOutcome, plan *core.Plan, queue sim.Time) {
 	if s.metrics == nil {
 		return
 	}
-	plan := core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{})
-	sense := plan.KindTotal(core.OpSense)
-	xfer := plan.KindTotal(core.OpDMA)
-	eccT := plan.KindTotal(core.OpECC)
-	steps := oc.nrr
-	if oc.fallback {
-		fb := core.CachedPlan(core.Baseline, oc.fbNRR, oc.timings, core.Options{})
-		sense += fb.KindTotal(core.OpSense)
-		xfer += fb.KindTotal(core.OpDMA)
-		eccT += fb.KindTotal(core.OpECC)
-		steps += oc.fbNRR
-	}
-	s.metrics.RecordRead(s.globalBlock(c, addr), addr.Page, steps, sense, xfer, eccT, queue)
+	s.metrics.RecordRead(s.globalBlock(c, addr), addr.Page, oc.nrr+oc.fbNRR,
+		plan.KindTotal(core.OpSense), plan.KindTotal(core.OpDMA), plan.KindTotal(core.OpECC), queue)
 }
 
 func (s *SSD) effectiveRetention(c *chip.Chip, addr nand.Address) float64 {
 	return c.Block(addr.BlockOf()).RetentionMonths
 }
 
-// startRead executes a read transaction: resolve the retry count, build the
-// controller's plan, and run it against the die/channel/ECC resources.
+// startRead executes a host read transaction: resolve the retry count, build
+// the controller's plan, and run it against the die/channel/ECC resources.
 func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 	s.setBusy(d, now)
 	if t.req != nil {
@@ -621,11 +606,8 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 		panic("ssd: read of unmapped LPN") // submit preconditions all reads
 	}
 	t.ppn = ppn
-	c := s.chips[d.id]
-	addr := chipAddr(ppn)
-	oc := s.resolveRead(c, addr)
+	oc, plan := s.planRead(d, ppn, now-t.enqueuedAt)
 	s.stats.recordRetrySteps(oc.nrr)
-	s.recordReadMetrics(c, addr, oc, now-t.enqueuedAt)
 	if oc.nrr > 0 {
 		s.stats.RetriedReads++
 	}
@@ -639,38 +621,64 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 		d.lastPreLevel = oc.preLevel
 		s.stats.RegReadSetFeatures++
 	}
-	now = start
+	s.runRead(d, t, plan, start, false)
+}
+
+// planRead resolves the read of the page at ppn on d, which waited queued
+// for the die, and returns its outcome and plan: the scheme's plan, with
+// §6.2's Baseline re-read hung under its release when the reduced-timing
+// pass failed. It counts the fallback and folds the read into the retry
+// metrics. Host reads and GC relocation reads share it: the fast path
+// shares memoized plans, and the reference path
+// (Config.DisableReadFastPath) builds the same tree for every read.
+func (s *SSD) planRead(d *die, ppn ftl.PPN, queued sim.Time) (readOutcome, *core.Plan) {
+	c, addr := s.chips[d.id], chipAddr(ppn)
+	oc := s.resolveRead(c, addr)
+	var plan *core.Plan
+	switch {
+	case s.cfg.DisableReadFastPath:
+		p := core.BuildPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{})
+		if oc.fallback {
+			p = p.Then(core.BuildPlan(core.Baseline, oc.fbNRR, oc.timings, core.Options{}))
+		}
+		plan = &p
+	case oc.fallback:
+		plan = core.CachedFallback(s.cfg.Scheme, oc.nrr, oc.fbNRR, oc.timings)
+	default:
+		plan = core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{})
+	}
 	if oc.fallback {
 		s.stats.AR2Fallbacks++
 	}
-	if s.cfg.DisableReadFastPath {
-		s.startReadSlow(d, t, oc, now)
-		return
-	}
-	stage := stageRead
-	if oc.fallback {
-		stage, t.fallback = stageFallback, oc
-	}
-	s.runPlan(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{}), now, t, stage)
+	s.recordReadMetrics(c, addr, oc, plan, queued)
+	return oc, plan
 }
 
-// startReadSlow is startRead's reference continuation graph, behind
-// Config.DisableReadFastPath: closures over plans rebuilt per read, driven
-// by the reference executor.
-func (s *SSD) startReadSlow(d *die, t *txn, oc readOutcome, start sim.Time) {
-	plan := func(scheme core.Scheme, nrr int) core.Plan {
-		return core.BuildPlan(scheme, nrr, oc.timings, core.Options{})
-	}
-	respond := func(done sim.Time) { s.readResponse(t, done) }
-	finish := func(sim.Time) { s.releaseDie(d, s.eng.Now()) }
-	if oc.fallback {
-		// Chain the default-timing re-read after the failed reduced pass.
-		s.runPlanSlow(d, plan(s.cfg.Scheme, oc.nrr), start, nil, func(rel sim.Time) {
-			s.runPlanSlow(d, plan(core.Baseline, oc.fbNRR), rel, respond, finish)
-		})
+// runRead runs a read plan for t on d from start, on the pooled executor or,
+// behind Config.DisableReadFastPath, on the reference one. A host read
+// responds at the plan's ResponseOp and frees the die at its ReleaseOp; a
+// GC move's read (gcMove) writes the page back at its ReleaseOp instead.
+func (s *SSD) runRead(d *die, t *txn, plan *core.Plan, start sim.Time, gcMove bool) {
+	if !s.cfg.DisableReadFastPath {
+		var x *planExec
+		if n := len(s.execFree); n > 0 {
+			x = s.execFree[n-1]
+			s.execFree = s.execFree[:n-1]
+		} else {
+			x = &planExec{s: s}
+		}
+		x.d, x.t, x.gcMove, x.plan = d, t, gcMove, plan
+		x.remaining = len(plan.Ops)
+		x.startOp(0, start)
 		return
 	}
-	s.runPlanSlow(d, plan(s.cfg.Scheme, oc.nrr), start, respond, finish)
+	respond := func(done sim.Time) { s.readResponse(t, done) }
+	release := func(at sim.Time) { s.releaseDie(d, at) }
+	if gcMove {
+		respond = nil
+		release = func(at sim.Time) { s.gcWriteBack(d, t, at) }
+	}
+	s.runPlanSlow(d, plan, start, respond, release)
 }
 
 // readResponse completes a host page read at done and recycles its txn:
@@ -689,52 +697,24 @@ func (s *SSD) releaseDie(d *die, now sim.Time) {
 	s.dispatch(d, now)
 }
 
-// execStage is what a plan executor does at its plan's response and
-// release operations.
-type execStage uint8
-
-const (
-	// stageRead: a host read; respond at ResponseOp, free the die at
-	// ReleaseOp.
-	stageRead execStage = iota
-	// stageFallback: the failed reduced-timing pass of an AR² fallback;
-	// start the Baseline re-read at ReleaseOp.
-	stageFallback
-	// stageGCMove: a GC relocation's read; write the page back at
-	// ReleaseOp.
-	stageGCMove
-)
-
 // planExec drives one shared, immutable plan for the page read of txn t.
 // A plan is a tree rooted at op 0 (core.Plan.Finalize checks it), so an op
-// starts exactly when its one parent completes and the executor needs no
-// per-op wait counts: its only mutable state is the outstanding-op
-// counter. Executors recycle through SSD.execFree once their last
-// operation completes. More than one executor can be in flight on a die (a
-// regular plan releases the die at its final DMA while its last ECC decode
-// is still pending), which is why they are pooled rather than per-die.
+// starts exactly when its parent completes and the executor needs no per-op
+// wait counts: its only mutable state is the outstanding-op counter.
+// Executors recycle through SSD.execFree once their last operation
+// completes. More than one executor can be in flight on a die (a regular
+// plan releases the die at its final DMA while its last ECC decode is
+// still pending), which is why they are pooled rather than per-die.
+//
+// gcMove, not t's kind, says what the release does: a host read's txn is
+// recycled at its response, which can come before the release.
 type planExec struct {
 	s         *SSD
 	d         *die
 	t         *txn
-	stage     execStage
+	gcMove    bool
 	plan      *core.Plan
 	remaining int
-}
-
-// runPlan executes a memoized controller plan for t starting at start;
-// stage says what its response and release do.
-func (s *SSD) runPlan(d *die, plan *core.Plan, start sim.Time, t *txn, stage execStage) {
-	var x *planExec
-	if n := len(s.execFree); n > 0 {
-		x = s.execFree[n-1]
-		s.execFree = s.execFree[:n-1]
-	} else {
-		x = &planExec{s: s}
-	}
-	x.d, x.t, x.stage, x.plan = d, t, stage, plan
-	x.remaining = len(plan.Ops)
-	x.startOp(0, start)
 }
 
 func (x *planExec) startOp(i int, at sim.Time) {
@@ -751,11 +731,15 @@ func (x *planExec) startOp(i int, at sim.Time) {
 
 // Fire implements sim.Callback: operation i of the plan completed at t.
 func (x *planExec) Fire(t sim.Time, i int) {
-	if i == x.plan.ResponseOp && x.stage == stageRead {
+	if i == x.plan.ResponseOp && !x.gcMove {
 		x.s.readResponse(x.t, t)
 	}
 	if i == x.plan.ReleaseOp {
-		x.release(t)
+		if x.gcMove {
+			x.s.gcWriteBack(x.d, x.t, t)
+		} else {
+			x.s.releaseDie(x.d, t)
+		}
 	}
 	for _, dep := range x.plan.Dependents(i) {
 		x.startOp(int(dep), t)
@@ -767,32 +751,14 @@ func (x *planExec) Fire(t sim.Time, i int) {
 	}
 }
 
-// release runs at the plan's ReleaseOp, when the read no longer needs the
-// die.
-func (x *planExec) release(at sim.Time) {
-	s := x.s
-	switch x.stage {
-	case stageRead:
-		s.releaseDie(x.d, at)
-	case stageFallback:
-		fb := &x.t.fallback
-		s.runPlan(x.d, core.CachedPlan(core.Baseline, fb.fbNRR, fb.timings, core.Options{}), at, x.t, stageRead)
-	case stageGCMove:
-		s.gcWriteBack(x.d, x.t, at)
-	}
-}
-
-// runPlanSlow is the pre-fast-path executor, kept verbatim as the reference
-// implementation behind Config.DisableReadFastPath: it rebuilds the waiting
-// counts, dependents adjacency, and completion closures for every read.
-func (s *SSD) runPlanSlow(d *die, plan core.Plan, start sim.Time, onResponse, onRelease func(sim.Time)) {
-	n := len(plan.Ops)
-	waiting := make([]int, n)
-	dependents := make([][]int, n)
+// runPlanSlow is the reference executor behind Config.DisableReadFastPath:
+// it rebuilds the dependents adjacency and the completion closures for
+// every read, and starts each op when its parent completes.
+func (s *SSD) runPlanSlow(d *die, plan *core.Plan, start sim.Time, onResponse, onRelease func(sim.Time)) {
+	dependents := make([][]int, len(plan.Ops))
 	for i, op := range plan.Ops {
-		waiting[i] = len(op.Deps)
-		for _, dep := range op.Deps {
-			dependents[dep] = append(dependents[dep], i)
+		if op.Parent >= 0 {
+			dependents[op.Parent] = append(dependents[op.Parent], i)
 		}
 	}
 	var opDone func(i int, t sim.Time)
@@ -811,21 +777,14 @@ func (s *SSD) runPlanSlow(d *die, plan core.Plan, start sim.Time, onResponse, on
 		if i == plan.ResponseOp && onResponse != nil {
 			onResponse(t)
 		}
-		if i == plan.ReleaseOp && onRelease != nil {
+		if i == plan.ReleaseOp {
 			onRelease(t)
 		}
 		for _, dep := range dependents[i] {
-			waiting[dep]--
-			if waiting[dep] == 0 {
-				startOp(dep, t)
-			}
+			startOp(dep, t)
 		}
 	}
-	for i := range plan.Ops {
-		if waiting[i] == 0 {
-			startOp(i, start)
-		}
-	}
+	startOp(0, start)
 }
 
 // startWrite executes a host write: transfer the page over the channel,
@@ -976,8 +935,9 @@ func (s *SSD) startGC(d *die, t *txn, now sim.Time) {
 	}
 }
 
-// runGCMove relocates one valid page: read (with retry, through the active
-// scheme's controller), transfer back, program into the active block.
+// runGCMove relocates one valid page: read it on the host read path (with
+// retry, through the active scheme's controller), then transfer it back and
+// program it into the active block.
 func (s *SSD) runGCMove(d *die, t *txn, now sim.Time) {
 	ppn, ok := s.flash.Lookup(t.lpn)
 	if !ok {
@@ -989,17 +949,9 @@ func (s *SSD) runGCMove(d *die, t *txn, now sim.Time) {
 		s.dispatch(d, now)
 		return
 	}
-	c := s.chips[d.id]
-	addr := chipAddr(ppn)
-	oc := s.resolveRead(c, addr)
-	s.recordReadMetrics(c, addr, oc, now-t.enqueuedAt)
+	_, plan := s.planRead(d, ppn, now-t.enqueuedAt)
 	s.stats.GCPageReads++
-	if s.cfg.DisableReadFastPath {
-		s.runPlanSlow(d, core.BuildPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{}), now, nil,
-			func(rel sim.Time) { s.gcWriteBack(d, t, rel) })
-		return
-	}
-	s.runPlan(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, core.Options{}), now, t, stageGCMove)
+	s.runRead(d, t, plan, now, true)
 }
 
 // gcWriteBack writes a relocated page back out once its read released the

@@ -80,6 +80,10 @@ func TestConfigValidation(t *testing.T) {
 		"NaN retention":           func(c *Config) { c.RetentionMonths = math.NaN() },
 		"infinite retention":      func(c *Config) { c.RetentionMonths = math.Inf(1) },
 		"negative tECC":           func(c *Config) { c.Timing.TECC = -1 },
+		// Each of these picks a read's ladder start; a read honours one.
+		"PSO and predictor":     func(c *Config) { c.UsePSO, c.UseDriftPredictor = true, true },
+		"PSO and history":       func(c *Config) { c.UsePSO, c.UseRetryHistory = true, true },
+		"predictor and history": func(c *Config) { c.UseDriftPredictor, c.UseRetryHistory = true, true },
 	} {
 		bad = DefaultConfig()
 		mutate(&bad)
