@@ -109,3 +109,23 @@ func TestCharacterizationPanels(t *testing.T) {
 		}
 	}
 }
+
+// TestExtGolden: -only ext, the one run that sets the §8 extension knobs
+// (reduced regular reads, PSO, the drift predictor), reproduces
+// testdata/golden_ext.txt byte for byte.
+func TestExtGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_ext.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-only", "ext", "-progress=false")
+	cmd.Env = append(os.Environ(), childEnv+"=repro")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("repro -only ext: %v\n%s", err, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("repro -only ext differs from testdata/golden_ext.txt:\ngot:\n%s\nwant:\n%s", stdout.Bytes(), want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"readretry/internal/core"
+	"readretry/internal/ftl"
 	"readretry/internal/mathx"
 )
 
@@ -231,5 +232,81 @@ func TestPnAR2CutsBothQueueAndService(t *testing.T) {
 	}
 	if both.ReadQueueDelay.Mean() >= base.ReadQueueDelay.Mean() {
 		t.Error("shorter service should also drain queues faster")
+	}
+}
+
+// TestGCReadPaysRegularReadSetFeature: with ReducedRegularReads, a GC
+// relocation read reprograms the tPRE register exactly as a host read
+// does. On an idle device whose register is still at the default level,
+// the move's read pays tSET before its plan, so its write-back begins at
+// tSET plus the plan's die hold. A host read of the same block that
+// follows finds the register set and pays none: it arrives during the
+// write-back's transfer, suspends the program as it begins, and responds
+// one plan latency later.
+func TestGCReadPaysRegularReadSetFeature(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Scheme = core.AR2
+	cfg.PEC, cfg.RetentionMonths = 1000, 6
+	cfg.ReducedRegularReads = true
+	dev, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dev.dies[0]
+	// The first two preconditioned pages of one block on die 0. Reads at
+	// this condition are pure functions of the page, so resolving them
+	// here leaves the device as it was.
+	var lpns []int64
+	var ppns []ftl.PPN
+	for l := int64(0); l < cfg.PreconditionPages && len(lpns) < 2; l++ {
+		ppn, ok := dev.flash.Lookup(l)
+		if !ok || ppn.Die != d.id || len(ppns) > 0 && (ppn.Plane != ppns[0].Plane || ppn.Block != ppns[0].Block) {
+			continue
+		}
+		lpns, ppns = append(lpns, l), append(ppns, ppn)
+	}
+	if len(lpns) < 2 {
+		t.Fatal("no block on die 0 holds two preconditioned pages")
+	}
+	gcOC := dev.resolveRead(dev.chips[d.id], chipAddr(ppns[0]))
+	hostOC := dev.resolveRead(dev.chips[d.id], chipAddr(ppns[1]))
+	if gcOC.preLevel == d.lastPreLevel || hostOC.preLevel != gcOC.preLevel {
+		t.Fatalf("levels: die register %d, GC read %d, host read %d; want the reads' equal and the register's apart",
+			d.lastPreLevel, gcOC.preLevel, hostOC.preLevel)
+	}
+
+	tx := dev.newTxn(txnGCMove)
+	tx.lpn = lpns[0]
+	dev.enqueue(d, tx, 0)
+	for d.cur == nil && dev.eng.Step() {
+	}
+	if d.cur != tx {
+		t.Fatal("the move never reached its write-back")
+	}
+	hold := core.BuildPlan(cfg.Scheme, gcOC.nrr, gcOC.timings, core.Options{}).DieHold()
+	if got, want := dev.eng.Now(), cfg.Timing.TSet+hold; got != want {
+		t.Errorf("write-back began at %v, want tSET %v + the plan's die hold %v = %v", got, cfg.Timing.TSet, hold, want)
+	}
+	if dev.stats.RegReadSetFeatures != 1 || d.lastPreLevel != gcOC.preLevel {
+		t.Errorf("after the GC read: %d SET FEATUREs, register at %d; want 1 and %d",
+			dev.stats.RegReadSetFeatures, d.lastPreLevel, gcOC.preLevel)
+	}
+
+	at := dev.eng.Now()
+	if die, _ := dev.flash.StripeOf(lpns[1]); die != d.id {
+		t.Fatalf("LPN %d maps to die 0 but stripes to die %d", lpns[1], die)
+	}
+	req := dev.newRequest()
+	req.arrival, req.lpn, req.pages = at, lpns[1], 1
+	dev.submit(req, at)
+	for dev.stats.Completed == 0 && dev.eng.Step() {
+	}
+	latency := core.BuildPlan(cfg.Scheme, hostOC.nrr, hostOC.timings, core.Options{}).Latency()
+	if got, want := dev.eng.Now(), at+cfg.Timing.TDMA+latency; got != want {
+		t.Errorf("host read responded at %v, want the write-back's tDMA %v + the plan's latency %v after %v = %v",
+			got, cfg.Timing.TDMA, latency, at, want)
+	}
+	if dev.stats.RegReadSetFeatures != 1 {
+		t.Errorf("%d SET FEATUREs after the host read, want 1: its level was already set", dev.stats.RegReadSetFeatures)
 	}
 }

@@ -41,8 +41,8 @@ func TestRetryMetricsConsistentWithStats(t *testing.T) {
 	if m == nil {
 		t.Fatal("Stats.Retry is nil")
 	}
-	// The metrics layer observes the same page reads the device counts
-	// (host and GC alike).
+	// The metrics layer records GC relocation reads too; YCSB-C writes
+	// nothing, so it makes none, and both sides count the host reads.
 	if m.PageReads() != st.PageReads {
 		t.Errorf("metrics saw %d page reads, Stats counted %d", m.PageReads(), st.PageReads)
 	}
@@ -131,4 +131,31 @@ func TestRetryHistoryDeterministic(t *testing.T) {
 		t.Errorf("history runs diverged: read %v vs %v, seeded %d vs %d",
 			a.MeanRead(), b.MeanRead(), a.HistoryReads, b.HistoryReads)
 	}
+}
+
+// TestReadCountersSplitHostAndGC: the per-read statistics (PageReads, the
+// N_RR summary and histogram, RetriedReads) count host page reads only,
+// while the retry metrics record every page read the device senses, GC
+// relocation reads included.
+func TestReadCountersSplitHostAndGC(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Scheme = core.AR2
+	cfg.PEC, cfg.RetentionMonths = 1000, 6
+	cfg.RetryMetrics = true
+	st := runWorkload(t, cfg, "stg_0", 4000, 1500)
+	if st.GCPageReads == 0 {
+		t.Fatal("run made no GC relocation reads")
+	}
+	var hist int64
+	for _, n := range st.RetryHistogram {
+		hist += n
+	}
+	if hist != st.PageReads {
+		t.Errorf("retry histogram holds %d reads, PageReads = %d", hist, st.PageReads)
+	}
+	if got, want := st.Retry.PageReads(), st.PageReads+st.GCPageReads; got != want {
+		t.Errorf("retry metrics saw %d page reads, want PageReads %d + GCPageReads %d = %d",
+			got, st.PageReads, st.GCPageReads, want)
+	}
+	t.Logf("%d host and %d GC page reads", st.PageReads, st.GCPageReads)
 }

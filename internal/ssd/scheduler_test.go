@@ -173,8 +173,8 @@ func enqueueErase(t *testing.T, dev *SSD, d *die, block int, now sim.Time) {
 	if v := dev.flash.BlockValid(d.id, 0, block); v != 0 {
 		t.Fatalf("block %d holds %d valid pages; the erase needs an empty one", block, v)
 	}
-	d.gcActive[0] = true
-	dev.enqueueGCErase(d, 0, block, now)
+	d.gc[0] = gcSlot{active: true, block: block}
+	dev.enqueueGCErase(d, 0, now)
 }
 
 func TestGCChainsWhenPlaneStaysLow(t *testing.T) {

@@ -80,7 +80,8 @@ func New(cfg Config) (*SSD, error) {
 		c.SetFastPath(!cfg.DisableReadFastPath)
 		c.SetCondition(cfg.PEC, cfg.RetentionMonths, cfg.TempC)
 		s.chips = append(s.chips, c)
-		dd := &die{s: s, id: d, channel: d / cfg.DiesPerChannel}
+		dd := &die{s: s, id: d, channel: d / cfg.DiesPerChannel,
+			gc: make([]gcSlot, cfg.Geometry.PlanesPerDie)}
 		dd.phase.d = dd
 		s.dies = append(s.dies, dd)
 	}
@@ -108,9 +109,6 @@ func New(cfg Config) (*SSD, error) {
 	}
 	if cfg.UsePSO {
 		s.pso = core.NewPSO()
-	}
-	for _, d := range s.dies {
-		d.gcActive = make([]bool, cfg.Geometry.PlanesPerDie)
 	}
 	// The ladder length bounds every reported step count (failed reads
 	// exhaust the ladder; every policy only reduces), so the histogram is
@@ -282,12 +280,12 @@ type txn struct {
 	ppn  ftl.PPN
 	req  *request // nil for GC traffic
 	// enqueuedAt stamps queue entry for the queueing-delay statistics;
-	// serviceStart stamps when a read's service began.
+	// serviceStart stamps when a host read's service began.
 	enqueuedAt   sim.Time
 	serviceStart sim.Time
-	// gcPlane identifies the collection job for gcMove/gcErase.
+	// gcPlane names the plane whose collection job (die.gc) a gcMove or
+	// gcErase belongs to.
 	gcPlane int
-	gcBlock int
 }
 
 // newTxn takes a transaction of the given kind from the free list,
@@ -341,14 +339,21 @@ type die struct {
 	// suspension lets reads through but never another such txn, so there
 	// is at most one, and the die itself is the callback for its transfer.
 	cur *txn
-	// phase is the die's one program/erase record. suspendable points at
-	// it while it runs, nil when cur is in no interruptible phase;
-	// suspended points at it while reads hold the die.
-	phase       diePhase
-	suspendable *diePhase
-	suspended   *diePhase
-	gcActive    []bool  // per plane: a collection job is in flight
-	gcMovesLeft []gcJob // outstanding relocation counts per collection job
+	// phase is the die's one program/erase record; its state says whether
+	// cur is running an interruptible phase, suspended in one, or neither.
+	phase diePhase
+	// gc holds each plane's collection job: maybeStartGC starts none on a
+	// plane whose slot is active, so there is at most one per plane.
+	gc []gcSlot
+}
+
+// gcSlot is one plane's collection job. It is active from victim
+// selection until the victim's erase completes; moves counts the
+// relocations not yet programmed, and the last one queues the erase.
+type gcSlot struct {
+	active bool
+	block  int
+	moves  int
 }
 
 // setBusy and setIdle guard the die's busy flag while accumulating busy
@@ -398,7 +403,7 @@ func (s *SSD) enqueue(d *die, t *txn, now sim.Time) {
 		d.readQ.push(t)
 		// Out-of-order read priority: an arriving read may suspend an
 		// in-flight program/erase (§7.2's baseline features).
-		if d.busy && d.suspendable != nil {
+		if d.phase.state == phaseRunning {
 			s.suspendCurrent(d, now)
 		}
 	case txnWrite:
@@ -409,15 +414,12 @@ func (s *SSD) enqueue(d *die, t *txn, now sim.Time) {
 	s.dispatch(d, now)
 }
 
-// suspendCurrent interrupts the die's current program/erase.
+// suspendCurrent interrupts the die's running program/erase.
 func (s *SSD) suspendCurrent(d *die, now sim.Time) {
-	p := d.suspendable
-	if p == nil || d.suspended != nil {
-		return
-	}
+	p := &d.phase
 	p.epoch++               // retires the pending completion
 	p.left = p.endsAt - now // a pending completion is never in the past
-	d.suspended, d.suspendable = p, nil
+	p.state = phaseSuspended
 	s.setIdle(d, now)
 	s.stats.Suspensions++
 	s.dispatch(d, now)
@@ -434,10 +436,9 @@ func (s *SSD) dispatch(d *die, now sim.Time) {
 		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
-	if p := d.suspended; p != nil {
-		d.suspended = nil
+	if d.phase.state == phaseSuspended {
 		s.setBusy(d, now)
-		p.run(s.eng.Now())
+		d.phase.run(s.eng.Now())
 		return
 	}
 	if s.gcUrgent(d) && d.gcQ.len() > 0 {
@@ -560,7 +561,7 @@ func (s *SSD) resolveRead(c *chip.Chip, addr nand.Address) readOutcome {
 			s.stats.HistoryReads++
 		}
 	case s.pso != nil:
-		g := core.Group(c.Index(), 0, s.cfg.PEC, s.effectiveRetention(c, addr))
+		g := core.Group(c.Index(), 0, s.cfg.PEC, c.Block(addr.BlockOf()).RetentionMonths)
 		out.nrr = s.pso.AdjustedSteps(g, out.nrr)
 	}
 	if s.history != nil && !res.Failed {
@@ -589,49 +590,31 @@ func (s *SSD) recordReadMetrics(c *chip.Chip, addr nand.Address, oc readOutcome,
 		plan.KindTotal(core.OpSense), plan.KindTotal(core.OpDMA), plan.KindTotal(core.OpECC), queue)
 }
 
-func (s *SSD) effectiveRetention(c *chip.Chip, addr nand.Address) float64 {
-	return c.Block(addr.BlockOf()).RetentionMonths
-}
-
-// startRead executes a host read transaction: resolve the retry count, build
-// the controller's plan, and run it against the die/channel/ECC resources.
+// startRead executes a page read on d: a host read, or the read half of a
+// GC move (t.kind == txnGCMove). It resolves the page's retry behaviour and
+// picks the scheme's plan, with §6.2's Baseline re-read hung under its
+// release when the reduced-timing pass failed; the fast path shares
+// memoized plans, and the reference path (Config.DisableReadFastPath)
+// builds the same tree for every read. The two kinds differ only in a
+// moot move, in which statistics they feed, and in what the plan's
+// response and release do (runRead); both pay tSET for a register change.
 func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 	s.setBusy(d, now)
-	if t.req != nil {
-		s.stats.ReadQueueDelay.Add((now - t.enqueuedAt).Microseconds())
-	}
-	t.serviceStart = now
+	gcMove := t.kind == txnGCMove
 	ppn, ok := s.flash.Lookup(t.lpn)
-	if !ok {
+	switch {
+	case ok:
+	case gcMove:
+		// The page was overwritten by the host after victim selection; the
+		// move is moot.
+		s.setIdle(d, now)
+		s.finishGCMove(d, t.gcPlane, now)
+		s.freeTxn(t)
+		s.dispatch(d, now)
+		return
+	default:
 		panic("ssd: read of unmapped LPN") // submit preconditions all reads
 	}
-	t.ppn = ppn
-	oc, plan := s.planRead(d, ppn, now-t.enqueuedAt)
-	s.stats.recordRetrySteps(oc.nrr)
-	if oc.nrr > 0 {
-		s.stats.RetriedReads++
-	}
-	s.stats.PageReads++
-
-	start := now
-	if s.cfg.ReducedRegularReads && oc.preLevel != d.lastPreLevel {
-		// Reprogram the chip's read timing for the new block condition; the
-		// register then stays put for subsequent reads at the same level.
-		start += s.cfg.Timing.TSet
-		d.lastPreLevel = oc.preLevel
-		s.stats.RegReadSetFeatures++
-	}
-	s.runRead(d, t, plan, start, false)
-}
-
-// planRead resolves the read of the page at ppn on d, which waited queued
-// for the die, and returns its outcome and plan: the scheme's plan, with
-// §6.2's Baseline re-read hung under its release when the reduced-timing
-// pass failed. It counts the fallback and folds the read into the retry
-// metrics. Host reads and GC relocation reads share it: the fast path
-// shares memoized plans, and the reference path
-// (Config.DisableReadFastPath) builds the same tree for every read.
-func (s *SSD) planRead(d *die, ppn ftl.PPN, queued sim.Time) (readOutcome, *core.Plan) {
 	c, addr := s.chips[d.id], chipAddr(ppn)
 	oc := s.resolveRead(c, addr)
 	var plan *core.Plan
@@ -650,8 +633,28 @@ func (s *SSD) planRead(d *die, ppn ftl.PPN, queued sim.Time) (readOutcome, *core
 	if oc.fallback {
 		s.stats.AR2Fallbacks++
 	}
-	s.recordReadMetrics(c, addr, oc, plan, queued)
-	return oc, plan
+	s.recordReadMetrics(c, addr, oc, plan, now-t.enqueuedAt)
+	if gcMove {
+		s.stats.GCPageReads++
+	} else {
+		s.stats.ReadQueueDelay.Add((now - t.enqueuedAt).Microseconds())
+		t.serviceStart = now
+		s.stats.recordRetrySteps(oc.nrr)
+		if oc.nrr > 0 {
+			s.stats.RetriedReads++
+		}
+		s.stats.PageReads++
+	}
+
+	start := now
+	if s.cfg.ReducedRegularReads && oc.preLevel != d.lastPreLevel {
+		// Reprogram the chip's read timing for the new block condition; the
+		// register then stays put for subsequent reads at the same level.
+		start += s.cfg.Timing.TSet
+		d.lastPreLevel = oc.preLevel
+		s.stats.RegReadSetFeatures++
+	}
+	s.runRead(d, t, plan, start, gcMove)
 }
 
 // runRead runs a read plan for t on d from start, on the pooled executor or,
@@ -684,9 +687,7 @@ func (s *SSD) runRead(d *die, t *txn, plan *core.Plan, start sim.Time, gcMove bo
 // readResponse completes a host page read at done and recycles its txn:
 // the die release that may still follow needs only the die.
 func (s *SSD) readResponse(t *txn, done sim.Time) {
-	if t.req != nil {
-		s.stats.ReadService.Add((done - t.serviceStart).Microseconds())
-	}
+	s.stats.ReadService.Add((done - t.serviceStart).Microseconds())
 	s.completePage(t, done)
 	s.freeTxn(t)
 }
@@ -808,12 +809,12 @@ func (d *die) Fire(t sim.Time, _ int) {
 	d.phase.start(t, dur)
 }
 
-// diePhase is the program or erase of a die's cur txn: the die's
-// suspendable phase while its completion event is pending, its suspended
-// phase while reads hold the die, and suspendable again when dispatch
-// resumes it for the time it had left. Each run schedules its completion
-// tagged with the current epoch; a suspension bumps the epoch, so the
-// superseded completion fires as a no-op.
+// diePhase is the program or erase of a die's cur txn: running while its
+// completion event is pending, suspended while reads hold the die, and
+// running again when dispatch resumes it for the time it had left. Each
+// run schedules its completion tagged with the current epoch; a
+// suspension bumps the epoch, so the superseded completion fires as a
+// no-op.
 //
 // Each die owns one record and reuses it for every program and erase. The
 // epoch is never reset: it only grows, so a completion retired during any
@@ -821,10 +822,20 @@ func (d *die) Fire(t sim.Time, _ int) {
 // record cannot revive it.
 type diePhase struct {
 	d      *die
+	state  phaseState
 	left   sim.Time // time still to run when run (re)starts the phase
 	endsAt sim.Time
 	epoch  int // tag of the one live completion
 }
+
+// phaseState says what a die's program/erase record holds.
+type phaseState uint8
+
+const (
+	phaseNone      phaseState = iota // cur is in no interruptible phase
+	phaseRunning                     // the completion is pending; a read suspends it
+	phaseSuspended                   // reads hold the die; dispatch resumes it
+)
 
 // start begins a dur-long program or erase of the die's cur txn at at.
 func (p *diePhase) start(at, dur sim.Time) {
@@ -837,7 +848,7 @@ func (p *diePhase) run(at sim.Time) {
 	s := p.d.s
 	p.endsAt = at + p.left
 	s.eng.ScheduleTag(p.endsAt, p, p.epoch)
-	p.d.suspendable = p
+	p.state = phaseRunning
 	// Reads that arrived while this transaction was in its transfer phase
 	// suspend it the moment the die phase begins.
 	if p.d.readQ.len() > 0 {
@@ -853,7 +864,7 @@ func (p *diePhase) Fire(t sim.Time, epoch int) {
 		return
 	}
 	d, s := p.d, p.d.s
-	d.suspendable = nil
+	p.state = phaseNone
 	tx := d.cur
 	d.cur = nil
 	switch tx.kind {
@@ -864,14 +875,14 @@ func (p *diePhase) Fire(t sim.Time, epoch int) {
 		s.afterWrite(d, ppn, t)
 	case txnGCMove:
 		s.setIdle(d, t)
-		s.finishGCMove(d, tx, t)
+		s.finishGCMove(d, tx.gcPlane, t)
 		s.freeTxn(tx)
 		s.dispatch(d, t)
 	case txnGCErase:
-		plane, block := tx.gcPlane, tx.gcBlock
+		plane := tx.gcPlane
 		s.freeTxn(tx)
-		s.flash.OnErase(d.id, plane, block)
-		d.gcActive[plane] = false
+		s.flash.OnErase(d.id, plane, d.gc[plane].block)
+		d.gc[plane] = gcSlot{}
 		s.setIdle(d, t)
 		// The plane may still be below threshold: chain another job.
 		s.maybeStartGC(d, plane, t)
@@ -889,7 +900,7 @@ func (s *SSD) afterWrite(d *die, ppn ftl.PPN, now sim.Time) {
 
 // maybeStartGC launches one collection job for the plane when needed.
 func (s *SSD) maybeStartGC(d *die, plane int, now sim.Time) {
-	if d.gcActive[plane] || !s.flash.NeedGC(d.id, plane) {
+	if d.gc[plane].active || !s.flash.NeedGC(d.id, plane) {
 		return
 	}
 	block, valids, ok := s.flash.Victim(d.id, plane, s.victims[:0])
@@ -897,61 +908,40 @@ func (s *SSD) maybeStartGC(d *die, plane int, now sim.Time) {
 	if !ok {
 		return
 	}
-	d.gcActive[plane] = true
+	d.gc[plane] = gcSlot{active: true, block: block, moves: len(valids)}
 	s.stats.GCJobs++
 	if len(valids) == 0 {
-		s.enqueueGCErase(d, plane, block, now)
+		s.enqueueGCErase(d, plane, now)
 		return
 	}
 	// The erase is enqueued by the last completed move (see finishGCMove).
-	d.gcMovesLeft = append(d.gcMovesLeft, gcJob{plane: plane, block: block, moves: len(valids)})
 	for _, lpn := range valids {
 		t := s.newTxn(txnGCMove)
-		t.lpn, t.gcPlane, t.gcBlock = lpn, plane, block
+		t.lpn, t.gcPlane = lpn, plane
 		s.enqueue(d, t, now)
 	}
 }
 
-func (s *SSD) enqueueGCErase(d *die, plane, block int, now sim.Time) {
+// enqueueGCErase queues the erase of the block the plane's job collects.
+func (s *SSD) enqueueGCErase(d *die, plane int, now sim.Time) {
 	t := s.newTxn(txnGCErase)
-	t.gcPlane, t.gcBlock = plane, block
+	t.gcPlane = plane
 	s.enqueue(d, t, now)
 }
 
-type gcJob struct {
-	plane, block, moves int
-}
-
-// startGC executes a GC transaction.
+// startGC executes a GC transaction: a move's read takes the page-read
+// entry, and an erase erases the collected block (suspendable); the die
+// phase's completion returns the block to the free pool.
 func (s *SSD) startGC(d *die, t *txn, now sim.Time) {
-	s.setBusy(d, now)
-	switch t.kind {
-	case txnGCMove:
-		s.runGCMove(d, t, now)
-	case txnGCErase:
-		s.runGCErase(d, t, now)
-	default:
-		panic("ssd: bad gc txn")
-	}
-}
-
-// runGCMove relocates one valid page: read it on the host read path (with
-// retry, through the active scheme's controller), then transfer it back and
-// program it into the active block.
-func (s *SSD) runGCMove(d *die, t *txn, now sim.Time) {
-	ppn, ok := s.flash.Lookup(t.lpn)
-	if !ok {
-		// The page was overwritten by the host after victim selection; the
-		// move is moot.
-		s.setIdle(d, now)
-		s.finishGCMove(d, t, now)
-		s.freeTxn(t)
-		s.dispatch(d, now)
+	if t.kind == txnGCMove {
+		s.startRead(d, t, now)
 		return
 	}
-	_, plan := s.planRead(d, ppn, now-t.enqueuedAt)
-	s.stats.GCPageReads++
-	s.runRead(d, t, plan, now, true)
+	s.setBusy(d, now)
+	dur := s.chips[d.id].Erase(nand.BlockID{Die: 0, Plane: t.gcPlane, Block: d.gc[t.gcPlane].block})
+	s.stats.Erases++
+	d.cur = t
+	d.phase.start(now, dur)
 }
 
 // gcWriteBack writes a relocated page back out once its read released the
@@ -966,29 +956,14 @@ func (s *SSD) gcWriteBack(d *die, t *txn, at sim.Time) {
 	s.channels[d.channel].acquire(at, s.cfg.Timing.TDMA, d, 0)
 }
 
-// finishGCMove decrements the job's outstanding moves and queues the erase
-// when the victim is empty.
-func (s *SSD) finishGCMove(d *die, t *txn, now sim.Time) {
-	for i := range d.gcMovesLeft {
-		job := &d.gcMovesLeft[i]
-		if job.plane == t.gcPlane && job.block == t.gcBlock {
-			job.moves--
-			if job.moves == 0 {
-				d.gcMovesLeft = append(d.gcMovesLeft[:i], d.gcMovesLeft[i+1:]...)
-				s.enqueueGCErase(d, t.gcPlane, t.gcBlock, now)
-			}
-			return
-		}
+// finishGCMove counts one of the plane's relocations done and queues the
+// erase when the victim is empty.
+func (s *SSD) finishGCMove(d *die, plane int, now sim.Time) {
+	job := &d.gc[plane]
+	job.moves--
+	if job.moves == 0 {
+		s.enqueueGCErase(d, plane, now)
 	}
-}
-
-// runGCErase erases the collected block (suspendable); the die phase's
-// completion returns it to the free pool.
-func (s *SSD) runGCErase(d *die, t *txn, now sim.Time) {
-	dur := s.chips[d.id].Erase(nand.BlockID{Die: 0, Plane: t.gcPlane, Block: t.gcBlock})
-	s.stats.Erases++
-	d.cur = t
-	d.phase.start(now, dur)
 }
 
 // completePage accounts a finished host page transaction. The request's
@@ -996,9 +971,6 @@ func (s *SSD) runGCErase(d *die, t *txn, now sim.Time) {
 // completed, and the caller frees t next.
 func (s *SSD) completePage(t *txn, done sim.Time) {
 	req := t.req
-	if req == nil {
-		return
-	}
 	req.remaining--
 	if req.remaining > 0 {
 		return

@@ -20,8 +20,12 @@ type Stats struct {
 	Writes mathx.Running
 	All    mathx.Running
 
-	// RetrySteps summarizes N_RR across host and GC page reads;
-	// RetryHistogram holds the full distribution (index = step count).
+	// RetrySteps summarizes N_RR across host page reads; RetryHistogram
+	// holds its full distribution (index = step count). These, PageReads
+	// and RetriedReads count host page reads only; GCPageReads counts the
+	// GC relocation reads. The counters below that describe how a read ran
+	// (AR2Fallbacks, the PSO hits and misses, PredictorReads,
+	// RegReadSetFeatures, HistoryReads) and Retry count both kinds.
 	RetrySteps     mathx.Running
 	RetryHistogram []int64
 	PageReads      int64
@@ -59,7 +63,8 @@ type Stats struct {
 	HistoryReads int64
 
 	// Retry is the per-physical-address accounting layer, attached when
-	// Config.RetryMetrics is set (nil otherwise).
+	// Config.RetryMetrics is set (nil otherwise). It records host and GC
+	// page reads, so its PageReads is PageReads + GCPageReads.
 	Retry *retrymetrics.Metrics
 
 	// Resource occupancy for utilization statistics.
@@ -139,7 +144,7 @@ func (st *Stats) WriteAmplification() float64 {
 	return float64(st.HostPageWrites+st.GCPageWrites) / float64(st.HostPageWrites)
 }
 
-// MeanRetrySteps returns the average N_RR over all page reads.
+// MeanRetrySteps returns the average N_RR over host page reads.
 func (st *Stats) MeanRetrySteps() float64 { return st.RetrySteps.Mean() }
 
 // sizeRetryHistogram preallocates the N_RR distribution for a ladder of
