@@ -260,3 +260,34 @@ func TestCellKeySchemaTagChangesEveryKey(t *testing.T) {
 		t.Fatal("schema tag does not participate in the key")
 	}
 }
+
+// TestCellKeysMatchCellKey: the grid-wide derivation, which encodes the
+// device template once, must give every cell of a temps × devices grid
+// the key CellKey derives for it alone.
+func TestCellKeysMatchCellKey(t *testing.T) {
+	cfg := tinySweepConfig(7)
+	cfg.Temps = []float64{25, 85}
+	cfg.Devices = []ssd.Device{ssd.DeviceTLC, ssd.DeviceQLC16}
+	g, err := NewGrid(cfg, Figure14Variants())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := CellKeys(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != g.Total() || g.Total() == 0 {
+		t.Fatalf("CellKeys returned %d keys for %d cells", len(keys), g.Total())
+	}
+	seen := map[string]int{}
+	for idx, key := range keys {
+		wl, cond, v := g.CellAt(idx)
+		if want, err := CellKey(cfg, wl, cond, v); err != nil || key != want {
+			t.Fatalf("cell %d: CellKeys gave %s, CellKey %s (%v)", idx, key, want, err)
+		}
+		if prev, ok := seen[key]; ok {
+			t.Fatalf("cells %d and %d share key %s", prev, idx, key)
+		}
+		seen[key] = idx
+	}
+}

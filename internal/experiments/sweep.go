@@ -146,6 +146,15 @@ func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliv
 		workers = total
 	}
 
+	// A cached cell's key hashes the device template, encoded once here.
+	var devJSON []byte
+	if cfg.Cache != nil {
+		var err error
+		if devJSON, err = deviceJSON(cfg); err != nil {
+			return err
+		}
+	}
+
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -181,12 +190,7 @@ func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliv
 			var key string
 			hit := false
 			if cfg.Cache != nil {
-				var err error
-				key, err = cellKey(cfg, wl, cond, v)
-				if err != nil {
-					fail(err)
-					return
-				}
+				key = hashCell(cacheKeySchema, devJSON, cfg, wl, cond, v)
 				if m, ok := cfg.Cache.Get(key); ok {
 					cell.Mean, cell.MeanRead = m.Mean, m.MeanRead
 					cell.P99Read, cell.RetrySteps = m.P99Read, m.RetrySteps

@@ -180,7 +180,7 @@ func TestQueueMatchesStableSort(t *testing.T) {
 					for i, at := range arrivals {
 						w.sched = append(w.sched, firing{at, i})
 					}
-					w.e.Feed(arrivals, w)
+					feed(w.e, arrivals, w)
 				}
 				for i := 0; i < n; i++ {
 					w.schedule(c.at(w.r, i))

@@ -88,11 +88,12 @@ type Engine struct {
 	// being one heap allocation each.
 	free []*scheduled
 
-	// arrivals is the time-sorted stream installed by Feed, arrive its
-	// callback, and next the index of its first unfired entry, which fires
-	// at nextAt. Step merges the stream with the queue, so the queue holds
-	// only in-flight events.
-	arrivals []Time
+	// arrivals is the length of the time-sorted stream installed by Feed,
+	// arriveAt its entries' times, arrive its callback, and next the index
+	// of its first unfired entry, which fires at nextAt. Step merges the
+	// stream with the queue, so the queue holds only in-flight events.
+	arrivals int
+	arriveAt func(int) Time
 	arrive   Callback
 	next     int
 	nextAt   Time
@@ -113,28 +114,31 @@ func (e *Engine) Ties() uint64 { return e.ties }
 
 // Pending returns the number of events waiting to fire, counting the
 // arrival stream's unfired entries.
-func (e *Engine) Pending() int { return len(e.queue) - e.head + len(e.arrivals) - e.next }
+func (e *Engine) Pending() int { return len(e.queue) - e.head + e.arrivals - e.next }
 
-// Feed installs a time-sorted arrival stream: cb.Fire(at[i], i) runs at
-// at[i] for every i, in index order. At equal times the stream fires before
-// any scheduled event, which is the order the stream would have had if each
-// entry had been scheduled, in index order, before every other event. Feed
-// panics if at is unsorted, starts before the current clock, or an earlier
+// Feed installs a time-sorted arrival stream of n entries, entry i due at
+// at(i): cb.Fire(at(i), i) runs at at(i) for every i, in index order. The
+// times stay the caller's; the engine reads each through at when it is
+// next to fire. At equal times the stream fires before any scheduled
+// event, which is the order the stream would have had if each entry had
+// been scheduled, in index order, before every other event. Feed panics if
+// the times are unsorted, start before the current clock, or an earlier
 // stream has not drained.
-func (e *Engine) Feed(at []Time, cb Callback) {
-	if e.next < len(e.arrivals) {
-		panic(fmt.Sprintf("sim: Feed with %d arrivals of an earlier stream pending", len(e.arrivals)-e.next))
+func (e *Engine) Feed(n int, at func(int) Time, cb Callback) {
+	if e.next < e.arrivals {
+		panic(fmt.Sprintf("sim: Feed with %d arrivals of an earlier stream pending", e.arrivals-e.next))
 	}
 	prev := e.now
-	for i, t := range at {
+	for i := 0; i < n; i++ {
+		t := at(i)
 		if t < prev {
 			panic(fmt.Sprintf("sim: arrival %d at %v is out of order", i, t))
 		}
 		prev = t
 	}
-	e.arrivals, e.arrive, e.next = at, cb, 0
-	if len(at) > 0 {
-		e.nextAt = at[0]
+	e.arrivals, e.arriveAt, e.arrive, e.next = n, at, cb, 0
+	if n > 0 {
+		e.nextAt = at(0)
 	}
 }
 
@@ -196,8 +200,8 @@ func (e *Engine) Step() bool {
 	case e.streamFirst():
 		at, cb, tag = e.nextAt, e.arrive, e.next
 		e.next++
-		if e.next < len(e.arrivals) {
-			e.nextAt = e.arrivals[e.next]
+		if e.next < e.arrivals {
+			e.nextAt = e.arriveAt(e.next)
 		}
 	case e.head < len(e.queue):
 		s := e.queue[e.head]
@@ -220,7 +224,7 @@ func (e *Engine) Step() bool {
 // streamFirst reports whether the next event to fire is the arrival
 // stream's: ties go to the stream.
 func (e *Engine) streamFirst() bool {
-	return e.next < len(e.arrivals) && (e.head == len(e.queue) || e.nextAt <= e.queue[e.head].at)
+	return e.next < e.arrivals && (e.head == len(e.queue) || e.nextAt <= e.queue[e.head].at)
 }
 
 // Run fires events until the queue is empty.

@@ -72,7 +72,7 @@ func (w *streamWorld) spawn(now Time, depth int) {
 func runWorld(seed uint64, at []Time, stream bool) ([]firing, final) {
 	w := &streamWorld{e: &Engine{}, r: rng.New(seed)}
 	if stream {
-		w.e.Feed(at, w)
+		feed(w.e, at, w)
 	} else {
 		for i, t := range at {
 			w.e.ScheduleTag(t, w, i)
@@ -118,19 +118,24 @@ func TestArrivalStreamMatchesUpFrontScheduling(t *testing.T) {
 	}
 }
 
+// feed installs the arrival stream whose times are at.
+func feed(e *Engine, at []Time, cb Callback) {
+	e.Feed(len(at), func(i int) Time { return at[i] }, cb)
+}
+
 func TestFeedRejectsBadStreams(t *testing.T) {
 	var cb counterCB
 	cases := map[string]func(e *Engine){
-		"unsorted": func(e *Engine) { e.Feed([]Time{1, 3, 2}, &cb) },
+		"unsorted": func(e *Engine) { feed(e, []Time{1, 3, 2}, &cb) },
 		"in the past": func(e *Engine) {
 			e.Schedule(10, func(Time) {})
 			e.Run()
-			e.Feed([]Time{5, 20}, &cb)
+			feed(e, []Time{5, 20}, &cb)
 		},
 		"replacing a pending stream": func(e *Engine) {
-			e.Feed([]Time{1, 2}, &cb)
+			feed(e, []Time{1, 2}, &cb)
 			e.Step()
-			e.Feed([]Time{3}, &cb)
+			feed(e, []Time{3}, &cb)
 		},
 	}
 	for name, feed := range cases {
@@ -150,12 +155,12 @@ func TestFeedRejectsBadStreams(t *testing.T) {
 func TestFeedAfterDrain(t *testing.T) {
 	var e Engine
 	var cb counterCB
-	e.Feed([]Time{1, 1, 4}, &cb)
+	feed(&e, []Time{1, 1, 4}, &cb)
 	if e.Pending() != 3 {
 		t.Fatalf("Pending = %d, want 3", e.Pending())
 	}
 	e.Run()
-	e.Feed([]Time{4, 9}, &cb)
+	feed(&e, []Time{4, 9}, &cb)
 	e.Run()
 	if cb.n != 5 || e.Fired() != 5 || e.Now() != 9 || e.Pending() != 0 {
 		t.Fatalf("fired %d (engine %d) ending at %v with %d pending; want 5, 5, 9, 0",

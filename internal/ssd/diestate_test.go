@@ -10,6 +10,8 @@ import "testing"
 //   - an active slot keeps naming one block until that block's erase
 //     completes, and the block holds no more valid pages than the slot
 //     has moves left.
+//
+// Once the run drains, the FTL must keep its conservation law (ftl.Audit).
 func TestDieStateLaw(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.PEC, cfg.RetentionMonths = 2000, 6
@@ -84,6 +86,9 @@ func TestDieStateLaw(t *testing.T) {
 	}
 	st, err := dev.finish()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.flash.Audit(); err != nil {
 		t.Fatal(err)
 	}
 	if st.Suspensions == 0 || resumes == 0 || jobsWithMoves == 0 {

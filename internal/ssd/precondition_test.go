@@ -1,8 +1,12 @@
 package ssd
 
 import (
+	"math"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,8 +16,8 @@ import (
 )
 
 // imageTrace is a write-heavy stream whose footprint reaches past the
-// preconditioned range, so devices built off one image append to its
-// shared cold blocks, write fresh blocks and collect preconditioned ones.
+// preconditioned range, so devices append to their image's open cold
+// blocks, write fresh blocks and collect preconditioned ones.
 func imageTrace(t *testing.T, cfg Config, nreq int) []trace.Record {
 	t.Helper()
 	spec, err := workload.ByName("stg_0")
@@ -25,10 +29,10 @@ func imageTrace(t *testing.T, cfg Config, nreq int) []trace.Record {
 	return workload.NewGenerator(spec, 11).Generate(nreq)
 }
 
-// TestParallelDevicesShareOneImage builds and runs several devices at once
-// off one memoized precondition image. Under -race this proves clones never
-// write what they share; the equality checks prove every device behaved
-// like the first one, built before any other clone existed.
+// TestParallelDevicesShareOneImage builds and runs several devices at once,
+// each deriving the same preconditioned state. Under -race this proves the
+// devices share nothing they write; the equality checks prove every device
+// behaved like the first one, built and run alone.
 func TestParallelDevicesShareOneImage(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Geometry.BlocksPerPlane = 12
@@ -104,28 +108,49 @@ func TestRunTwiceFails(t *testing.T) {
 	}
 }
 
-// TestWarmNewAllocations guards the per-cell set-up cost: with its
-// precondition image memoized, building an experiment-scale device copies
-// the image's table chunk pointers and block metadata but re-maps nothing,
-// and shares the table chunks themselves until the device writes them. The
-// bound sits about 2x above the ~220 KB that costs, far below the 6.6 MB a
-// copy of the whole table would add and the ~24 MB a full preconditioning
-// allocates.
-func TestWarmNewAllocations(t *testing.T) {
+// TestFirstNewAllocations pins the per-cell set-up cost against the page
+// count: a device derives its preconditioned state instead of mapping it
+// page by page, so the first ssd.New of an experiment-scale device in a
+// fresh process allocates its block metadata and table index, about
+// 0.11 MB, and no more with 70% of the device preconditioned than with
+// none. It measures in a child process, where no earlier New ran.
+func TestFirstNewAllocations(t *testing.T) {
+	if os.Getenv(firstNewChild) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFirstNewAllocations$", "-test.v")
+		cmd.Env = append(os.Environ(), firstNewChild+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS") {
+			t.Fatalf("child process: %v\n%s", err, out)
+		}
+		t.Logf("child process:\n%s", out)
+		return
+	}
+	allocated := func(pages int64) uint64 {
+		cfg := ExperimentConfig()
+		cfg.PreconditionPages = pages
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dev, err := New(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(dev)
+		return after.TotalAlloc - before.TotalAlloc
+	}
 	cfg := ExperimentConfig()
-	if _, err := New(cfg); err != nil { // builds the image
-		t.Fatal(err)
+	first := allocated(cfg.PreconditionPages)
+	empty := allocated(0)
+	t.Logf("first New with %d pages preconditioned allocated %d bytes; with none, %d",
+		cfg.PreconditionPages, first, empty)
+	const limit = 0.25e6
+	if first > limit {
+		t.Errorf("first ssd.New allocated %.3f MB, want ≤ %.2f MB", float64(first)/1e6, limit/1e6)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	dev, err := New(cfg)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.KeepAlive(dev)
-	const limit = 0.5e6
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Fatalf("warm ssd.New allocated %.2f MB, want ≤ %.2f MB", float64(got)/1e6, limit/1e6)
+	if d := math.Abs(float64(first) - float64(empty)); d > 0.1*float64(empty) {
+		t.Errorf("preconditioning 70%% of the device changed New's allocation from %d to %d bytes, more than 10%%", empty, first)
 	}
 }
+
+// firstNewChild marks the child process TestFirstNewAllocations runs.
+const firstNewChild = "SSD_TEST_FIRST_NEW_CHILD"

@@ -88,13 +88,12 @@ func TestTxnsRecycleExactlyOnce(t *testing.T) {
 }
 
 // TestWarmRunAllocations pins the allocation-free device run. Once a
-// warm-up run has built the shared plans, the RPT profile and the
-// precondition image, a fresh device's Run on the BenchmarkSweepCell trace
-// allocates only per-run state: the arrival stream and its order, the
-// queues and the txn, request and executor free lists at their peak
-// depth, the table chunks it writes, and at most one reverse map per block
-// it opens. So one bound holds at 2,500 and at 10,000 requests, with retry
-// metrics off and on.
+// warm-up run has built the shared plans and the RPT profile, a fresh
+// device's Run on the BenchmarkSweepCell trace allocates only per-run
+// state: the arrival order, the queues and the txn, request and executor
+// free lists at their peak depth, the table leaves it writes, and one
+// reverse map per block it opens, grown as the block fills. So one bound
+// holds at 2,500 and at 10,000 requests, with retry metrics off and on.
 func TestWarmRunAllocations(t *testing.T) {
 	cfg := ExperimentConfig()
 	cfg.PEC, cfg.RetentionMonths = 2000, 12

@@ -89,7 +89,7 @@ func New(cfg Config) (*SSD, error) {
 		s.channels = append(s.channels, &resourceQueue{eng: s.eng})
 		s.eccs = append(s.eccs, &resourceQueue{eng: s.eng})
 	}
-	f, err := preconditioned(ftl.Config{
+	f, err := ftl.NewPreconditioned(ftl.Config{
 		Dies:              cfg.Dies(),
 		PlanesPerDie:      cfg.Geometry.PlanesPerDie,
 		BlocksPerPlane:    cfg.Geometry.BlocksPerPlane,
@@ -97,7 +97,7 @@ func New(cfg Config) (*SSD, error) {
 		GCThresholdBlocks: cfg.GCThresholdBlocks,
 	}, cfg.PreconditionPages)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ssd: preconditioning to %d pages: %w", cfg.PreconditionPages, err)
 	}
 	s.flash = f
 	if cfg.Scheme.Adaptive() {
@@ -191,11 +191,7 @@ func (s *SSD) start(recs []trace.Record) error {
 		s.stats.readSamples = make([]float64, 0, reads)
 	}
 	slices.SortStableFunc(feed.order, func(a, b int32) int { return cmp.Compare(recs[a].Arrival, recs[b].Arrival) })
-	at := make([]sim.Time, len(recs))
-	for i, r := range feed.order {
-		at[i] = recs[r].Arrival
-	}
-	s.eng.Feed(at, feed)
+	s.eng.Feed(len(recs), feed.at, feed)
 	return nil
 }
 
@@ -240,6 +236,9 @@ type hostArrivals struct {
 	recs  []trace.Record
 	order []int32
 }
+
+// at returns the arrival time of stream entry i.
+func (h *hostArrivals) at(i int) sim.Time { return h.recs[h.order[i]].Arrival }
 
 // Fire implements sim.Callback.
 func (h *hostArrivals) Fire(now sim.Time, i int) {
