@@ -103,6 +103,6 @@ func main() {
 	if *useHistory {
 		fmt.Print(" + history")
 	}
-	fmt.Printf("  @ (%dK P/E, %gmo, %g°C)\n", *pec/1000, *months, *temp)
+	fmt.Printf("  @ (%gK P/E, %gmo, %g°C)\n", float64(*pec)/1000, *months, *temp)
 	st.WriteReport(os.Stdout)
 }

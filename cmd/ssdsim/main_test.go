@@ -53,3 +53,25 @@ func TestBadFlagsAreRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestHeaderKeepsFractionalPEC: the configuration line prints the P/E count
+// in thousands without truncating it, as the sweep's condition labels do.
+func TestHeaderKeepsFractionalPEC(t *testing.T) {
+	for pec, want := range map[string]string{
+		"500":  "(0.5K P/E, ",
+		"1500": "(1.5K P/E, ",
+		"2000": "(2K P/E, ",
+	} {
+		cmd := exec.Command(os.Args[0], "-pec", pec, "-requests", "0")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("ssdsim -pec %s: %v\n%s", pec, err, stderr.String())
+		}
+		header, _, _ := strings.Cut(stdout.String(), "\n")
+		if !strings.Contains(header, want) {
+			t.Errorf("ssdsim -pec %s: header %q does not contain %q", pec, header, want)
+		}
+	}
+}

@@ -10,33 +10,41 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"readretry"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	params := readretry.DefaultChipParams()
 
-	fmt.Println("Profiling RPTs with different safety margins:")
+	fmt.Fprintln(w, "Profiling RPTs with different safety margins:")
 	for _, margin := range []int{0, 7, 14, 21} {
 		cfg := readretry.DefaultRPTConfig()
 		cfg.SafetyMarginBits = margin
 		table, err := readretry.ProfileRPT(params, 1, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  margin %2d bits: tPRE reduction %2.0f%%..%2.0f%%  (worst bucket: level %d)\n",
+		fmt.Fprintf(w, "  margin %2d bits: tPRE reduction %2.0f%%..%2.0f%%  (worst bucket: level %d)\n",
 			margin,
 			levelPct(table.MinLevel()), levelPct(table.MaxLevel()),
 			table.Lookup(2000, 12))
 	}
 
-	fmt.Println("\nChecking the 14-bit table across the operating envelope:")
+	fmt.Fprintln(w, "\nChecking the 14-bit table across the operating envelope:")
 	cfg := readretry.DefaultRPTConfig()
 	table, err := readretry.ProfileRPT(params, 1, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	model := readretry.NewChipModel(params, 1)
 	for _, corner := range []readretry.Condition{
@@ -51,12 +59,13 @@ func main() {
 		if errs > model.Capability() {
 			status = "UNSAFE"
 		}
-		fmt.Printf("  %-24v tPRE -%2.0f%%: worst final-step errors %2d of %d  [%s]\n",
+		fmt.Fprintf(w, "  %-24v tPRE -%2.0f%%: worst final-step errors %2d of %d  [%s]\n",
 			corner, red.Pre*100, errs, model.Capability(), status)
 	}
 
-	fmt.Println("\nWith the 14-bit margin the final retry step never exceeds the ECC")
-	fmt.Println("capability, so AR2 keeps the retry-step count unchanged (§6.2).")
+	fmt.Fprintln(w, "\nWith the 14-bit margin the final retry step never exceeds the ECC")
+	fmt.Fprintln(w, "capability, so AR2 keeps the retry-step count unchanged (§6.2).")
+	return nil
 }
 
 func levelPct(level int) float64 {

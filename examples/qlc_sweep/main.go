@@ -21,12 +21,20 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"readretry"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := readretry.DefaultSweepConfig()
 	cfg.Workloads = []string{"YCSB-C"}
 	cfg.Conditions = []readretry.SweepCondition{
@@ -37,27 +45,28 @@ func main() {
 	cfg.Requests = 1500
 	cfg.Parallelism = 0 // GOMAXPROCS workers
 
-	fmt.Println("YCSB-C on two device presets: 2 aging states × {tlc, qlc16}:")
-	fmt.Printf("\n  %-15s %-9s %12s %12s %12s\n",
+	fmt.Fprintln(w, "YCSB-C on two device presets: 2 aging states × {tlc, qlc16}:")
+	fmt.Fprintf(w, "\n  %-15s %-9s %12s %12s %12s\n",
 		"cond", "config", "mean resp", "retry steps", "vs Baseline")
 	cfg.Sink = readretry.SweepCellSinkFunc(func(c readretry.SweepCell, index, total int) error {
-		fmt.Printf("  %-15s %-9s %10.0fus %12.1f %11.1f%%\n",
+		fmt.Fprintf(w, "  %-15s %-9s %10.0fus %12.1f %11.1f%%\n",
 			c.Cond, c.Config, c.Mean, c.RetrySteps, (1-c.Normalized)*100)
 		return nil
 	})
 
 	res, err := readretry.RunSweep(context.Background(), cfg, readretry.Figure14Variants())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("\nreduction vs Baseline by device:")
-	fmt.Printf("  %-8s %12s %12s\n", "device", "PnAR2 avg", "PnAR2 max")
+	fmt.Fprintln(w, "\nreduction vs Baseline by device:")
+	fmt.Fprintf(w, "  %-8s %12s %12s\n", "device", "PnAR2 avg", "PnAR2 max")
 	for _, dr := range res.ReductionByDevice("PnAR2", "Baseline") {
-		fmt.Printf("  %-8s %11.1f%% %11.1f%%\n", dr.Device, dr.Avg*100, dr.Max*100)
+		fmt.Fprintf(w, "  %-8s %11.1f%% %11.1f%%\n", dr.Device, dr.Avg*100, dr.Max*100)
 	}
 
-	fmt.Println("\nThe QLC preset's 16 levels double the drift per month and thin every")
-	fmt.Println("margin: reads retry deeper, so the retry-time optimizations are worth")
-	fmt.Println("more on QLC than on the TLC device the paper characterized.")
+	fmt.Fprintln(w, "\nThe QLC preset's 16 levels double the drift per month and thin every")
+	fmt.Fprintln(w, "margin: reads retry deeper, so the retry-time optimizations are worth")
+	fmt.Fprintln(w, "more on QLC than on the TLC device the paper characterized.")
+	return nil
 }

@@ -14,7 +14,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -22,6 +24,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := readretry.QuickSweepConfig()
 	cfg.Workloads = []string{"stg_0", "YCSB-C"}
 	cfg.Conditions = []readretry.SweepCondition{
@@ -32,7 +40,7 @@ func main() {
 
 	dir, err := os.MkdirTemp("", "sharded_sweep")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
@@ -40,7 +48,7 @@ func main() {
 	// soon as it is simulated.
 	cache, err := readretry.NewDiskSweepCache(dir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	workerCfg := cfg
 	workerCfg.Cache = cache
@@ -51,10 +59,10 @@ func main() {
 	coordinator := readretry.NewSweepCoordinator(readretry.SweepCoordinatorOptions{})
 	job, err := coordinator.Submit(readretry.SweepSpecOf(cfg, variants), n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st, _ := coordinator.Status(job.ID)
-	fmt.Printf("job %.12s…: %d cells over %d shards\n", job.ID, st.TotalCells, st.ShardCount)
+	fmt.Fprintf(w, "job %.12s…: %d cells over %d shards\n", job.ID, st.TotalCells, st.ShardCount)
 
 	// 2. Work the queue. The last shard "crashes" after its first cell: its
 	// context is canceled, so no record reaches the coordinator.
@@ -66,7 +74,7 @@ func main() {
 		}
 		m := l.Manifest
 		cells := m.Cells(st.TotalCells)
-		fmt.Printf("  shard %d/%d: %d cells %v\n", m.Index+1, m.Count, len(cells), cells)
+		fmt.Fprintf(w, "  shard %d/%d: %d cells %v\n", m.Index+1, m.Count, len(cells), cells)
 		if m.Index == n-1 {
 			ctx, cancel := context.WithCancel(context.Background())
 			crashCfg := workerCfg
@@ -77,25 +85,25 @@ func main() {
 				}
 			}
 			_, err := readretry.RunShard(ctx, crashCfg, variants, m)
-			fmt.Printf("  shard %d/%d interrupted: %v\n", m.Index+1, m.Count, err)
+			fmt.Fprintf(w, "  shard %d/%d interrupted: %v\n", m.Index+1, m.Count, err)
 			crashed = l
 			continue
 		}
 		rec, err := readretry.RunShard(context.Background(), workerCfg, variants, m)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if _, err := coordinator.Complete(l.ID, rec); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	// 3. The job is not done, and Result refuses to hand out a partial grid.
 	st, _ = coordinator.Status(job.ID)
-	fmt.Printf("before resume: %d/%d cells merged, %d/%d shards done\n",
+	fmt.Fprintf(w, "before resume: %d/%d cells merged, %d/%d shards done\n",
 		st.CellsDone, st.TotalCells, st.ShardsDone, st.ShardCount)
 	if _, err := job.Result(); err == nil {
-		log.Fatal("a partial job reported a result")
+		return errors.New("a partial job reported a result")
 	}
 
 	// 4. Resume: re-run the crashed manifest over the same cache. Cells it
@@ -104,34 +112,35 @@ func main() {
 	// for the dead lease to expire.
 	rec, err := readretry.RunShard(context.Background(), workerCfg, variants, crashed.Manifest)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := coordinator.Complete(crashed.ID, rec); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("shard %d/%d resumed and completed\n", crashed.Manifest.Index+1, n)
+	fmt.Fprintf(w, "shard %d/%d resumed and completed\n", crashed.Manifest.Index+1, n)
 
 	// 5. Verify bit-identity against a fresh single-process run.
 	merged, err := job.Result()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	unsharded, err := readretry.RunSweep(context.Background(), cfg, variants)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var a, b bytes.Buffer
 	if err := unsharded.WriteCSV(&a); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := merged.WriteCSV(&b); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		log.Fatal("merged CSV differs from the single-process run")
+		return errors.New("merged CSV differs from the single-process run")
 	}
-	fmt.Printf("merged CSV identical to the single-process run (%d bytes)\n", b.Len())
+	fmt.Fprintf(w, "merged CSV identical to the single-process run (%d bytes)\n", b.Len())
 
 	avg, max := merged.Reduction("PnAR2", "Baseline", false)
-	fmt.Printf("PnAR2 reduction from the merged grid: avg %.1f%%, max %.1f%%\n", avg*100, max*100)
+	fmt.Fprintf(w, "PnAR2 reduction from the merged grid: avg %.1f%%, max %.1f%%\n", avg*100, max*100)
+	return nil
 }

@@ -17,7 +17,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"reflect"
 	"time"
 
@@ -25,6 +27,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A scaled device: paper parallelism (4 channels × 4 dies × 2 planes),
 	// fewer blocks so the run finishes in seconds.
 	cfg := readretry.DefaultSweepConfig()
@@ -34,11 +42,11 @@ func main() {
 	cfg.Parallelism = 0 // GOMAXPROCS workers
 	cfg.Cache = readretry.NewSweepCache()
 
-	fmt.Printf("YCSB-C, %d requests, device aged to (2K P/E, 6 months):\n\n", cfg.Requests)
-	fmt.Printf("  %-9s %12s %12s %12s %12s\n",
+	fmt.Fprintf(w, "YCSB-C, %d requests, device aged to (2K P/E, 6 months):\n\n", cfg.Requests)
+	fmt.Fprintf(w, "  %-9s %12s %12s %12s %12s\n",
 		"config", "mean resp", "mean read", "p99 read", "vs Baseline")
 	cfg.Sink = readretry.SweepCellSinkFunc(func(c readretry.SweepCell, index, total int) error {
-		fmt.Printf("  %-9s %10.0fus %10.0fus %10.0fus %11.1f%%\n",
+		fmt.Fprintf(w, "  %-9s %10.0fus %10.0fus %10.0fus %11.1f%%\n",
 			c.Config, c.Mean, c.MeanRead, c.P99Read, (1-c.Normalized)*100)
 		return nil
 	})
@@ -46,7 +54,7 @@ func main() {
 	start := time.Now()
 	cold, err := readretry.RunSweep(context.Background(), cfg, readretry.Figure14Variants())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	coldTook := time.Since(start)
 
@@ -56,12 +64,14 @@ func main() {
 	start = time.Now()
 	warm, err := readretry.RunSweep(context.Background(), cfg, readretry.Figure14Variants())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncold sweep: %v; cached re-run: %v (zero simulations, identical: %v)\n",
+	// Wall-clock times go to stderr: stdout is pinned by testdata/golden.txt.
+	fmt.Fprintf(os.Stderr, "cold sweep: %v; cached re-run: %v (zero simulations, identical: %v)\n",
 		coldTook.Round(time.Millisecond), time.Since(start).Round(time.Millisecond),
 		reflect.DeepEqual(cold.Cells, warm.Cells))
 
-	fmt.Println("\nPnAR2 combines PR2's pipelining with AR2's shorter sensing;")
-	fmt.Println("NoRR shows the remaining headroom an ideal no-retry SSD would have.")
+	fmt.Fprintln(w, "\nPnAR2 combines PR2's pipelining with AR2's shorter sensing;")
+	fmt.Fprintln(w, "NoRR shows the remaining headroom an ideal no-retry SSD would have.")
+	return nil
 }

@@ -23,7 +23,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"reflect"
 	"time"
 
@@ -31,6 +33,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := readretry.DefaultSweepConfig()
 	cfg.Workloads = []string{"YCSB-C"}
 	cfg.Conditions = []readretry.SweepCondition{
@@ -42,11 +50,11 @@ func main() {
 	cfg.Parallelism = 0 // GOMAXPROCS workers
 	cfg.Cache = readretry.NewSweepCache()
 
-	fmt.Println("YCSB-C across a 3-D grid: 2 aging states × 3 chamber temperatures:")
-	fmt.Printf("\n  %-12s %-9s %12s %12s %12s\n",
+	fmt.Fprintln(w, "YCSB-C across a 3-D grid: 2 aging states × 3 chamber temperatures:")
+	fmt.Fprintf(w, "\n  %-12s %-9s %12s %12s %12s\n",
 		"cond", "config", "mean resp", "p99 read", "vs Baseline")
 	cfg.Sink = readretry.SweepCellSinkFunc(func(c readretry.SweepCell, index, total int) error {
-		fmt.Printf("  %-12s %-9s %10.0fus %10.0fus %11.1f%%\n",
+		fmt.Fprintf(w, "  %-12s %-9s %10.0fus %10.0fus %11.1f%%\n",
 			c.Cond, c.Config, c.Mean, c.P99Read, (1-c.Normalized)*100)
 		return nil
 	})
@@ -54,16 +62,16 @@ func main() {
 	start := time.Now()
 	cold, err := readretry.RunSweep(context.Background(), cfg, readretry.Figure14Variants())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	coldTook := time.Since(start)
 
-	fmt.Println("\nreduction vs Baseline by operating temperature:")
-	fmt.Printf("  %-8s %12s %12s\n", "temp", "PnAR2 avg", "AR2 avg")
+	fmt.Fprintln(w, "\nreduction vs Baseline by operating temperature:")
+	fmt.Fprintf(w, "  %-8s %12s %12s\n", "temp", "PnAR2 avg", "AR2 avg")
 	pnar := cold.ReductionByTemp("PnAR2", "Baseline")
 	ar := cold.ReductionByTemp("AR2", "Baseline")
 	for i, tr := range pnar {
-		fmt.Printf("  %5g°C %11.1f%% %11.1f%%\n", tr.TempC, tr.Avg*100, ar[i].Avg*100)
+		fmt.Fprintf(w, "  %5g°C %11.1f%% %11.1f%%\n", tr.TempC, tr.Avg*100, ar[i].Avg*100)
 	}
 
 	// Re-run the identical 3-D grid: every cell is content-addressed by its
@@ -73,12 +81,14 @@ func main() {
 	start = time.Now()
 	warm, err := readretry.RunSweep(context.Background(), cfg, readretry.Figure14Variants())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncold 3-D sweep: %v; cached re-run: %v (zero simulations, identical: %v)\n",
+	// Wall-clock times go to stderr: stdout is pinned by testdata/golden.txt.
+	fmt.Fprintf(os.Stderr, "cold 3-D sweep: %v; cached re-run: %v (zero simulations, identical: %v)\n",
 		coldTook.Round(time.Millisecond), time.Since(start).Round(time.Millisecond),
 		reflect.DeepEqual(cold.Cells, warm.Cells))
 
-	fmt.Println("\nWithin the calibrated envelope the RPT margin absorbs the cold penalty,")
-	fmt.Println("so the reductions hold at every temperature; past it, cold fallbacks set in.")
+	fmt.Fprintln(w, "\nWithin the calibrated envelope the RPT margin absorbs the cold penalty,")
+	fmt.Fprintln(w, "so the reductions hold at every temperature; past it, cold fallbacks set in.")
+	return nil
 }

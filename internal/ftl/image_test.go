@@ -30,6 +30,7 @@ type ftlState struct {
 	Lookup       []PPN
 	Valid        []int
 	Erases       []int
+	PreRun       []bool
 	Free         []int
 	NeedGC       []bool
 	Mapped       int
@@ -50,6 +51,8 @@ func stateOf(f *FTL) ftlState {
 			for b := 0; b < f.cfg.BlocksPerPlane; b++ {
 				s.Valid = append(s.Valid, f.BlockValid(d, pl, b))
 				s.Erases = append(s.Erases, f.BlockErases(d, pl, b))
+				_, preRun := f.BlockWear(d, pl, b)
+				s.PreRun = append(s.PreRun, preRun)
 			}
 		}
 	}
@@ -191,7 +194,7 @@ func wideConfig() Config {
 // property: random workloads on an FTL preconditioned page by page and on
 // the derived FTL of the same preconditioning must agree at every step,
 // keep the conservation law, and end in the same Lookup, BlockValid,
-// FreeBlocks and Victim state. A second derived FTL runs a different
+// BlockWear, FreeBlocks and Victim state. A second derived FTL runs a different
 // workload against its own page-by-page twin, and a third, derived after
 // both ran, must still equal the reference: derived FTLs share nothing.
 // It runs on a 2-group and a 16-group geometry. The first auditedRuns
@@ -379,7 +382,8 @@ func TestErasedBlockReusesItsReverseMap(t *testing.T) {
 // 70% of the device, and up to 200 write, cold-map and GC operations. It
 // applies them to NewPreconditioned and to New plus Precondition of every
 // image LPN, which must agree on every result, keep the conservation law,
-// and end in the same Lookup, valid, erase and free counts and victims.
+// and end in the same Lookup, valid, erase and free counts, pre-run bits
+// and victims.
 func FuzzPreconditionedImage(f *testing.F) {
 	r := rng.New(7)
 	for i := 0; i < 8; i++ {

@@ -97,13 +97,11 @@ type Config struct {
 	// hits pays |N_RR − predicted| + 1 steps, never more than the cold walk.
 	UseRetryHistory bool
 
-	// DisableReadFastPath turns off the condition-resident read fast path —
-	// precomputed error-model profiles, memoized controller plans, and the
-	// pooled plan executor — and routes every read through the original
-	// direct evaluation instead. Results are bit-identical either way (the
-	// repository's differential tests sweep the full Figure 14 grid through
-	// both); the flag exists so those tests have a reference path, and as an
-	// escape hatch while the fast path is young.
+	// DisableReadFastPath routes every read through the reference path —
+	// direct model evaluation, a plan built per read, and an executor
+	// firing one event per plan op — instead of memoized profiles and
+	// plans and the pooled executor. Results are bit-identical either way;
+	// the differential tests compare the two over the full Figure 14 grid.
 	DisableReadFastPath bool
 }
 
@@ -162,6 +160,9 @@ func (c Config) Validate() error {
 	}
 	if err := c.VthParams.Validate(); err != nil {
 		return err
+	}
+	if g, m := c.Geometry.CellKind(), c.VthParams.Kind(); g != m {
+		return fmt.Errorf("ssd: geometry is %v but the error model is calibrated for %v", g, m)
 	}
 	if c.GCThresholdBlocks < 1 || c.GCThresholdBlocks >= c.Geometry.BlocksPerPlane {
 		return fmt.Errorf("ssd: GC threshold %d outside (0, %d)",

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"readretry/internal/nand"
@@ -91,5 +92,22 @@ func TestQLCFreshDeviceReadsClean(t *testing.T) {
 	}
 	if st.AR2Fallbacks > 0 {
 		t.Errorf("%d ladder-exhausted reads on fresh QLC device", st.AR2Fallbacks)
+	}
+}
+
+// TestValidateRejectsCellKindMismatch: a geometry of one cell kind over an
+// error model calibrated for another is refused by Validate, naming both,
+// so a sweep refuses it before its first cell.
+func TestValidateRejectsCellKindMismatch(t *testing.T) {
+	cfg := ExperimentConfig()
+	cfg.Geometry.CellBits = 4
+	err := cfg.Validate()
+	if err == nil {
+		t.Fatal("a QLC geometry over TLC VthParams passed Validate")
+	}
+	for _, kind := range []string{"QLC", "TLC"} {
+		if !strings.Contains(err.Error(), kind) {
+			t.Errorf("Validate error %q does not name %s", err, kind)
+		}
 	}
 }

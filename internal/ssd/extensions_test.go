@@ -268,8 +268,8 @@ func TestGCReadPaysRegularReadSetFeature(t *testing.T) {
 	if len(lpns) < 2 {
 		t.Fatal("no block on die 0 holds two preconditioned pages")
 	}
-	gcOC := dev.resolveRead(dev.chips[d.id], chipAddr(ppns[0]))
-	hostOC := dev.resolveRead(dev.chips[d.id], chipAddr(ppns[1]))
+	gcOC := dev.resolveRead(ppns[0])
+	hostOC := dev.resolveRead(ppns[1])
 	if gcOC.preLevel == d.lastPreLevel || hostOC.preLevel != gcOC.preLevel {
 		t.Fatalf("levels: die register %d, GC read %d, host read %d; want the reads' equal and the register's apart",
 			d.lastPreLevel, gcOC.preLevel, hostOC.preLevel)

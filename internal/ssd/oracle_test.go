@@ -51,7 +51,7 @@ func TestQD1MatchesAnalyticPlan(t *testing.T) {
 						}
 					}
 					ppn, _ := twin.flash.Lookup(lpn)
-					oc := twin.resolveRead(twin.chips[ppn.Die], chipAddr(ppn))
+					oc := twin.resolveRead(ppn)
 					if oc.timings.ECC != cfg.Timing.TECC {
 						t.Fatalf("read timings carry tECC %v, config says %v", oc.timings.ECC, cfg.Timing.TECC)
 					}

@@ -117,7 +117,7 @@ func TestEraseSuspendedTwice(t *testing.T) {
 		twin.flash.Precondition(0)
 	}
 	ppn, _ := twin.flash.Lookup(0)
-	oc := twin.resolveRead(twin.chips[d.id], chipAddr(ppn))
+	oc := twin.resolveRead(ppn)
 	if oc.fallback {
 		t.Fatal("fresh page needed a fallback re-read")
 	}
@@ -339,7 +339,7 @@ func TestGCMoveHoldsDieThroughFallback(t *testing.T) {
 			lpn, oc := int64(-1), readOutcome{}
 			for l := int64(0); l < cfg.PreconditionPages && lpn < 0; l++ {
 				if ppn, ok := dev.flash.Lookup(l); ok && ppn.Die == d.id {
-					if o := dev.resolveRead(dev.chips[d.id], chipAddr(ppn)); o.fallback {
+					if o := dev.resolveRead(ppn); o.fallback {
 						lpn, oc = l, o
 					}
 				}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 
-	"readretry/internal/chip"
 	"readretry/internal/core"
 	"readretry/internal/ftl"
 	"readretry/internal/nand"
@@ -24,13 +23,13 @@ type SSD struct {
 	cfg Config
 	eng *sim.Engine
 
-	chips    []*chip.Chip // one per die
 	dies     []*die
 	channels []*resourceQueue // DMA bus per channel
 	eccs     []*resourceQueue // decoder per channel
 	flash    *ftl.FTL
 	table    *rpt.Table
 	pso      *core.PSO
+	profiles vth.ProfileMemo // Direct on the reference read path
 
 	// execFree recycles plan executors: an executor returns here when its
 	// plan's last operation completes, so the steady-state read loop
@@ -53,33 +52,23 @@ type SSD struct {
 	// metrics is the per-physical-address retry accounting layer
 	// (Config.RetryMetrics); nil when disabled. history holds each block's
 	// last successful read's step count + 1, 0 meaning no history yet
-	// (Config.UseRetryHistory); both index blocks globally — chip index ×
-	// blocks per die + the block's linear index within its chip.
-	metrics      *retrymetrics.Metrics
-	history      []int32
-	blocksPerDie int
+	// (Config.UseRetryHistory); both index blocks globally (globalBlock).
+	metrics *retrymetrics.Metrics
+	history []int32
 
 	stats Stats
 	ran   bool // Run has been called
 }
 
-// New builds an SSD, preconditioning every block to the configured
-// (PEC, retention) state and profiling the RPT when the scheme needs it.
+// New builds an SSD, preconditioning it with PreconditionPages of aged data
+// and profiling the RPT when the scheme needs it.
 func New(cfg Config) (*SSD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	model := vth.NewModel(cfg.VthParams, cfg.Seed)
-	s := &SSD{cfg: cfg, eng: &sim.Engine{}}
-	s.blocksPerDie = cfg.Geometry.BlocksPerDie()
+	s := &SSD{cfg: cfg, eng: &sim.Engine{}, profiles: vth.ProfileMemo{Model: model, Direct: cfg.DisableReadFastPath}}
 	for d := 0; d < cfg.Dies(); d++ {
-		c, err := chip.New(cfg.Geometry, cfg.Timing, model, d)
-		if err != nil {
-			return nil, err
-		}
-		c.SetFastPath(!cfg.DisableReadFastPath)
-		c.SetCondition(cfg.PEC, cfg.RetentionMonths, cfg.TempC)
-		s.chips = append(s.chips, c)
 		dd := &die{s: s, id: d, channel: d / cfg.DiesPerChannel,
 			gc: make([]gcSlot, cfg.Geometry.PlanesPerDie)}
 		dd.phase.d = dd
@@ -113,13 +102,13 @@ func New(cfg Config) (*SSD, error) {
 	// The ladder length bounds every reported step count (failed reads
 	// exhaust the ladder; every policy only reduces), so the histogram is
 	// sized once here and recordRetrySteps never allocates mid-run.
-	s.stats.sizeRetryHistogram(s.chips[0].LadderSteps())
-	totalBlocks := cfg.Dies() * s.blocksPerDie
+	s.stats.sizeRetryHistogram(cfg.VthParams.MaxLadderSteps)
+	totalBlocks := cfg.Dies() * cfg.Geometry.BlocksPerDie()
 	if cfg.RetryMetrics {
 		m, err := retrymetrics.New(retrymetrics.Config{
 			Blocks:        totalBlocks,
 			PagesPerBlock: cfg.Geometry.PagesPerBlock,
-			Buckets:       s.chips[0].LadderSteps() + 1,
+			Buckets:       cfg.VthParams.MaxLadderSteps + 1,
 		})
 		if err != nil {
 			return nil, err
@@ -327,7 +316,7 @@ type die struct {
 	// busySince stamps the current busy period for utilization stats.
 	busySince sim.Time
 	// lastPreLevel is the tPRE register level currently programmed on the
-	// chip (for the reduced-regular-read extension's SET FEATURE
+	// die (for the reduced-regular-read extension's SET FEATURE
 	// accounting).
 	lastPreLevel int
 	readQ        ring[*txn]
@@ -465,11 +454,6 @@ func (s *SSD) gcUrgent(d *die) bool {
 	return false
 }
 
-// chipAddr converts an FTL location to the die-chip's address space.
-func chipAddr(p ftl.PPN) nand.Address {
-	return nand.Address{Die: 0, Plane: p.Plane, Block: p.Block, Page: p.Page}
-}
-
 // readOutcome resolves the retry behaviour of one physical page read under
 // the configured scheme.
 type readOutcome struct {
@@ -482,10 +466,26 @@ type readOutcome struct {
 	preLevel int
 }
 
-func (s *SSD) resolveRead(c *chip.Chip, addr nand.Address) readOutcome {
+// blockCondition returns the condition a read in ppn's block runs under,
+// from the wear the FTL keeps: the configured P/E count plus the block's
+// erases, the configured retention while the block holds only pre-run
+// data and was never erased (0 otherwise), and the device's temperature.
+func (s *SSD) blockCondition(ppn ftl.PPN) vth.Condition {
+	erases, preRun := s.flash.BlockWear(ppn.Die, ppn.Plane, ppn.Block)
+	cond := vth.Condition{PEC: s.cfg.PEC + erases, TempC: s.cfg.TempC}
+	if preRun {
+		cond.RetentionMonths = s.cfg.RetentionMonths
+	}
+	return cond
+}
+
+// resolveRead runs the error model for the page at ppn under its block's
+// condition.
+func (s *SSD) resolveRead(ppn ftl.PPN) readOutcome {
 	var out readOutcome
 	tm := s.cfg.Timing
-	pt := s.cfg.Geometry.PageType(addr.Page)
+	pt := s.cfg.Geometry.PageType(ppn.Page)
+	cond := s.blockCondition(ppn)
 	out.timings = core.StepTimings{
 		SenseDefault: tm.TR(pt, nand.Reduction{}),
 		SenseReduced: tm.TR(pt, nand.Reduction{}),
@@ -497,8 +497,7 @@ func (s *SSD) resolveRead(c *chip.Chip, addr nand.Address) readOutcome {
 
 	red := nand.Reduction{}
 	if s.cfg.Scheme.Adaptive() {
-		st := c.Block(addr.BlockOf())
-		red = s.table.Reduction(st.PEC, st.RetentionMonths)
+		red = s.table.Reduction(cond.PEC, cond.RetentionMonths)
 		out.timings.SenseReduced = tm.TR(pt, red)
 		if s.cfg.ReducedRegularReads {
 			// §8 extension: the RPT-safe reduction also shortens the
@@ -510,21 +509,18 @@ func (s *SSD) resolveRead(c *chip.Chip, addr nand.Address) readOutcome {
 		}
 	}
 
-	// The chip's resident temperature (established by SetCondition at
-	// construction) is authoritative for the simulated device's reads, so a
-	// per-cell temperature override in the sweep flows through one place.
+	// The reduction reaches the model as the feature register's levels
+	// encode it, exactly as a SET FEATURE would program it.
 	var reg nand.FeatureRegister
 	reg.Set(nand.FractionLevel(red.Pre), 0, 0)
-	c.SetFeature(reg)
-	res := c.ReadRetry(addr, c.Temp())
-	c.ResetFeature()
+	pg := vth.PageID{Chip: ppn.Die, Block: ppn.Plane*s.cfg.Geometry.BlocksPerPlane + ppn.Block, Page: ppn.Page}
+	res := s.profiles.Read(pg, cond, pt, reg.Reduction())
 
 	out.nrr = res.RetrySteps
 	if res.Failed {
 		// §6.2's worst case: re-read with default timing.
 		out.fallback = true
-		fb := c.ReadRetry(addr, c.Temp()) // default register now restored
-		out.fbNRR = fb.RetrySteps
+		out.fbNRR = s.profiles.Read(pg, cond, pt, nand.Reduction{}).RetrySteps
 	}
 	switch {
 	case res.Failed:
@@ -532,9 +528,7 @@ func (s *SSD) resolveRead(c *chip.Chip, addr nand.Address) readOutcome {
 		// §8 extension: start the ladder near the model-predicted V_OPT
 		// position instead of walking from the default V_REF (the
 		// Sentinel-style approach [56], driven by the error model).
-		st := c.Block(addr.BlockOf())
-		cond := vth.Condition{PEC: st.PEC, RetentionMonths: st.RetentionMonths, TempC: c.Temp()}
-		predicted := int(c.Model().Drift(cond) + 0.5)
+		predicted := int(s.profiles.Model.Drift(cond) + 0.5)
 		dist := out.nrr - predicted
 		if dist < 0 {
 			dist = -dist
@@ -549,7 +543,7 @@ func (s *SSD) resolveRead(c *chip.Chip, addr nand.Address) readOutcome {
 		// predictor and PSO, a seeded walk pays the distance between the
 		// true and remembered positions plus one verification step, and
 		// never exceeds the cold walk.
-		if prev := s.history[s.globalBlock(c, addr)]; prev > 0 {
+		if prev := s.history[s.globalBlock(ppn)]; prev > 0 {
 			dist := out.nrr - int(prev-1)
 			if dist < 0 {
 				dist = -dist
@@ -560,32 +554,33 @@ func (s *SSD) resolveRead(c *chip.Chip, addr nand.Address) readOutcome {
 			s.stats.HistoryReads++
 		}
 	case s.pso != nil:
-		g := core.Group(c.Index(), 0, s.cfg.PEC, c.Block(addr.BlockOf()).RetentionMonths)
+		g := core.Group(ppn.Die, 0, s.cfg.PEC, cond.RetentionMonths)
 		out.nrr = s.pso.AdjustedSteps(g, out.nrr)
 	}
 	if s.history != nil && !res.Failed {
 		// Record the raw ladder position (not the seeded walk's length):
 		// res.RetrySteps is where the page's V_OPT actually sat, which is
 		// the signal the next read of this block wants.
-		s.history[s.globalBlock(c, addr)] = int32(res.RetrySteps) + 1
+		s.history[s.globalBlock(ppn)] = int32(res.RetrySteps) + 1
 	}
 	return out
 }
 
-// globalBlock maps a chip-local address to the device-wide block index the
+// globalBlock maps a page's location to the device-wide block index the
 // metrics and history arrays use.
-func (s *SSD) globalBlock(c *chip.Chip, addr nand.Address) int {
-	return c.Index()*s.blocksPerDie + addr.BlockOf().Linear(s.cfg.Geometry)
+func (s *SSD) globalBlock(p ftl.PPN) int {
+	g := s.cfg.Geometry
+	return (p.Die*g.PlanesPerDie+p.Plane)*g.BlocksPerPlane + p.Block
 }
 
 // recordReadMetrics folds one resolved read, run as plan, into the
 // per-address accounting. plan carries its latency attribution (a fallback
 // plan both passes'), so this costs no plan lookup and no allocation.
-func (s *SSD) recordReadMetrics(c *chip.Chip, addr nand.Address, oc readOutcome, plan *core.Plan, queue sim.Time) {
+func (s *SSD) recordReadMetrics(ppn ftl.PPN, oc readOutcome, plan *core.Plan, queue sim.Time) {
 	if s.metrics == nil {
 		return
 	}
-	s.metrics.RecordRead(s.globalBlock(c, addr), addr.Page, oc.nrr+oc.fbNRR,
+	s.metrics.RecordRead(s.globalBlock(ppn), ppn.Page, oc.nrr+oc.fbNRR,
 		plan.KindTotal(core.OpSense), plan.KindTotal(core.OpDMA), plan.KindTotal(core.OpECC), queue)
 }
 
@@ -614,8 +609,7 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 	default:
 		panic("ssd: read of unmapped LPN") // submit preconditions all reads
 	}
-	c, addr := s.chips[d.id], chipAddr(ppn)
-	oc := s.resolveRead(c, addr)
+	oc := s.resolveRead(ppn)
 	var plan *core.Plan
 	switch {
 	case s.cfg.DisableReadFastPath:
@@ -632,7 +626,7 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 	if oc.fallback {
 		s.stats.AR2Fallbacks++
 	}
-	s.recordReadMetrics(c, addr, oc, plan, now-t.enqueuedAt)
+	s.recordReadMetrics(ppn, oc, plan, now-t.enqueuedAt)
 	if gcMove {
 		s.stats.GCPageReads++
 	} else {
@@ -647,7 +641,7 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 
 	start := now
 	if s.cfg.ReducedRegularReads && oc.preLevel != d.lastPreLevel {
-		// Reprogram the chip's read timing for the new block condition; the
+		// Reprogram the die's read timing for the new block condition; the
 		// register then stays put for subsequent reads at the same level.
 		start += s.cfg.Timing.TSet
 		d.lastPreLevel = oc.preLevel
@@ -804,8 +798,7 @@ func (s *SSD) startWrite(d *die, t *txn, now sim.Time) {
 // Fire implements sim.Callback: the channel transfer of the die's write or
 // GC move ended at t, so its program phase begins.
 func (d *die) Fire(t sim.Time, _ int) {
-	dur := d.s.chips[d.id].Program(chipAddr(d.cur.ppn)) // resets the block's retention age
-	d.phase.start(t, dur)
+	d.phase.start(t, d.s.cfg.Timing.TProg)
 }
 
 // diePhase is the program or erase of a die's cur txn: running while its
@@ -937,10 +930,9 @@ func (s *SSD) startGC(d *die, t *txn, now sim.Time) {
 		return
 	}
 	s.setBusy(d, now)
-	dur := s.chips[d.id].Erase(nand.BlockID{Die: 0, Plane: t.gcPlane, Block: d.gc[t.gcPlane].block})
 	s.stats.Erases++
 	d.cur = t
-	d.phase.start(now, dur)
+	d.phase.start(now, s.cfg.Timing.TBers)
 }
 
 // gcWriteBack writes a relocated page back out once its read released the

@@ -55,7 +55,7 @@ func NewModel(p Params, seed uint64) *Model {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	kind := p.kind()
+	kind := p.Kind()
 	ratio := float64(kind.ReadOffsets()) / float64(nand.TLC.ReadOffsets())
 	effSep := p.FreshSeparation
 	if ratio != 1 { //lint:floateq ratio is exactly 1.0 for TLC by construction (7/7); the guard keeps TLC bit-identical to the pre-abstraction model

@@ -257,9 +257,9 @@ func QLC16Params() Params {
 	return p
 }
 
-// kind returns the cell kind the parameters describe, treating the zero
+// Kind returns the cell kind the parameters describe, treating the zero
 // value as TLC for compatibility.
-func (p Params) kind() nand.CellKind {
+func (p Params) Kind() nand.CellKind {
 	if p.CellBits == 0 {
 		return nand.TLC
 	}

@@ -31,9 +31,7 @@ import (
 //
 // A profile is immutable after construction and safe for concurrent use.
 type ConditionProfile struct {
-	m    *Model
-	cond Condition
-	red  nand.Reduction
+	m *Model
 
 	meanDrift float64 // Drift(cond)
 	tempAdd   int     // TempAdd(cond)
@@ -55,8 +53,6 @@ type ConditionProfile struct {
 func (m *Model) Profile(c Condition, r nand.Reduction) *ConditionProfile {
 	p := &ConditionProfile{
 		m:          m,
-		cond:       c,
-		red:        r,
 		meanDrift:  m.Drift(c),
 		tempAdd:    m.TempAdd(c),
 		penaltyRaw: m.timingPenaltyRaw(c, r),
@@ -67,12 +63,6 @@ func (m *Model) Profile(c Condition, r nand.Reduction) *ConditionProfile {
 	}
 	return p
 }
-
-// Condition returns the condition the profile was built for.
-func (p *ConditionProfile) Condition() Condition { return p.cond }
-
-// Reduction returns the timing reduction the profile was built for.
-func (p *ConditionProfile) Reduction() nand.Reduction { return p.red }
 
 // pageDrift is Model.PageDrift given the page's already-drawn variates.
 func (p *ConditionProfile) pageDrift(blockU, pageU, jitterU float64) float64 {
@@ -146,4 +136,59 @@ func (p *ConditionProfile) Read(pg PageID, pt nand.PageType) ReadResult {
 		FinalErrors: last,
 		Failed:      true,
 	}
+}
+
+// ProfileMemo is one reader's memo of Model's condition profiles: the last
+// profile read under and a map of every profile built. A profile depends
+// only on its (condition, reduction) key, so nothing is ever invalidated.
+// With Direct set, reads evaluate Model instead: the reference path the
+// differential tests compare against. A memo is not safe for concurrent use.
+type ProfileMemo struct {
+	Model  *Model
+	Direct bool
+	key    profileKey
+	last   *ConditionProfile
+	all    map[profileKey]*ConditionProfile
+}
+
+type profileKey struct {
+	cond Condition
+	red  nand.Reduction
+}
+
+// Len returns the number of profiles the memo has built.
+func (pm *ProfileMemo) Len() int { return len(pm.all) }
+
+// profile returns the profile for (c, r), building it on first use.
+func (pm *ProfileMemo) profile(c Condition, r nand.Reduction) *ConditionProfile {
+	key := profileKey{c, r}
+	if pm.last != nil && key == pm.key {
+		return pm.last
+	}
+	p, ok := pm.all[key]
+	if !ok {
+		if pm.all == nil {
+			pm.all = make(map[profileKey]*ConditionProfile)
+		}
+		p = pm.Model.Profile(c, r)
+		pm.all[key] = p
+	}
+	pm.key, pm.last = key, p
+	return p
+}
+
+// Read is Model.Read, through the profile for (c, r).
+func (pm *ProfileMemo) Read(pg PageID, c Condition, pt nand.PageType, r nand.Reduction) ReadResult {
+	if pm.Direct {
+		return pm.Model.Read(pg, c, pt, r)
+	}
+	return pm.profile(c, r).Read(pg, pt)
+}
+
+// StepErrors is Model.StepErrors, through the profile for (c, r).
+func (pm *ProfileMemo) StepErrors(pg PageID, c Condition, pt nand.PageType, step int, r nand.Reduction) int {
+	if pm.Direct {
+		return pm.Model.StepErrors(pg, c, pt, step, r)
+	}
+	return pm.profile(c, r).StepErrors(pg, pt, step)
 }
